@@ -41,6 +41,7 @@ from .solvers import (
     optimal_strategy,
 )
 from .vor import (
+    VOR_CONCEPTS,
     bound_am,
     bound_am_entropy,
     bound_chance,
@@ -75,7 +76,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_game(path: str) -> Game:
-    return fileio.read_game(path)
+    game = fileio.read_game(path)
+    problems = validate_game(game)
+    if problems:
+        raise DomainError(f"invalid game {path}: " + "; ".join(problems))
+    return game
 
 
 def _config_from(args) -> SolverConfig:
@@ -115,7 +120,7 @@ def _print_report(report) -> None:
 
 
 def cmd_validate(args) -> int:
-    game = _load_game(args.game)
+    game = fileio.read_game(args.game)
     problems = validate_game(game)
     for p in problems:
         print(p)
@@ -157,10 +162,7 @@ def cmd_vor(args) -> int:
     game = _load_game(args.game)
     cfg = _config_from(args)
     concept = args.concept
-    canon = {c.lower(): c for c in (
-        "OPT", "bEDT", "wEDT", "bCDT", "wCDT", "bNASH", "wNASH",
-        "bEDT-NASH", "wEDT-NASH", "bCDT-NASH", "wCDT-NASH",
-    )}
+    canon = {c.lower(): c for c in VOR_CONCEPTS}
     if concept.lower() not in canon:
         raise DomainError(f"unknown VoR concept {concept!r}")
     try:

@@ -6,6 +6,13 @@ marked terminal) with one infoset partition per strategic player.  Numbers
 ``float``; a game whose numbers are all Fractions supports exact arithmetic
 end to end ("rational mode").
 
+Every expected utility here is a sum over leaves of the player's utility
+times the leaf's reach monomial: its chance coefficient times each strategy
+entry on its path, raised to the number of times the path takes it.
+``Game.leaves`` compiles these monomials once per game, and every
+evaluator, gradient, deviation, compiled array and coefficient reads them
+from there.
+
 Nothing here mutates: refinements and transforms build new ``Game`` objects.
 """
 
@@ -14,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Num = Union[Fraction, float]
 
@@ -79,6 +86,19 @@ class ObservationSequence:
 
     def __iter__(self):
         return iter(self.steps)
+
+
+class Leaf(NamedTuple):
+    """A terminal's reach monomial.
+
+    ``chance`` is the product of the chance probabilities on the path (exact
+    in rational mode); ``visits`` pairs every ``(player, infoset_id,
+    action_index)`` the path takes with the number of times it takes it, in
+    order of first visit.
+    """
+
+    chance: Num
+    visits: tuple[tuple[tuple[int, str, int], int], ...]
 
 
 @dataclass(frozen=True)
@@ -146,6 +166,49 @@ class Game:
             if not all(isinstance(u, Fraction) for u in utils):
                 return False
         return True
+
+    @cached_property
+    def leaves(self) -> dict[str, Leaf]:
+        """terminal id -> its :class:`Leaf`, in ``terminals`` order; built
+        by one iterative root-to-leaf pass."""
+        out: dict[str, Leaf] = {}
+        stack: list = [(self.root, Fraction(1), {})]
+        while stack:
+            nid, chance, counts = stack.pop()
+            node = self.nodes[nid]
+            if node.is_terminal:
+                out[nid] = Leaf(chance, tuple(counts.items()))
+            for idx in reversed(range(len(node.children))):
+                child = node.children[idx]
+                if node.is_chance:
+                    stack.append((child, chance * node.chance_dist[idx], counts))
+                else:
+                    key = (node.owner, self.infoset_of_node[nid], idx)
+                    visited = {**counts, key: counts.get(key, 0) + 1}
+                    stack.append((child, chance, visited))
+        return out
+
+    @cached_property
+    def leaves_visiting(self) -> dict[tuple[int, str], tuple[str, ...]]:
+        """(player, infoset id) -> the leaves whose path visits the infoset,
+        in ``terminals`` order."""
+        out: dict[tuple[int, str], list[str]] = {}
+        for z, leaf in self.leaves.items():
+            for key in dict.fromkeys((p, iid) for (p, iid, _), _ in leaf.visits):
+                out.setdefault(key, []).append(z)
+        return {key: tuple(zs) for key, zs in out.items()}
+
+    @cached_property
+    def absentminded(self) -> dict[int, frozenset[str]]:
+        """player -> the infosets some leaf's path visits at least twice."""
+        out: dict[int, set[str]] = {p: set() for p in range(1, self.players + 1)}
+        for leaf in self.leaves.values():
+            seen = set()
+            for (p, iid, _), n in leaf.visits:
+                if n > 1 or (p, iid) in seen:
+                    out[p].add(iid)
+                seen.add((p, iid))
+        return {p: frozenset(isets) for p, isets in out.items()}
 
     def _ordered_ids(self) -> list[str]:
         """Node ids in deterministic depth-first order from the root."""
@@ -273,16 +336,7 @@ def has_absentmindedness(game: Game, player: int) -> bool:
     """True iff some infoset of ``player`` contains a node and a proper
     ancestor of it (equivalently: appears twice along one path of play)."""
     game._check_player(player)
-    for iset in game.infosets.get(player, {}).values():
-        members = set(iset.nodes)
-        for nid in iset.nodes:
-            if any(anc in members for anc in seq(game, nid)):
-                return True
-    return False
-
-
-def any_absentmindedness(game: Game) -> bool:
-    return any(has_absentmindedness(game, p) for p in range(1, game.players + 1))
+    return bool(game.absentminded[player])
 
 
 def chance_nodes(game: Game) -> tuple[str, ...]:

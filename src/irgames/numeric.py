@@ -2,8 +2,9 @@
 
 Behavioral strategies are flattened into one vector (all players' infoset
 rows concatenated in a fixed order), so batches of profiles are plain
-(B, R) arrays.  Leaf reach probabilities are monomials in the coordinates;
-the kernels evaluate utilities, exact polynomial gradients, and pure
+(B, R) arrays.  Leaf reach probabilities are monomials in the coordinates,
+compiled here from ``Game.leaves``, the one source of leaf monomials; the
+kernels evaluate utilities, exact polynomial gradients, and pure
 single-row deviation values for whole batches at once, which is what makes
 grid scans and multistart ascent affordable in pure Python.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import Game, seq
+from .game import Game
 from .strategies import BehavioralStrategy, StrategyProfile
 
 
@@ -69,9 +70,6 @@ class FlatIndex:
             x[row.offset : row.offset + row.size] = 1.0 / row.size
         return x
 
-    def rows_of(self, player: int) -> list[Row]:
-        return [r for r in self.rows if r.player == player]
-
 
 def project_rows(index: FlatIndex, X: np.ndarray) -> np.ndarray:
     """Euclidean projection of every infoset row onto its simplex."""
@@ -117,19 +115,13 @@ class NumericGame:
         ent_coord: list[int] = []
         ent_count: list[int] = []
         ent_rank: list[int] = []
-        for zi, leaf in enumerate(terminals):
-            self.utils[zi] = [float(u) for u in game.utilities[leaf]]
-            path = seq(game, leaf) + [leaf]
-            counts: dict[int, int] = {}
-            for a, b in zip(path[:-1], path[1:]):
-                node = game.nodes[a]
-                idx = node.children.index(b)
-                if node.is_chance:
-                    self.coef[zi] *= float(node.chance_dist[idx])
-                else:
-                    row = self.index.row_of[(node.owner, game.infoset_of_node[a])]
-                    coord = row.offset + idx
-                    counts[coord] = counts.get(coord, 0) + 1
+        for zi, (z, leaf) in enumerate(game.leaves.items()):
+            self.utils[zi] = [float(u) for u in game.utilities[z]]
+            self.coef[zi] = float(leaf.chance)
+            counts = {
+                self.index.row_of[(p, iid)].offset + idx: n
+                for (p, iid, idx), n in leaf.visits
+            }
             for rank, coord in enumerate(sorted(counts)):
                 ent_leaf.append(zi)
                 ent_coord.append(coord)

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .game import Game, Num, has_absentmindedness, seq
-from .numeric import FlatIndex, NumericGame, Row, project_rows, simplex_grid
+from .numeric import FlatIndex, NumericGame, Row, _project_simplex, project_rows, simplex_grid
 from .recall import has_perfect_recall
 from .strategies import (
     BehavioralStrategy,
@@ -46,8 +46,8 @@ from .strategies import (
     profile_from,
     pure_strategy,
     uniform_strategy,
-    utility_gradient,
-    _leaf_factorization,
+    infoset_gradient,
+    infoset_terms,
 )
 
 CONCEPTS = ("OPT", "EDT", "CDT", "NASH", "EDT-NASH", "CDT-NASH")
@@ -167,23 +167,6 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
     return _numeric_opt(game, cfg, grid=True)
 
 
-def _chance_weights(game: Game) -> dict[str, Num]:
-    """Chance-only reach contribution of every node (players contribute 1)."""
-    one: Num = Fraction(1) if game.is_rational else 1.0
-    out = {game.root: one}
-    stack = [game.root]
-    while stack:
-        nid = stack.pop()
-        node = game.nodes[nid]
-        for idx, child in enumerate(node.children):
-            w = out[nid]
-            if node.is_chance:
-                w = w * node.chance_dist[idx]
-            out[child] = w
-            stack.append(child)
-    return out
-
-
 def _infoset_topo_order(game: Game) -> Optional[list[str]]:
     """Infoset ids ordered ancestors-first, or None on a cycle."""
     isets = game.infosets.get(1, {})
@@ -224,7 +207,11 @@ def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
     order = _infoset_topo_order(game)
     if order is None:
         return _pure_enumeration_opt(game)
-    weights = _chance_weights(game)
+    # Chance-only reach of every node: every player action weighs 1.
+    weights = node_reach_map(game, StrategyProfile(strategies=tuple(
+        BehavioralStrategy(p, {i: (1,) * len(iset.actions) for i, iset in own.items()})
+        for p, own in game.infosets.items()
+    )))
     isets = game.infosets.get(1, {})
     choice: dict[str, int] = {}
     memo: dict[str, Num] = {}
@@ -369,9 +356,7 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
 def _lipschitz_bound(num: NumericGame) -> float:
     """Sum over leaves of utility times own-path length: a sound bound on
     the utility change per unit sup-norm strategy change."""
-    steps_per_leaf = np.zeros(num.n_leaves)
-    for e in range(num.n_entries):
-        steps_per_leaf[num.ent_leaf[e]] += num.ent_count[e]
+    steps_per_leaf = np.bincount(num.ent_leaf, num.ent_count, minlength=num.n_leaves)
     return float((num.coef * num.utils[:, 0] * steps_per_leaf).sum())
 
 
@@ -475,58 +460,30 @@ def _ascent(num: NumericGame, X: np.ndarray, player: int, cfg: SolverConfig,
 # ---------------------------------------------------------------------------
 
 
-def _absentminded_at(game: Game, infoset_id: str, player: int) -> bool:
-    iset = game.infoset(infoset_id, player)
-    members = set(iset.nodes)
-    return any(anc in members for nid in iset.nodes for anc in seq(game, nid))
-
-
-def _deviation_polynomial(game: Game, profile: StrategyProfile, player: int,
-                          infoset_id: str) -> np.ndarray:
-    """Coefficients (ascending) of s -> U(profile with the infoset's row
-    replaced by (s, 1-s)), for two-action infosets."""
-    max_deg = 0
-    terms = []
-    const = 0.0
-    for leaf in game.terminals:
-        u = float(game.utilities[leaf][player - 1])
-        if u == 0.0:
-            continue
-        cc, powers = _leaf_factorization(game, profile, player, leaf)
-        c = u * float(cc)
-        p = powers.pop((infoset_id, 0), 0)
-        q = powers.pop((infoset_id, 1), 0)
-        for (iid, j), n in powers.items():
-            c *= float(profile[player].row(iid)[j]) ** n
-        if p + q == 0:
-            const += c
-        else:
-            terms.append((c, p, q))
-            max_deg = max(max_deg, p + q)
-    poly = np.zeros(max_deg + 1)
-    poly[0] = const
-    for c, p, q in terms:
+def _maximize_two_action(const: Num, terms: list) -> tuple[float, float]:
+    """(max value, argmax) over s in [0, 1] of const + sum_k c_k s^p (1-s)^q,
+    a two-action infoset's deviation utility.  Candidates (the ends, each
+    term's maximizer p/(p+q), the derivative's real roots) are valued term
+    by term: expanded coefficients cancel catastrophically at high degree.
+    """
+    C = np.array([float(c) for c, _ in terms])
+    P, Q = np.array([exps for _, exps in terms], dtype=float).T
+    poly = np.zeros(int((P + Q).max()) + 1)
+    for c, (p, q) in terms:
         part = np.array([1.0])  # ascending coeffs of (1 - s)^q
         for _ in range(q):
             part = np.convolve(part, [1.0, -1.0])
-        padded = np.zeros(max_deg + 1)
-        padded[p : p + len(part)] += c * part
-        poly += padded
-    return poly
-
-
-def _maximize_poly_01(poly: np.ndarray) -> tuple[float, float]:
-    """(max value, argmax) of an ascending-coefficient polynomial on [0,1]."""
+        poly[p : p + len(part)] += float(c) * part
+    candidates = [0.0, 1.0, *(P / (P + Q))]
     deriv = np.polynomial.polynomial.polyder(poly)
-    candidates = [0.0, 1.0]
-    if len(deriv) > 1 or (len(deriv) == 1 and deriv[0] != 0):
-        roots = np.polynomial.polynomial.polyroots(deriv)
-        for r in roots:
+    if np.any(deriv):
+        for r in np.polynomial.polynomial.polyroots(deriv):
             if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= 1 + 1e-12:
                 candidates.append(float(min(max(r.real, 0.0), 1.0)))
-    vals = [float(np.polynomial.polynomial.polyval(s, poly)) for s in candidates]
+    S = np.array(candidates)[:, None]
+    vals = float(const) + (C * S ** P * (1.0 - S) ** Q).sum(axis=1)
     best = int(np.argmax(vals))
-    return vals[best], candidates[best]
+    return float(vals[best]), candidates[best]
 
 
 def best_deviation(game: Game, profile: StrategyProfile, player: int,
@@ -535,28 +492,57 @@ def best_deviation(game: Game, profile: StrategyProfile, player: int,
     """Value and maximizer of sigma -> U(profile deviated to sigma at the
     infoset).  Vertex scan without absentmindedness (exact); polynomial
     root-finding (2 actions) or inner ascent otherwise."""
-    cfg = _cfg(cfg)
-    iset = game.infoset(infoset_id, player)
-    n = len(iset.actions)
+    base = expected_utility(game, profile, player)
+    return _best_deviation(game, profile, player, infoset_id, base)
 
-    best_val = None
-    best_sigma = None
-    for a in range(n):
-        sig = tuple(Fraction(1) if j == a else Fraction(0) for j in range(n))
-        v = expected_utility(game, deviate(profile, infoset_id, sig, player), player)
-        if best_val is None or v > best_val:
-            best_val, best_sigma = v, sig
-    if not _absentminded_at(game, infoset_id, player):
+
+def _best_deviation(game: Game, profile: StrategyProfile, player: int,
+                    infoset_id: str, base: Num
+                    ) -> tuple[Union[Num, float], tuple]:
+    """:func:`best_deviation` given ``base``, the player's utility under
+    ``profile``."""
+    # U(sigma) = const + sum_k c_k prod_a sigma_a ** e_k[a]: ``const`` is
+    # what the leaves that do not visit the infoset contribute to ``base``.
+    terms = infoset_terms(game, profile, player, infoset_id)
+    row = profile[player].row(infoset_id)
+    const = base
+    for c, exps in terms:
+        for q, e in zip(row, exps):
+            c = c * q ** e
+        const = const - c
+    n = len(row)
+
+    # At a vertex, a term survives iff its leaf only takes that action here.
+    vertex = [const] * n
+    for c, exps in terms:
+        taken = [a for a, e in enumerate(exps) if e]
+        if len(taken) == 1:
+            vertex[taken[0]] = vertex[taken[0]] + c
+    a = max(range(n), key=vertex.__getitem__)
+    best_val, best_sigma = vertex[a], tuple(Fraction(int(j == a)) for j in range(n))
+    if not terms or infoset_id not in game.absentminded[player]:
         return best_val, best_sigma
 
     if n == 2:
-        poly = _deviation_polynomial(game, profile, player, infoset_id)
-        val, s = _maximize_poly_01(poly)
+        val, s = _maximize_two_action(const, terms)
         if val > float(best_val) + 1e-15:
             return val, (s, 1.0 - s)
         return best_val, best_sigma
 
     # Small inner ascent over the deviation simplex.
+    C = np.array([float(c) for c, _ in terms])
+    E = np.array([exps for _, exps in terms], dtype=float)
+    const_f = float(const)
+
+    def value(s: np.ndarray) -> float:
+        return const_f + float(C @ np.prod(s ** E, axis=1))
+
+    def gradient(s: np.ndarray) -> np.ndarray:
+        return np.array([
+            C @ (E[:, a] * np.prod(s ** np.maximum(E - np.eye(n)[a], 0.0), axis=1))
+            for a in range(n)
+        ])
+
     start_vals = [np.full(n, 1.0 / n)]
     start_vals.extend(np.eye(n))
     best = (float(best_val), best_sigma)
@@ -564,33 +550,19 @@ def best_deviation(game: Game, profile: StrategyProfile, player: int,
         s = np.array(s0, dtype=float)
         stepsz = 0.25
         for _ in range(200):
-            prof = deviate(profile, infoset_id, tuple(float(v) for v in s), player)
-            f = float(expected_utility(game, prof, player))
-            g = np.array([
-                float(utility_gradient(game, prof, player, infoset_id, a))
-                for a in range(n)
-            ])
-            cand = _project_simplex_1d(s + stepsz * g)
-            prof2 = deviate(profile, infoset_id, tuple(float(v) for v in cand), player)
-            f2 = float(expected_utility(game, prof2, player))
-            if f2 > f + 1e-14:
+            f = value(s)
+            cand = _project_simplex((s + stepsz * gradient(s))[None])[0]
+            if value(cand) > f + 1e-14:
                 s = cand
                 stepsz *= 1.3
             else:
                 stepsz *= 0.5
                 if stepsz < 1e-10:
                     break
-        prof = deviate(profile, infoset_id, tuple(float(v) for v in s), player)
-        f = float(expected_utility(game, prof, player))
+        f = value(s)
         if f > best[0]:
             best = (f, tuple(float(v) for v in s))
     return best
-
-
-def _project_simplex_1d(v: np.ndarray) -> np.ndarray:
-    from .numeric import _project_simplex
-
-    return _project_simplex(v[None, :])[0]
 
 
 def edt_incentive(game: Game, profile: StrategyProfile, player: int,
@@ -598,7 +570,7 @@ def edt_incentive(game: Game, profile: StrategyProfile, player: int,
     """Best gain from replacing the whole randomized action at one infoset
     (applied at every visit), holding everything else fixed."""
     base = expected_utility(game, profile, player)
-    val, _ = best_deviation(game, profile, player, infoset_id, cfg)
+    val, _ = _best_deviation(game, profile, player, infoset_id, base)
     return float(val) - float(base)
 
 
@@ -610,9 +582,10 @@ def edt_check(game: Game, profile: StrategyProfile,
     eps = cfg.eps_eq if eps_eq is None else eps_eq
     residual = 0.0
     for player in range(1, game.players + 1):
+        base = expected_utility(game, profile, player)
         for iid in game.infosets.get(player, {}):
-            residual = max(residual, edt_incentive(game, profile, player, iid, cfg))
-    residual = max(residual, 0.0)
+            val, _ = _best_deviation(game, profile, player, iid, base)
+            residual = max(residual, float(val) - float(base))
     return residual <= eps, residual
 
 
@@ -620,14 +593,11 @@ def cdt_utility(game: Game, profile: StrategyProfile, player: int,
                 infoset_id: str, sigma: Sequence[Num]) -> Num:
     """First-order (gradient-based) value a causal reasoner assigns to
     deviating to ``sigma`` at the infoset."""
-    iset = game.infoset(infoset_id, player)
-    base = expected_utility(game, profile, player)
+    total = expected_utility(game, profile, player)
     row = profile[player].row(infoset_id)
-    total = base
-    for a in range(len(iset.actions)):
-        diff = sigma[a] - row[a]
-        if diff:
-            total = total + diff * utility_gradient(game, profile, player, infoset_id, a)
+    for s, q, g in zip(sigma, row, infoset_gradient(game, profile, player, infoset_id)):
+        if s != q:
+            total = total + (s - q) * g
     return total
 
 
@@ -639,11 +609,8 @@ def kkt_check(game: Game, profile: StrategyProfile, player: int,
     cfg = _cfg(cfg)
     eps = cfg.eps_eq if eps_eq is None else eps_eq
     residual = 0.0
-    for iid, iset in game.infosets.get(player, {}).items():
-        v = [
-            float(utility_gradient(game, profile, player, iid, a))
-            for a in range(len(iset.actions))
-        ]
+    for iid in game.infosets.get(player, {}):
+        v = [float(g) for g in infoset_gradient(game, profile, player, iid)]
         row = profile[player].row(iid)
         supp = [float(p) > cfg.supp_tol for p in row]
         if not any(supp):
@@ -704,12 +671,13 @@ def edt_rational_check(game: Game, strategy: BehavioralStrategy,
         mixed = _mix_with_uniform(game, strategy, delta)
         prof = profile_from(mixed)
         worst = 0.0
+        base = expected_utility(game, prof, 1)
         for iid in game.infosets.get(1, {}):
             reach = float(infoset_reach(game, prof, iid))
             if reach <= 0.0:
                 continue
-            gain = edt_incentive(game, prof, 1, iid, cfg)
-            worst = max(worst, gain / reach)
+            val, _ = _best_deviation(game, prof, 1, iid, base)
+            worst = max(worst, (float(val) - float(base)) / reach)
         eps_ks.append(worst)
     return _schedule_accepts(eps_ks, cfg)
 
@@ -726,14 +694,11 @@ def cdt_rational_check(game: Game, strategy: BehavioralStrategy,
         mixed = _mix_with_uniform(game, strategy, delta)
         prof = profile_from(mixed)
         worst = 0.0
-        for iid, iset in game.infosets.get(1, {}).items():
+        for iid in game.infosets.get(1, {}):
             freq = float(infoset_frequency(game, prof, iid))
             if freq <= 0.0:
                 continue
-            v = [
-                float(utility_gradient(game, prof, 1, iid, a))
-                for a in range(len(iset.actions))
-            ]
+            v = [float(g) for g in infoset_gradient(game, prof, 1, iid)]
             row = [float(p) for p in mixed.row(iid)]
             gain = max(v) - sum(p * x for p, x in zip(row, v))
             worst = max(worst, gain / freq)
@@ -922,12 +887,14 @@ def _mixed_br_polish(game: Game, num: NumericGame, x: np.ndarray,
     for _ in range(cfg.polish_iters):
         best_gain, best_iid, best_sigma, best_player = 0.0, None, None, None
         base = {
-            p: float(expected_utility(game, prof, p))
+            p: expected_utility(game, prof, p)
             for p in range(1, game.players + 1)
         }
         for row in num.index.rows:
-            val, sigma = best_deviation(game, prof, row.player, row.infoset_id, cfg)
-            gain = float(val) - base[row.player]
+            val, sigma = _best_deviation(
+                game, prof, row.player, row.infoset_id, base[row.player]
+            )
+            gain = float(val) - float(base[row.player])
             if gain > best_gain + 1e-12:
                 best_gain, best_iid, best_sigma, best_player = gain, row.infoset_id, sigma, row.player
         if best_iid is None or best_gain <= 1e-11:

@@ -4,8 +4,9 @@ strategy lifting across refinements, and realization equivalence.
 
 Expected utilities of absentminded games are polynomials (not multilinear)
 in the strategy entries, so gradients are computed by exact monomial
-differentiation along root-to-leaf paths rather than by resampling or
-finite differences; the latter stay available as test oracles.
+differentiation of the leaf monomials in ``Game.leaves``, the one source of
+them, rather than by resampling or finite differences; the latter stay
+available as test oracles.
 """
 
 from __future__ import annotations
@@ -156,19 +157,26 @@ def reach_probability(game: Game, profile: StrategyProfile, h_from: str, h_to: s
 
 
 def node_reach_map(game: Game, profile: StrategyProfile) -> dict[str, Num]:
-    """Reach probability from the root for every node (one top-down pass)."""
-    out: dict[str, Num] = {game.root: Fraction(1) if game.is_rational else 1.0}
+    """Reach probability from the root for every node, in one top-down pass
+    that skips subtrees entered with probability zero (pure profiles reach
+    few nodes)."""
+    zero, one = (Fraction(0), Fraction(1)) if game.is_rational else (0.0, 1.0)
+    out: dict[str, Num] = dict.fromkeys(game.nodes, zero)
+    out[game.root] = one
     stack = [game.root]
     while stack:
         nid = stack.pop()
         node = game.nodes[nid]
-        for idx, child in enumerate(node.children):
-            if node.is_chance:
-                p = node.chance_dist[idx]
-            else:
-                p = profile[node.owner].row(game.infoset_of_node[nid])[idx]
-            out[child] = out[nid] * p
-            stack.append(child)
+        if node.is_terminal:
+            continue
+        if node.is_chance:
+            probs = node.chance_dist
+        else:
+            probs = profile[node.owner].row(game.infoset_of_node[nid])
+        for child, p in zip(node.children, probs):
+            if p:
+                out[child] = out[nid] * p
+                stack.append(child)
     return out
 
 
@@ -191,30 +199,15 @@ def infoset_frequency(game: Game, profile: StrategyProfile, infoset_id: str) -> 
     return sum((reach[n] for n in iset.nodes), start=Fraction(0))
 
 
-def expected_utility(
-    game: Game, profile: StrategyProfile, player: int, node_id: Optional[str] = None
-) -> Num:
-    """Sum over terminals of reach (from ``node_id``, default root) times
-    the player's utility."""
+def expected_utility(game: Game, profile: StrategyProfile, player: int) -> Num:
+    """Sum over terminals of reach from the root times the player's
+    utility."""
     game._check_player(player)
-    start = game.root if node_id is None else node_id
-    game.node(start)
-
-    def walk(nid: str) -> Num:
-        node = game.nodes[nid]
-        if node.is_terminal:
-            return game.utilities[nid][player - 1]
-        total: Num = Fraction(0)
-        for idx, child in enumerate(node.children):
-            if node.is_chance:
-                p = node.chance_dist[idx]
-            else:
-                p = profile[node.owner].row(game.infoset_of_node[nid])[idx]
-            if p:
-                total = total + p * walk(child)
-        return total
-
-    return walk(start)
+    reach = node_reach_map(game, profile)
+    return sum(
+        (reach[z] * game.utilities[z][player - 1] for z in game.terminals if reach[z]),
+        start=Fraction(0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +215,50 @@ def expected_utility(
 # ---------------------------------------------------------------------------
 
 
-def _leaf_factorization(game: Game, profile: StrategyProfile, player: int, leaf: str):
-    """Split a leaf's reach monomial into a constant (chance and opponents)
-    and per-(infoset, action-index) exponents for ``player``."""
-    const: Num = Fraction(1)
-    powers: dict[tuple[str, int], int] = {}
-    path = seq(game, leaf) + [leaf]
-    for a, b in zip(path[:-1], path[1:]):
-        node = game.nodes[a]
-        idx = node.children.index(b)
-        if node.is_chance:
-            const = const * node.chance_dist[idx]
-        elif node.owner != player:
-            iset_id = game.infoset_of_node[a]
-            const = const * profile[node.owner].row(iset_id)[idx]
-        else:
-            key = (game.infoset_of_node[a], idx)
-            powers[key] = powers.get(key, 0) + 1
-    return const, powers
+def infoset_terms(
+    game: Game, profile: StrategyProfile, player: int, infoset_id: str
+) -> list[tuple[Num, tuple[int, ...]]]:
+    """The part of the player's expected utility that depends on one
+    infoset's row, as ``sum_k c_k * prod_a row_a ** e_k[a]``.
+
+    One term (c_k, e_k) per leaf whose path visits the infoset and pays the
+    player: c_k is the utility times the leaf's chance coefficient and its
+    entries at other infosets, e_k its visit count per action.
+    """
+    n = len(game.infoset(infoset_id, player).actions)
+    rows = {s.player: s.table for s in profile.strategies}
+    terms = []
+    for z in game.leaves_visiting.get((player, infoset_id), ()):
+        u = game.utilities[z][player - 1]
+        if not u:
+            continue
+        c = u * game.leaves[z].chance
+        exps = [0] * n
+        for (p, iid, j), m in game.leaves[z].visits:
+            if p == player and iid == infoset_id:
+                exps[j] = m
+            else:
+                c = c * rows[p][iid][j] ** m
+        terms.append((c, tuple(exps)))
+    return terms
+
+
+def infoset_gradient(
+    game: Game, profile: StrategyProfile, player: int, infoset_id: str
+) -> list[Num]:
+    """Exact partial derivatives of the player's expected utility in every
+    entry of the infoset's row: within each leaf monomial the entry appears
+    with its visit count as exponent, so d/dp p^m = m p^(m-1) leafwise."""
+    row = profile[player].row(infoset_id)
+    out: list[Num] = [Fraction(0)] * len(row)
+    for c, exps in infoset_terms(game, profile, player, infoset_id):
+        for a, m in enumerate(exps):
+            if m:
+                term = c * m
+                for b, e in enumerate(exps):
+                    term = term * row[b] ** (e - (a == b))
+                out[a] = out[a] + term
+    return out
 
 
 def utility_gradient(
@@ -250,40 +269,12 @@ def utility_gradient(
     action: Union[int, str],
 ) -> Num:
     """Exact partial derivative of the player's expected utility with
-    respect to the probability of ``action`` at ``infoset_id``.
-
-    Opponents and chance are folded into per-leaf constants; within each
-    leaf monomial the targeted coordinate appears with its visit count as
-    exponent, so d/dp p^m = m p^(m-1) applied leafwise.
-    """
+    respect to the probability of ``action`` at ``infoset_id``."""
     iset = game.infoset(infoset_id, player)
     aidx = action if isinstance(action, int) else iset.actions.index(action)
     if not (0 <= aidx < len(iset.actions)):
         raise KeyError(f"unknown action {action!r} at infoset {infoset_id!r}")
-    strategy = profile[player]
-
-    total: Num = Fraction(0)
-    for leaf in game.terminals:
-        u = game.utilities[leaf][player - 1]
-        if not u:
-            continue
-        const, powers = _leaf_factorization(game, profile, player, leaf)
-        m = powers.get((infoset_id, aidx), 0)
-        if m == 0 or not const:
-            continue
-        term: Num = const * m
-        p = strategy.row(infoset_id)[aidx]
-        for _ in range(m - 1):
-            term = term * p
-        skip = (infoset_id, aidx)
-        for (iid, j), n in powers.items():
-            if (iid, j) == skip:
-                continue
-            q = strategy.row(iid)[j]
-            for _ in range(n):
-                term = term * q
-        total = total + u * term
-    return total
+    return infoset_gradient(game, profile, player, infoset_id)[aidx]
 
 
 def finite_difference_gradient(

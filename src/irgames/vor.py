@@ -2,7 +2,9 @@
 concept in the coarsest perfect-recall refinement to that in the original
 game, together with the structural quantities that bound it.
 
-Three utility-independent coefficients drive every bound:
+Three utility-independent coefficients drive every bound; the two per-leaf
+ones are read from the leaf's monomial in ``Game.leaves``, the one source of
+leaf monomials:
 
 * the absentmindedness coefficient of a leaf: the product of
   empirical-frequency powers over its repeat-visited infosets, which is
@@ -23,7 +25,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .game import Game, Num, chance_nodes, has_absentmindedness, obs, seq, subtree_nodes
+from .game import Game, Leaf, Num, chance_nodes, has_absentmindedness, subtree_nodes
 from .numeric import NumericGame, project_rows
 from .recall import perfect_recall_refinement
 from .solvers import (
@@ -56,27 +58,26 @@ VOR_CONCEPTS = (
 # ---------------------------------------------------------------------------
 
 
-def _player1_visit_counts(game: Game, leaf: str) -> dict[str, dict[int, int]]:
+def _leaf(game: Game, leaf: str) -> Leaf:
+    if not game.nodes[leaf].is_terminal:
+        raise ValueError(f"{leaf!r} is not a terminal node")
+    return game.leaves[leaf]
+
+
+def _player1_rows(game: Game, leaf: str) -> dict[str, dict[int, int]]:
     """Per infoset of Player 1 on the leaf's path: action-index -> count."""
-    counts: dict[str, dict[int, int]] = {}
-    path = seq(game, leaf) + [leaf]
-    for a, b in zip(path[:-1], path[1:]):
-        node = game.nodes[a]
-        if node.owner != 1:
-            continue
-        iid = game.infoset_of_node[a]
-        idx = node.children.index(b)
-        counts.setdefault(iid, {})[idx] = counts.get(iid, {}).get(idx, 0) + 1
-    return counts
+    rows: dict[str, dict[int, int]] = {}
+    for (player, iid, idx), n in _leaf(game, leaf).visits:
+        if player == 1:
+            rows.setdefault(iid, {})[idx] = n
+    return rows
 
 
 def am_coefficient(game: Game, leaf: str) -> Num:
     """Product over repeat-visited infosets of (n_a / n_I) ** n_a, one
     factor per action taken there; 1 when no infoset repeats."""
-    if not game.nodes[leaf].is_terminal:
-        raise ValueError(f"{leaf!r} is not a terminal node")
     out: Num = Fraction(1)
-    for iid, per_action in _player1_visit_counts(game, leaf).items():
+    for per_action in _player1_rows(game, leaf).values():
         n_total = sum(per_action.values())
         if n_total <= 1:
             continue
@@ -91,10 +92,8 @@ def am_witness(game: Game, leaf: str) -> BehavioralStrategy:
     play each path action with its empirical frequency, uniform off-path."""
     if chance_nodes(game):
         raise ValueError("am_witness requires a game without chance nodes")
-    if not game.nodes[leaf].is_terminal:
-        raise ValueError(f"{leaf!r} is not a terminal node")
     strategy = uniform_strategy(game, 1, rational=True)
-    for iid, per_action in _player1_visit_counts(game, leaf).items():
+    for iid, per_action in _player1_rows(game, leaf).items():
         n_total = sum(per_action.values())
         size = len(game.infosets[1][iid].actions)
         row = [Fraction(per_action.get(a, 0), n_total) for a in range(size)]
@@ -104,33 +103,30 @@ def am_witness(game: Game, leaf: str) -> BehavioralStrategy:
 
 def chance_coefficient(game: Game, leaf: str) -> Num:
     """Product of chance probabilities along the leaf's path; 1 if none."""
-    if not game.nodes[leaf].is_terminal:
-        raise ValueError(f"{leaf!r} is not a terminal node")
-    out: Num = Fraction(1)
-    path = seq(game, leaf) + [leaf]
-    for a, b in zip(path[:-1], path[1:]):
-        node = game.nodes[a]
+    return _leaf(game, leaf).chance
+
+
+def _branching_factors(game: Game, top: str) -> dict[str, int]:
+    """Branching factor of every chance node below ``top``, in one
+    bottom-up pass."""
+    out: dict[str, int] = {}
+    most: dict[str, int] = {}  # largest factor in the node's subtree; 0 if none
+    for nid in reversed(subtree_nodes(game, top)):
+        node = game.nodes[nid]
+        below = [most[c] for c in node.children]
         if node.is_chance:
-            out = out * node.chance_dist[node.children.index(b)]
+            out[nid] = sum(m or 1 for m in below)
+            below.append(out[nid])
+        most[nid] = max(below, default=0)
     return out
 
 
 def branching_factor(game: Game, node_id: str) -> int:
     """Recursive chance branching: sum over actions of 1 when the action's
     subtree is chance-free, else the max branching factor inside it."""
-    node = game.nodes[node_id]
-    if not node.is_chance:
+    if not game.nodes[node_id].is_chance:
         raise ValueError(f"{node_id!r} is not a chance node")
-    total = 0
-    for child in node.children:
-        below = [
-            n for n in subtree_nodes(game, child) if game.nodes[n].is_chance
-        ]
-        if not below:
-            total += 1
-        else:
-            total += max(branching_factor(game, h) for h in below)
-    return total
+    return _branching_factors(game, node_id)[node_id]
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,7 @@ def coefficient_table(game: Game) -> CoefficientTable:
     return CoefficientTable(
         am={z: am_coefficient(game, z) for z in game.terminals},
         chance={z: chance_coefficient(game, z) for z in game.terminals},
-        branching={h: branching_factor(game, h) for h in chance_nodes(game)},
+        branching=_branching_factors(game, game.root),
     )
 
 
@@ -186,10 +182,8 @@ def bound_am(game: Game) -> tuple[Num, Num]:
 def bound_am_entropy(game: Game, leaf: str) -> Num:
     """Support-size bound dominating 1/am(z): product over repeat-visited
     infosets of min(visits, actions) ** visits."""
-    if not game.nodes[leaf].is_terminal:
-        raise ValueError(f"{leaf!r} is not a terminal node")
     out: Num = Fraction(1)
-    for iid, per_action in _player1_visit_counts(game, leaf).items():
+    for iid, per_action in _player1_rows(game, leaf).items():
         n_total = sum(per_action.values())
         if n_total <= 1:
             continue
@@ -212,8 +206,7 @@ def bound_chance(game: Game, cfg: Optional[SolverConfig] = None) -> tuple[Num, N
     if best_leaf_value == 0:
         raise ValueError("all utilities are zero; the bound is undefined")
     bound1 = opt_refined / best_leaf_value
-    hs = chance_nodes(game)
-    bound2 = max((branching_factor(game, h) for h in hs), default=1)
+    bound2 = max(_branching_factors(game, game.root).values(), default=1)
     return bound1, Fraction(bound2)
 
 
@@ -223,8 +216,7 @@ def bound_composed(game: Game) -> Num:
     coefficient (each factor 1 when its domain is empty)."""
     if game.players != 1:
         raise ValueError("bound_composed expects a single-player game")
-    hs = chance_nodes(game)
-    beta = max((branching_factor(game, h) for h in hs), default=1)
+    beta = max(_branching_factors(game, game.root).values(), default=1)
     min_am = min(am_coefficient(game, z) for z in game.terminals)
     return Fraction(beta) / min_am
 

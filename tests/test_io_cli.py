@@ -195,6 +195,19 @@ def test_cli_error_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    ["solve", "--concept", "opt"], ["vor", "--concept", "opt"], ["coeffs"],
+])
+def test_cli_rejects_invalid_game_with_exit_1(tmp_path, capsys, command):
+    doc = game_to_jsonable(gen_fig2())
+    doc["nodes"][1]["children"][-1] = "ghost"
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(doc))
+    assert run([command[0], str(bad), *command[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid game") and "'ghost'" in err
+
+
 def test_cli_gen_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(["gen", "random", "--depth", "4", "--seed", "9", "--out", str(a)])

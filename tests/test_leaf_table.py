@@ -1,0 +1,139 @@
+"""The compiled leaf table (``Game.leaves``) against paths that do not read
+it: finite differences, whole-tree evaluation of deviated profiles, and a
+brute-force ancestor scan; plus deep chains that once hit recursion limits."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from irgames.game import has_absentmindedness
+from irgames.generators import gen_lenny, gen_random
+from irgames.numeric import NumericGame
+from irgames.solvers import best_deviation, edt_check
+from irgames.strategies import (
+    BehavioralStrategy,
+    StrategyProfile,
+    deviate,
+    expected_utility,
+    finite_difference_gradient,
+    infoset_terms,
+    uniform_profile,
+    utility_gradient,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+# Small gen_random games: absentminded or not, one or two players.
+games = st.builds(
+    lambda depth, branching, merge, chance, am, players, seed: gen_random(
+        depth, branching, merge, chance, am, seed, players=players),
+    depth=st.integers(2, 4),
+    branching=st.integers(2, 3),
+    merge=st.sampled_from([0.5, 0.9]),
+    chance=st.sampled_from([0.0, 0.3]),
+    am=st.booleans(),
+    players=st.sampled_from([1, 2]),
+    seed=st.integers(0, 10_000),
+)
+
+
+def random_profile(game, seed: int, exact: bool) -> StrategyProfile:
+    rng = random.Random(seed)
+    strategies = []
+    for p in range(1, game.players + 1):
+        table = {}
+        for iid, iset in game.infosets.get(p, {}).items():
+            weights = [rng.randint(1, 9) for _ in iset.actions]
+            total = sum(weights)
+            table[iid] = tuple(
+                Fraction(w, total) if exact else w / total for w in weights
+            )
+        strategies.append(BehavioralStrategy(p, table))
+    return StrategyProfile(tuple(strategies))
+
+
+def terms_value(terms, sigma):
+    total = 0
+    for c, exps in terms:
+        for s, e in zip(sigma, exps):
+            c = c * s ** e
+        total = total + c
+    return total
+
+
+@PROPERTY
+@given(game=games, seed=st.integers(0, 10_000))
+def test_utility_gradient_matches_finite_differences(game, seed):
+    profile = random_profile(game, seed, exact=False)
+    for p in range(1, game.players + 1):
+        for iid, iset in game.infosets.get(p, {}).items():
+            for a in range(len(iset.actions)):
+                exact = float(utility_gradient(game, profile, p, iid, a))
+                fd = finite_difference_gradient(game, profile, p, iid, a)
+                assert exact == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+@PROPERTY
+@given(game=games, seed=st.integers(0, 10_000))
+def test_infoset_terms_and_deviations_match_whole_tree_evaluation(game, seed):
+    profile = random_profile(game, seed, exact=True)
+    for p in range(1, game.players + 1):
+        base = expected_utility(game, profile, p)
+        for iid, iset in game.infosets.get(p, {}).items():
+            n = len(iset.actions)
+            terms = infoset_terms(game, profile, p, iid)
+            at_row = terms_value(terms, profile[p].row(iid))
+            vertices = [
+                tuple(Fraction(int(j == a)) for j in range(n)) for a in range(n)
+            ]
+            walked = {
+                sigma: expected_utility(game, deviate(profile, iid, sigma, p), p)
+                for sigma in vertices + [random_profile(game, seed + 1, True)[p].row(iid)]
+            }
+            for sigma, value in walked.items():
+                assert terms_value(terms, sigma) - at_row == value - base
+            value, _ = best_deviation(game, profile, p, iid)
+            best_vertex = max(walked[v] for v in vertices)
+            if iid in game.absentminded[p]:
+                assert value >= best_vertex - 1e-12  # ascent values are floats
+            else:
+                assert value == best_vertex
+
+
+@PROPERTY
+@given(game=games, seed=st.integers(0, 10_000))
+def test_compiled_utility_matches_expected_utility(game, seed):
+    profile = random_profile(game, seed, exact=False)
+    num = NumericGame(game)
+    x = num.index.vector(profile)[None, :]
+    for p in range(1, game.players + 1):
+        got = float(num.utility(x, p)[0])
+        assert got == pytest.approx(float(expected_utility(game, profile, p)),
+                                    rel=1e-12, abs=1e-12)
+
+
+@PROPERTY
+@given(game=games)
+def test_has_absentmindedness_matches_ancestor_scan(game):
+    for p in range(1, game.players + 1):
+        brute = False
+        for iset in game.infosets.get(p, {}).values():
+            members = set(iset.nodes)
+            for nid in iset.nodes:
+                anc = game.parent[nid]
+                while anc is not None and not brute:
+                    brute = anc in members
+                    anc = game.parent[anc]
+        assert has_absentmindedness(game, p) == brute
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_deep_chain_evaluates_without_recursion(n):
+    game = gen_lenny(n)
+    profile = uniform_profile(game)
+    assert expected_utility(game, profile, 1) == Fraction(1, 2 ** n)
+    assert NumericGame(game).n_leaves == n + 1
+    # Uniform play maximizes s^(n/2) (1-s)^(n/2), so no deviation gains.
+    assert edt_check(game, profile) == (True, 0.0)

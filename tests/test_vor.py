@@ -316,3 +316,88 @@ def test_every_edt_equilibrium_clears_the_smooth_floor():
     rho, _ = smooth_bounds(1.0, 1.0, opt, float(bound_composed(g)))
     for report in enumerate_equilibria(g, "EDT"):
         assert float(report.utilities[0]) >= rho * opt - 1e-9
+
+
+# -- coefficients against root-path walks -------------------------------------
+
+
+def _chain_of_chance_nodes(depth: int):
+    from irgames.game import Node, make_game
+
+    half = Fraction(1, 2)
+    nodes = [
+        Node(id=f"c{k}", owner="chance", actions=("stop", "go"),
+             children=(f"z{k}", f"c{k + 1}" if k < depth else f"z{depth + 1}"),
+             chance_dist=(half, half))
+        for k in range(1, depth + 1)
+    ] + [Node(id=f"z{k}", owner="terminal") for k in range(1, depth + 2)]
+    utils = {f"z{k}": (Fraction(1),) for k in range(1, depth + 2)}
+    return make_game(1, "c1", nodes, utils, [])
+
+
+def test_branching_factor_is_linear_on_a_chance_chain():
+    import time
+
+    g = _chain_of_chance_nodes(40)
+    start = time.perf_counter()
+    assert branching_factor(g, "c1") == 41
+    assert time.perf_counter() - start < 0.05
+    assert coefficient_table(g).branching == {f"c{k}": 42 - k for k in range(1, 41)}
+
+
+def _reference_coefficients(g):
+    """Coefficient table rebuilt by walking each leaf's root path and, for
+    branching factors, by the recursive definition."""
+    from irgames.game import seq, subtree_nodes
+
+    def path_steps(z):
+        path = seq(g, z) + [z]
+        for a, b in zip(path, path[1:]):
+            yield g.nodes[a], g.nodes[a].children.index(b)
+
+    def am(z):
+        counts = {}
+        for node, idx in path_steps(z):
+            if node.owner == 1:
+                per = counts.setdefault(g.infoset_of_node[node.id], {})
+                per[idx] = per.get(idx, 0) + 1
+        out = Fraction(1)
+        for per in counts.values():
+            total = sum(per.values())
+            if total > 1:
+                for n_a in per.values():
+                    out *= Fraction(n_a, total) ** n_a
+        return out
+
+    def chance(z):
+        out = Fraction(1)
+        for node, idx in path_steps(z):
+            if node.is_chance:
+                out *= node.chance_dist[idx]
+        return out
+
+    def beta(h):
+        total = 0
+        for child in g.nodes[h].children:
+            below = [n for n in subtree_nodes(g, child) if g.nodes[n].is_chance]
+            total += max((beta(b) for b in below), default=1)
+        return total
+
+    return {
+        "am": {z: am(z) for z in g.terminals},
+        "chance": {z: chance(z) for z in g.terminals},
+        "branching": {h: beta(h) for h in chance_nodes(g)},
+    }
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_fig1(Fraction(1, 100)), gen_fig2, lambda: gen_fig3(Fraction(1, 10)),
+    lambda: gen_dory(3), lambda: gen_lenny(6), default_valid_utility,
+    lambda: gen_random(4, 2, 0.8, 0.4, True, 3),
+    lambda: gen_random(4, 3, 0.6, 0.3, False, 7, players=2),
+])
+def test_coefficient_table_matches_path_walks(make):
+    g = make()
+    table = coefficient_table(g)
+    assert {"am": table.am, "chance": table.chance,
+            "branching": table.branching} == _reference_coefficients(g)
