@@ -33,6 +33,7 @@ from .generators import (
 )
 from .partial import k_best_partial, enumerate_k_refinements
 from .recall import perfect_recall_refinement, perfect_recall_refinement_all
+from .strategies import StrategyProfile, validate_profile
 from .solvers import (
     CapExceededError,
     EquilibriumNotFoundError,
@@ -81,6 +82,14 @@ def _load_game(path: str) -> Game:
     if problems:
         raise DomainError(f"invalid game {path}: " + "; ".join(problems))
     return game
+
+
+def _load_profile(path: str, game: Game) -> StrategyProfile:
+    profile = fileio.read_profile(path)
+    problems = validate_profile(game, profile)
+    if problems:
+        raise DomainError(f"invalid strategy {path}: " + "; ".join(problems))
+    return profile
 
 
 def _config_from(args) -> SolverConfig:
@@ -222,7 +231,7 @@ def cmd_bounds(args) -> int:
 def cmd_smooth_check(args) -> int:
     game = _load_game(args.game)
     cfg = _config_from(args)
-    pistar = fileio.read_profile(args.pistar)
+    pistar = _load_profile(args.pistar, game)
     try:
         verdict = smoothness_check(game, pistar, args.lam, args.mu, cfg)
     except ValueError as exc:
@@ -311,7 +320,7 @@ def _parse_int_groups(text: str) -> list[tuple[int, ...]]:
 
 def cmd_export_dot(args) -> int:
     game = _load_game(args.game)
-    profile = fileio.read_profile(args.strategy) if args.strategy else None
+    profile = _load_profile(args.strategy, game) if args.strategy else None
     _emit(export_dot(game, profile), args.out)
     return 0
 

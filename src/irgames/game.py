@@ -323,12 +323,17 @@ def obs_i(game: Game, node_id: str, player: int) -> ObservationSequence:
 
 
 def first_visit_nodes(game: Game, infoset_id: str, player: Optional[int] = None) -> set[str]:
-    """Members of the infoset whose path does not already visit it."""
-    iset = game.infoset(infoset_id, player)
+    """Members of the infoset whose path does not already visit it: the
+    members a walk from the root meets first, not descending past them."""
+    members = set(game.infoset(infoset_id, player).nodes)
     out = set()
-    for nid in iset.nodes:
-        if all(step[1] != iset.id for step in obs(game, nid)):
+    stack = [game.root]
+    while stack:
+        nid = stack.pop()
+        if nid in members:
             out.add(nid)
+        else:
+            stack.extend(game.nodes[nid].children)
     return out
 
 

@@ -12,6 +12,7 @@ grid scans and multistart ascent affordable in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,9 +102,7 @@ class NumericGame:
     def __init__(self, game: Game):
         self.game = game
         self.index = FlatIndex(game)
-        terminals = game.terminals
-        self.terminals = terminals
-        Z = len(terminals)
+        Z = len(game.terminals)
         self.n_leaves = Z
         self.coef = np.ones(Z)  # chance coefficient per leaf
         self.utils = np.zeros((Z, game.players))
@@ -141,6 +140,15 @@ class NumericGame:
             self.rank_grid[self.ent_leaf[e], self.ent_rank[e]] = e
 
         self._row_cache: dict[int, tuple] = {}
+
+    @cached_property
+    def visits(self) -> np.ndarray:
+        """(Z, rows): times each leaf's path passes each infoset row."""
+        rows = self.index.rows
+        out = np.zeros((self.n_leaves, len(rows)))
+        row_at = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+        np.add.at(out, (self.ent_leaf, row_at[self.ent_coord]), self.ent_count)
+        return out
 
     # -- core monomial machinery -------------------------------------------
 

@@ -18,7 +18,10 @@ Computation policy, in one place:
 * equilibrium enumeration seeds pure/grid/random profiles, polishes them by
   improving-deviation dynamics (gradient dynamics for CDT), keeps profiles
   whose residual clears the tolerance, and dedups by realization
-  equivalence.  Flags on every report say how much certainty was earned.
+  equivalence.  Flags on every report say how much certainty was earned;
+* the Nash-refinement filters evaluate float profiles through
+  ``NumericGame``: one batch holds the whole mixing schedule, and reach,
+  visit frequency and CDT gains are read from its kernels.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .game import Game, Num, has_absentmindedness, seq
-from .numeric import FlatIndex, NumericGame, Row, _project_simplex, project_rows, simplex_grid
+from .numeric import FlatIndex, NumericGame, _project_simplex, project_rows, simplex_grid
 from .recall import has_perfect_recall
 from .strategies import (
     BehavioralStrategy,
@@ -40,8 +43,6 @@ from .strategies import (
     deviate,
     expected_utility,
     fix_opponents,
-    infoset_frequency,
-    infoset_reach,
     node_reach_map,
     profile_from,
     pure_strategy,
@@ -257,35 +258,31 @@ def _pure_enumeration_opt(game: Game) -> tuple[Num, BehavioralStrategy]:
     then exact re-evaluation of the near-optimal slab)."""
     num = NumericGame(game)
     rows = num.index.rows
-    sizes = [r.size for r in rows]
-    total = math.prod(sizes) if sizes else 1
-
-    if total == 1:
-        choice = {r.infoset_id: 0 for r in rows}
-        strategy = pure_strategy(game, 1, choice)
-        return expected_utility(game, profile_from(strategy), 1), strategy
-
-    assign = np.array(list(itertools.product(*[range(s) for s in sizes])),
+    assign = np.array(list(itertools.product(*[range(r.size) for r in rows])),
                       dtype=np.intp)
-    values = _pure_values(num, assign, player=1)
+    reached = _reached_leaves(num, assign)
+    values = reached @ (num.coef * num.utils[:, 0])
     best = values.max()
     slab = np.nonzero(values >= best - 1e-9 - 1e-9 * abs(best))[0]
 
-    best_val: Optional[Num] = None
-    best_choice = None
-    for idx in slab:
-        choice = {r.infoset_id: int(assign[idx, j]) for j, r in enumerate(rows)}
+    # Pure strategies that reach the same leaves have the same exact value,
+    # so each reached set is valued once, at its first row.  Rows are in
+    # lexicographic order: the first exact maximum wins ties.
+    first: dict[bytes, int] = {}
+    for i in slab:
+        first.setdefault(reached[i].tobytes(), i)
+    best_val, best = None, None
+    for i in first.values():
+        choice = {r.infoset_id: int(assign[i, j]) for j, r in enumerate(rows)}
         strategy = pure_strategy(game, 1, choice)
         v = expected_utility(game, profile_from(strategy), 1)
-        key = tuple(int(a) for a in assign[idx])
-        if best_val is None or v > best_val or (v == best_val and key < best_choice[1]):
-            best_val = v
-            best_choice = (strategy, key)
-    return best_val, best_choice[0]
+        if best_val is None or v > best_val:
+            best_val, best = v, strategy
+    return best_val, best
 
 
-def _pure_values(num: NumericGame, assign: np.ndarray, player: int) -> np.ndarray:
-    """(T,) utilities of pure assignments (T, n_rows) for ``player``."""
+def _reached_leaves(num: NumericGame, assign: np.ndarray) -> np.ndarray:
+    """(T, Z) mask of the leaves each pure assignment (T, n_rows) reaches."""
     T = assign.shape[0]
     reached = np.ones((T, num.n_leaves), dtype=bool)
     coord_row = np.empty(num.index.dim, dtype=np.intp)
@@ -298,8 +295,7 @@ def _pure_values(num: NumericGame, assign: np.ndarray, player: int) -> np.ndarra
         reached[:, num.ent_leaf[e]] &= (
             assign[:, coord_row[coord]] == coord_act[coord]
         )
-    u = num.coef * num.utils[:, player - 1]
-    return reached @ u
+    return reached
 
 
 def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
@@ -637,73 +633,72 @@ def kkt_check_profile(game: Game, profile: StrategyProfile,
 # ---------------------------------------------------------------------------
 
 
-def _mix_with_uniform(game: Game, strategy: BehavioralStrategy, delta: float
-                      ) -> BehavioralStrategy:
-    table = {}
-    for iid, row in strategy.table.items():
-        n = len(row)
-        table[iid] = tuple((1.0 - delta) * float(p) + delta / n for p in row)
-    return BehavioralStrategy(player=strategy.player, table=table)
+def _schedule_check(game: Game, strategy: BehavioralStrategy,
+                    cfg: Optional[SolverConfig], gains: Callable,
+                    first_visit: bool) -> tuple[bool, np.ndarray]:
+    """Limit-based rationality, verified along ``cfg.schedule``: mix the
+    strategy toward uniform at every rate delta at once, divide each
+    infoset's incentive ``gains(num, X, live)`` (an (S, rows) array, read
+    where ``live``) by its first-visit reach or by its expected visit
+    count, and accept when the worst quotient decays linearly in delta: fit
+    the slope on the first points and demand the rest stay under it (or
+    under the equilibrium tolerance).
+
+    Returns the verdict and the (S,) worst-quotient trace it read.
+    """
+    cfg = _cfg(cfg)
+    if game.players != 1:
+        raise ValueError("rationality checks expect a single-player game")
+    num = NumericGame(game)
+    deltas = np.array(cfg.schedule, dtype=float)
+    x = num.index.vector(profile_from(strategy))
+    X = (1.0 - deltas[:, None]) * x + deltas[:, None] * num.index.uniform()
+    # Every row of X sums to one, so these are the reach and the frequency.
+    norm = num.leaf_probs(X) @ (num.visits > 0 if first_visit else num.visits)
+    live = norm > 0.0
+    ratios = np.divide(gains(num, X, live), norm,
+                       out=np.zeros_like(norm), where=live)
+    trace = ratios.max(axis=1, initial=0.0)
+    slope = cfg.schedule_safety * (trace[:5] / deltas[:5]).max(initial=0.0)
+    return bool(np.all(trace <= np.maximum(cfg.eps_eq, slope * deltas))), trace
 
 
-def _schedule_accepts(eps_ks: list[float], cfg: SolverConfig) -> bool:
-    """Accept a normalized-incentive trace when it decays linearly with the
-    mixing rate: fit the slope on the first points, demand the rest stay
-    under it (or under the equilibrium tolerance)."""
-    deltas = cfg.schedule
-    head = [max(e, 0.0) / d for e, d in zip(eps_ks[:5], deltas[:5])]
-    C = cfg.schedule_safety * max(head) if head else 0.0
-    return all(
-        e <= max(cfg.eps_eq, C * d) for e, d in zip(eps_ks, deltas)
-    )
+def _edt_gains(num: NumericGame, X: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Best gain from replacing one infoset's row, per schedule step.
+    ``_best_deviation`` is affine in its base utility: at base 0 it returns
+    the gain itself, not a difference of two utilities, which would lose
+    the gain's digits at infosets of tiny reach."""
+    out = np.zeros(live.shape)
+    for s in range(len(X)):
+        prof = num.index.profile(X[s])
+        for j in np.nonzero(live[s])[0]:
+            iid = num.index.rows[j].infoset_id
+            out[s, j] = float(_best_deviation(num.game, prof, 1, iid, 0.0)[0])
+    return out
+
+
+def _cdt_gains(num: NumericGame, X: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """First-order gain at every infoset: its largest gradient entry minus
+    the row's average gradient entry."""
+    G = num.gradient(X, 1)
+    starts = [r.offset for r in num.index.rows]
+    return (np.maximum.reduceat(G, starts, axis=1)
+            - np.add.reduceat(X * G, starts, axis=1))
 
 
 def edt_rational_check(game: Game, strategy: BehavioralStrategy,
                        cfg: Optional[SolverConfig] = None) -> bool:
     """Finite verification of the limit condition behind EDT rationality:
-    mix toward uniform along the schedule and require the reach-normalized
-    deviation gains to vanish linearly."""
-    cfg = _cfg(cfg)
-    if game.players != 1:
-        raise ValueError("edt_rational_check expects a single-player game")
-    eps_ks = []
-    for delta in cfg.schedule:
-        mixed = _mix_with_uniform(game, strategy, delta)
-        prof = profile_from(mixed)
-        worst = 0.0
-        base = expected_utility(game, prof, 1)
-        for iid in game.infosets.get(1, {}):
-            reach = float(infoset_reach(game, prof, iid))
-            if reach <= 0.0:
-                continue
-            val, _ = _best_deviation(game, prof, 1, iid, base)
-            worst = max(worst, (float(val) - float(base)) / reach)
-        eps_ks.append(worst)
-    return _schedule_accepts(eps_ks, cfg)
+    the reach-normalized deviation gains must vanish linearly along the
+    schedule."""
+    return _schedule_check(game, strategy, cfg, _edt_gains, first_visit=True)[0]
 
 
 def cdt_rational_check(game: Game, strategy: BehavioralStrategy,
                        cfg: Optional[SolverConfig] = None) -> bool:
     """Schedule verification of the frequency-normalized, first-order
     (CDT-utility) rationality condition."""
-    cfg = _cfg(cfg)
-    if game.players != 1:
-        raise ValueError("cdt_rational_check expects a single-player game")
-    eps_ks = []
-    for delta in cfg.schedule:
-        mixed = _mix_with_uniform(game, strategy, delta)
-        prof = profile_from(mixed)
-        worst = 0.0
-        for iid in game.infosets.get(1, {}):
-            freq = float(infoset_frequency(game, prof, iid))
-            if freq <= 0.0:
-                continue
-            v = [float(g) for g in infoset_gradient(game, prof, 1, iid)]
-            row = [float(p) for p in mixed.row(iid)]
-            gain = max(v) - sum(p * x for p, x in zip(row, v))
-            worst = max(worst, gain / freq)
-        eps_ks.append(worst)
-    return _schedule_accepts(eps_ks, cfg)
+    return _schedule_check(game, strategy, cfg, _cdt_gains, first_visit=False)[0]
 
 
 def _rationality_witnesses(game: Game, strategy: BehavioralStrategy,
@@ -714,32 +709,38 @@ def _rationality_witnesses(game: Game, strategy: BehavioralStrategy,
     All completions are realization-equivalent to the input by
     construction, since only unreached infosets change.
     """
-    prof = profile_from(strategy)
-    unreached = [
-        iid
-        for iid in sorted(game.infosets.get(1, {}))
-        if float(infoset_reach(game, prof, iid)) <= cfg.supp_tol
-    ]
+    num = NumericGame(game)
+    x = num.index.vector(profile_from(strategy))
+    reach = num.leaf_probs(x[None])[0] @ (num.visits > 0)
+    unreached = [row for row, r in zip(num.index.rows, reach) if r <= cfg.supp_tol]
     witnesses = [strategy]
     if not unreached:
         return witnesses
-    uniform_rows = {
-        iid: uniform_strategy(game, 1).row(iid) for iid in unreached
-    }
+    uniform = uniform_strategy(game, 1)
     w = strategy
-    for iid in unreached:
-        w = w.replace_row(iid, uniform_rows[iid])
+    for row in unreached:
+        w = w.replace_row(row.infoset_id, uniform.row(row.infoset_id))
     witnesses.append(w)
-    sizes = [len(game.infosets[1][iid].actions) for iid in unreached]
-    combos = itertools.product(*[range(s) for s in sizes])
+    combos = itertools.product(*[range(row.size) for row in unreached])
     for combo in itertools.islice(combos, cfg.witness_cap):
         w = strategy
-        for iid, a in zip(unreached, combo):
-            n = len(game.infosets[1][iid].actions)
-            row = tuple(Fraction(1) if j == a else Fraction(0) for j in range(n))
-            w = w.replace_row(iid, row)
+        for row, a in zip(unreached, combo):
+            pure = tuple(Fraction(int(j == a)) for j in range(row.size))
+            w = w.replace_row(row.infoset_id, pure)
         witnesses.append(w)
     return witnesses
+
+
+def _rational_per_player(game: Game, profile: StrategyProfile,
+                         cfg: SolverConfig, rational: Callable) -> bool:
+    """Per player, some witness for the player's strategy in the
+    opponent-fixed single-player view passes the ``rational`` check."""
+    for player in range(1, game.players + 1):
+        sub = fix_opponents(game, profile, player)
+        witnesses = _rationality_witnesses(sub, profile[player].as_player(1), cfg)
+        if not any(rational(sub, w, cfg) for w in witnesses):
+            return False
+    return True
 
 
 def edt_nash_check(game: Game, profile: StrategyProfile,
@@ -751,16 +752,8 @@ def edt_nash_check(game: Game, profile: StrategyProfile,
     of unreached infosets; it is sound but not complete.
     """
     cfg = _cfg(cfg)
-    ok, _ = edt_check(game, profile, cfg.eps_eq, cfg)
-    if not ok:
-        return False
-    for player in range(1, game.players + 1):
-        sub = fix_opponents(game, profile, player)
-        s1 = profile[player].as_player(1)
-        witnesses = _rationality_witnesses(sub, s1, cfg)
-        if not any(edt_rational_check(sub, w, cfg) for w in witnesses):
-            return False
-    return True
+    return (edt_check(game, profile, cfg.eps_eq, cfg)[0]
+            and _rational_per_player(game, profile, cfg, edt_rational_check))
 
 
 def cdt_nash_check(game: Game, profile: StrategyProfile,
@@ -768,16 +761,8 @@ def cdt_nash_check(game: Game, profile: StrategyProfile,
     """KKT everywhere plus realization equivalence to a CDT-rational
     strategy per player (same canonical witness search)."""
     cfg = _cfg(cfg)
-    ok, _ = kkt_check_profile(game, profile, cfg.eps_eq, cfg)
-    if not ok:
-        return False
-    for player in range(1, game.players + 1):
-        sub = fix_opponents(game, profile, player)
-        s1 = profile[player].as_player(1)
-        witnesses = _rationality_witnesses(sub, s1, cfg)
-        if not any(cdt_rational_check(sub, w, cfg) for w in witnesses):
-            return False
-    return True
+    return (kkt_check_profile(game, profile, cfg.eps_eq, cfg)[0]
+            and _rational_per_player(game, profile, cfg, cdt_rational_check))
 
 
 def nash_check(game: Game, profile: StrategyProfile,
@@ -905,17 +890,19 @@ def _mixed_br_polish(game: Game, num: NumericGame, x: np.ndarray,
 
 def _residuals_for(game: Game, num: NumericGame, X: np.ndarray, concept: str,
                    cfg: SolverConfig) -> np.ndarray:
-    base = "CDT" if concept in ("CDT", "CDT-NASH") else "EDT"
-    if base == "CDT":
+    if concept in ("CDT", "CDT-NASH"):
         return num.kkt_residuals(X, cfg.supp_tol)
     res = num.edt_pure_residuals(X)
-    if any(
-        has_absentmindedness(game, p) for p in range(1, game.players + 1)
-    ):
-        # Pure deviations underestimate mixed ones; redo survivors exactly.
+    if any(game.absentminded.values()):
+        # Pure deviations underestimate mixed ones; redo survivors exactly,
+        # once per distinct vector (many seeds polish to the same one).
+        exact: dict[bytes, float] = {}
         for i in np.nonzero(res <= cfg.eps_eq)[0]:
-            prof = num.index.profile(X[i])
-            _, res[i] = edt_check(game, prof, cfg.eps_eq, cfg)
+            key = X[i].tobytes()
+            if key not in exact:
+                prof = num.index.profile(X[i])
+                exact[key] = edt_check(game, prof, cfg.eps_eq, cfg)[1]
+            res[i] = exact[key]
     return res
 
 

@@ -1,6 +1,7 @@
 """Core game representation: validation, path/observation queries, and
 structural predicates."""
 
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -140,3 +141,27 @@ def test_absentmindedness_characterization_on_random_games():
                 if any(a in members for a in seq(g, nid)):
                     pair_exists = True
         assert has_absentmindedness(g, 1) == pair_exists
+
+
+def test_first_visit_nodes_is_linear_on_deep_chains():
+    g = gen_lenny(1000)
+    start = time.perf_counter()
+    assert first_visit_nodes(g, "I") == {"d1"}
+    assert time.perf_counter() - start < 0.005
+
+
+def test_first_visit_nodes_matches_observation_definition():
+    # reference: members whose observation sequence never names the infoset
+    cases = [gen_dory(3)] + [
+        gen_random(depth=4, branching=2, merge_rate=0.8, chance_rate=0.2,
+                   absentmindedness=bool(seed % 2), seed=seed, players=1 + seed % 3 // 2)
+        for seed in range(29)
+    ]
+    for g in cases:
+        for player, isets in g.infosets.items():
+            for iid, iset in isets.items():
+                want = {
+                    nid for nid in iset.nodes
+                    if all(step[1] != iid for step in obs(g, nid))
+                }
+                assert first_visit_nodes(g, iid, player) == want

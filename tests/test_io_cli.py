@@ -222,3 +222,24 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
     run(["gen", "random", "--depth", "4", "--out", str(a)])
     run(["gen", "random", "--depth", "4", "--seed", "123", "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("problem", ["unknown infoset", "row sums to 2"])
+@pytest.mark.parametrize("command", [
+    ["smooth-check", "--lambda", "1", "--mu", "1", "--pistar"],
+    ["export-dot", "--strategy"],
+])
+def test_cli_rejects_invalid_strategy_with_exit_1(tmp_path, capsys, command, problem):
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+    doc = [{"player": 1, "entries": [{"infoset": "I", "probs": ["1/2", "1/2"]}]}]
+    if problem == "unknown infoset":
+        doc[0]["entries"][0]["infoset"] = "ghost"
+    else:
+        doc[0]["entries"][0]["probs"] = ["1", "1"]
+    bad = tmp_path / "bad_strategy.json"
+    bad.write_text(json.dumps(doc))
+    assert run([command[0], str(game), *command[1:], str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid strategy")
+    assert ("missing row for 'I'" if problem == "unknown infoset" else "sums to 2") in err

@@ -1,0 +1,111 @@
+"""The batched schedule check behind ``edt_rational_check`` and
+``cdt_rational_check`` against a scalar reference: one profile per
+schedule step, infoset reach/frequency by tree walks, exact gradients and
+best deviations per infoset."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from irgames.generators import gen_random
+from irgames.solvers import (
+    SolverConfig,
+    _cdt_gains,
+    _edt_gains,
+    _schedule_check,
+    best_deviation,
+)
+from irgames.strategies import (
+    BehavioralStrategy,
+    expected_utility,
+    infoset_frequency,
+    infoset_gradient,
+    infoset_reach,
+    profile_from,
+)
+
+PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
+CFG = SolverConfig()
+
+# Absentminded rows with three actions take best_deviation's inner ascent,
+# about 20 ms a call on both sides of the comparison; random draws keep two
+# actions there, and one explicit example below covers three.
+games = st.builds(
+    lambda depth, branching, merge, chance, am, seed: gen_random(
+        depth, 2 if am else branching, merge, chance, am, seed),
+    depth=st.integers(2, 3),
+    branching=st.integers(2, 3),
+    merge=st.sampled_from([0.5, 0.9]),
+    chance=st.sampled_from([0.0, 0.3]),
+    am=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+
+
+def make_strategy(game, kind: str, seed: int) -> BehavioralStrategy:
+    rng = np.random.default_rng(seed)
+    table = {}
+    for iid, iset in game.infosets[1].items():
+        n = len(iset.actions)
+        if kind == "uniform":
+            row = np.full(n, 1.0 / n)
+        elif kind == "pure":
+            row = np.eye(n)[rng.integers(n)]
+        else:
+            row = rng.dirichlet(np.ones(n))
+        table[iid] = tuple(float(p) for p in row)
+    return BehavioralStrategy(1, table)
+
+
+def reference_trace(game, strategy, concept: str) -> tuple[list, list]:
+    """Worst normalized incentive per schedule step, and a bound on its
+    rounding error: the EDT gain is a difference of two utilities, so its
+    error scales with the utility, not with the gain, before the division
+    by a reach that may be tiny."""
+    trace, slack = [], []
+    for delta in CFG.schedule:
+        table = {
+            iid: tuple((1.0 - delta) * p + delta / len(row) for p in row)
+            for iid, row in strategy.table.items()
+        }
+        prof = profile_from(BehavioralStrategy(1, table))
+        worst, err = 0.0, 0.0
+        for iid in game.infosets[1]:
+            if concept == "EDT":
+                norm = float(infoset_reach(game, prof, iid))
+                val, _ = best_deviation(game, prof, 1, iid)
+                base = float(expected_utility(game, prof, 1))
+                gain, scale = float(val) - base, abs(base) + abs(float(val))
+            else:
+                norm = float(infoset_frequency(game, prof, iid))
+                v = [float(g) for g in infoset_gradient(game, prof, 1, iid)]
+                gain = max(v) - sum(p * g for p, g in zip(table[iid], v))
+                scale = len(v) * max(abs(g) for g in v)
+            if norm > 0.0:
+                worst = max(worst, gain / norm)
+                err = max(err, 16 * np.finfo(float).eps * scale / norm)
+        trace.append(worst)
+        slack.append(err)
+    return trace, slack
+
+
+def reference_accepts(trace: list[float]) -> bool:
+    head = [e / d for e, d in zip(trace[:5], CFG.schedule[:5])]
+    slope = CFG.schedule_safety * max(head, default=0.0)
+    return all(e <= max(CFG.eps_eq, slope * d) for e, d in zip(trace, CFG.schedule))
+
+
+@pytest.mark.parametrize("concept, gains, first_visit", [
+    ("EDT", _edt_gains, True), ("CDT", _cdt_gains, False),
+])
+@PROPERTY
+@example(game=gen_random(2, 3, 0.9, 0.0, True, 3), kind="pure", seed=0)
+@given(game=games, kind=st.sampled_from(["uniform", "pure", "dirichlet"]),
+       seed=st.integers(0, 10_000))
+def test_schedule_check_matches_scalar_reference(concept, gains, first_visit,
+                                                 game, kind, seed):
+    strategy = make_strategy(game, kind, seed)
+    ok, trace = _schedule_check(game, strategy, CFG, gains, first_visit)
+    want, slack = reference_trace(game, strategy, concept)
+    assert np.all(np.abs(trace - want) <= 1e-9 * np.abs(want) + slack)
+    assert ok == reference_accepts(want)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import single, strat
 
-from irgames.game import has_absentmindedness
+from irgames.game import Infoset, Node, has_absentmindedness, make_game, validate_game
 from irgames.generators import (
     gen_dory,
     gen_fig1,
@@ -18,7 +18,7 @@ from irgames.generators import (
     gen_lenny,
     gen_random,
 )
-from irgames.recall import perfect_recall_refinement
+from irgames.recall import has_perfect_recall, perfect_recall_refinement
 from irgames.strategies import (
     expected_utility,
     fix_opponents,
@@ -323,3 +323,67 @@ def test_enumeration_cap_errors():
     small_cap = SolverConfig(enum_dim_cap=2)
     with pytest.raises(CapExceededError):
         enumerate_equilibria(g, "EDT", small_cap)
+
+
+def test_enumeration_rechecks_each_distinct_edt_survivor_once(monkeypatch):
+    import irgames.solvers as solvers
+
+    checked = []
+    original = solvers.edt_check
+
+    def counted(game, profile, *args, **kwargs):
+        checked.append(tuple(
+            (s.player, iid, row) for s in profile.strategies
+            for iid, row in sorted(s.table.items())
+        ))
+        return original(game, profile, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "edt_check", counted)
+    g = gen_fig1(Fraction(1, 100))
+    assert has_absentmindedness(g, 1) or has_absentmindedness(g, 2)
+    assert enumerate_equilibria(g, "EDT")
+    assert checked and len(checked) == len(set(checked))
+
+
+def forgetful_stop_game():
+    """Player 1 stops for 10 or goes left/right into a chain of three
+    infosets A, B, C that forget the direction; every chain leaf pays less,
+    so stopping with any of the 27 chain completions is optimal."""
+    nodes = [Node("r", 1, ("go_l", "go_r", "stop"), ("l1", "r1", "zs")),
+             Node("zs", "terminal")]
+    utilities = {"zs": (Fraction(10),)}
+    members = {"A": [], "B": [], "C": []}
+    for side, pay in (("l", 1), ("r", 2)):
+        for depth, iid in enumerate("ABC", start=1):
+            nid = f"{side}{depth}"
+            members[iid].append(nid)
+            nxt = f"{side}{depth + 1}" if depth < 3 else f"z{side}{depth}c"
+            leaves = (f"z{side}{depth}x", f"z{side}{depth}y")
+            nodes.append(Node(nid, 1, ("c", "x", "y"), (nxt, *leaves)))
+            for k, z in enumerate(leaves if depth < 3 else (nxt, *leaves)):
+                nodes.append(Node(z, "terminal"))
+                utilities[z] = (Fraction(pay + k + depth),)
+    infosets = [Infoset("R", 1, ("r",), ("go_l", "go_r", "stop"))] + [
+        Infoset(iid, 1, tuple(ns), ("c", "x", "y")) for iid, ns in members.items()
+    ]
+    return make_game(1, "r", nodes, utilities, infosets, name="forgetful-stop")
+
+
+def test_pure_enumeration_values_tied_optima_once(monkeypatch):
+    import irgames.solvers as solvers
+
+    g = forgetful_stop_game()
+    assert validate_game(g) == [] and not has_perfect_recall(g, 1)
+    calls = []
+    evaluate = solvers.expected_utility
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "expected_utility", counted)
+    report = optimal_strategy(g)
+    assert report.certified == "exact" and report.utilities == (Fraction(10),)
+    first = {"A": (1, 0, 0), "B": (1, 0, 0), "C": (1, 0, 0), "R": (0, 0, 1)}
+    assert report.profile[1].table == {k: tuple(map(Fraction, v)) for k, v in first.items()}
+    assert len(calls) < 27  # one evaluation per reached-leaf set, not per tie
