@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from .game import CHANCE, TERMINAL, Game, Infoset, Node, Num, make_game
 from .solvers import SolveReport

@@ -11,14 +11,14 @@ times the leaf's reach monomial: its chance coefficient times each strategy
 entry on its path, raised to the number of times the path takes it.
 ``Game.leaves`` compiles these monomials once per game, and every
 evaluator, gradient, deviation, compiled array and coefficient reads them
-from there.
+from there; ``Game.numeric`` is their float table, also built once.
 
 Nothing here mutates: refinements and transforms build new ``Game`` objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -210,6 +210,13 @@ class Game:
                 seen.add((p, iid))
         return {p: frozenset(isets) for p, isets in out.items()}
 
+    @cached_property
+    def numeric(self):
+        """The game's compiled float table, a ``numeric.NumericGame``."""
+        from .numeric import NumericGame
+
+        return NumericGame(self)
+
     def _ordered_ids(self) -> list[str]:
         """Node ids in deterministic depth-first order from the root."""
         order: list[str] = []
@@ -241,14 +248,6 @@ class Game:
             if found is not None:
                 return found
         raise KeyError(f"unknown infoset identifier: {infoset_id!r}")
-
-    def decision_nodes(self, player: int) -> tuple[str, ...]:
-        self._check_player(player)
-        return tuple(
-            nid
-            for nid in self._ordered_ids()
-            if self.nodes[nid].owner == player
-        )
 
     def _check_player(self, player: int) -> None:
         if not (isinstance(player, int) and 1 <= player <= self.players):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .game import CHANCE, TERMINAL, Game, Infoset, Node, Num, make_game
 

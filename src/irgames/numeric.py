@@ -1,12 +1,13 @@
 """Vectorized float kernels behind the solvers.
 
-Behavioral strategies are flattened into one vector (all players' infoset
-rows concatenated in a fixed order), so batches of profiles are plain
-(B, R) arrays.  Leaf reach probabilities are monomials in the coordinates,
-compiled here from ``Game.leaves``, the one source of leaf monomials; the
-kernels evaluate utilities, exact polynomial gradients, and pure
-single-row deviation values for whole batches at once, which is what makes
-grid scans and multistart ascent affordable in pure Python.
+Behavioral strategies are flattened into one vector (each player's infoset
+rows one contiguous block, in a fixed order), so batches of profiles are
+plain (B, R) arrays.  Leaf reach probabilities are monomials in the
+coordinates, compiled here from ``Game.leaves`` once per game, as
+``Game.numeric``, which every solver reads; the kernels evaluate utilities,
+exact polynomial gradients, and pure single-row deviation values for whole
+batches at once, which is what makes grid scans and multistart ascent
+affordable in pure Python.
 """
 
 from __future__ import annotations
@@ -34,12 +35,17 @@ class FlatIndex:
     def __init__(self, game: Game):
         self.game = game
         self.rows: list[Row] = []
+        # player -> (its slice of ``rows``, its slice of the coordinates)
+        self.block: dict[int, tuple[slice, slice]] = {}
         offset = 0
         for player in range(1, game.players + 1):
+            first_row, first_coord = len(self.rows), offset
             for iset_id in sorted(game.infosets.get(player, {})):
                 size = len(game.infosets[player][iset_id].actions)
                 self.rows.append(Row(player, iset_id, offset, size))
                 offset += size
+            self.block[player] = (slice(first_row, len(self.rows)),
+                                  slice(first_coord, offset))
         self.dim = offset
         self.row_of = {(r.player, r.infoset_id): r for r in self.rows}
 
@@ -136,8 +142,7 @@ class NumericGame:
 
         # (Z, max_rank) entry-index grid, -1 where a leaf has fewer entries.
         self.rank_grid = -np.ones((Z, self.max_rank), dtype=np.intp)
-        for e in range(self.n_entries):
-            self.rank_grid[self.ent_leaf[e], self.ent_rank[e]] = e
+        self.rank_grid[self.ent_leaf, self.ent_rank] = np.arange(self.n_entries)
 
         self._row_cache: dict[int, tuple] = {}
 
@@ -154,8 +159,6 @@ class NumericGame:
 
     def _entry_factors(self, X: np.ndarray) -> np.ndarray:
         """(B, E) powers X[:, coord] ** count for every monomial entry."""
-        if self.n_entries == 0:
-            return np.empty((X.shape[0], 0))
         return X[:, self.ent_coord] ** self.ent_count
 
     def _accumulate(self, probs: np.ndarray, factors: np.ndarray, skip=None):
@@ -165,7 +168,6 @@ class NumericGame:
             sel = self.rank_grid[:, rank]
             mask = sel >= 0
             if skip is not None:
-                mask = mask.copy()
                 mask[mask] = ~skip[sel[mask]]
             probs[:, mask] *= factors[:, sel[mask]]
 
@@ -189,8 +191,6 @@ class NumericGame:
         B = X.shape[0]
         G = np.zeros((B, self.index.dim))
         E = self.n_entries
-        if E == 0:
-            return G
         if factors is None:
             factors = self._entry_factors(X)
         prefix = np.ones((B, E))
@@ -217,20 +217,13 @@ class NumericGame:
         cached = self._row_cache.get(row.offset)
         if cached is not None:
             return cached
-        coords = np.arange(row.offset, row.offset + row.size)
-        in_row = (
-            np.isin(self.ent_coord, coords)
-            if self.n_entries
-            else np.zeros(0, dtype=bool)
-        )
+        in_row = ((self.ent_coord >= row.offset)
+                  & (self.ent_coord < row.offset + row.size))
         # alive[a, z]: leaf z still reachable when the row deviates to pure a.
         alive = np.ones((row.size, self.n_leaves), dtype=bool)
-        for e in np.nonzero(in_row)[0]:
-            a_of = int(self.ent_coord[e]) - row.offset
-            z = self.ent_leaf[e]
-            keep = np.zeros(row.size, dtype=bool)
-            keep[a_of] = True
-            alive[:, z] &= keep
+        action = self.ent_coord[in_row] - row.offset
+        for a in range(row.size):
+            alive[a, self.ent_leaf[in_row][action != a]] = False
         cached = (in_row, alive)
         self._row_cache[row.offset] = cached
         return cached
@@ -255,8 +248,6 @@ class NumericGame:
         Exact EDT residual when the game has no absentmindedness; a lower
         bound otherwise."""
         B = X.shape[0]
-        if not self.index.rows:
-            return np.zeros(B)
         factors = self._entry_factors(X)
         base = self.leaf_probs(X, factors) @ self.utils
         best = np.full(B, 0.0)

@@ -10,16 +10,13 @@ that would grant new information, not recall.
 from __future__ import annotations
 
 import hashlib
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .game import Game, Infoset, Num
-from .recall import refines, perfect_recall_refinement, same_tree, NotComparableError
+from .recall import refines, perfect_recall_refinement
 from .solvers import CapExceededError, SolverConfig, _cfg, optimal_strategy
-from .strategies import BehavioralStrategy, profile_from, pure_strategy
+from .strategies import profile_from, pure_strategy
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ Computation policy, in one place:
   improving-deviation dynamics (gradient dynamics for CDT), keeps profiles
   whose residual clears the tolerance, and dedups by realization
   equivalence.  Flags on every report say how much certainty was earned;
-* the Nash-refinement filters evaluate float profiles through
-  ``NumericGame``: one batch holds the whole mixing schedule, and reach,
-  visit frequency and CDT gains are read from its kernels.
+* every solver reads the game's one compiled float table, ``Game.numeric``.
+  The Nash-refinement filters check each player in place on it: the other
+  players' rows stay fixed, each witness overwrites the player's unreached
+  rows, one batch holds the whole mixing schedule, and reach, visit
+  frequency and CDT gains are read from its kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .game import Game, Num, has_absentmindedness, seq
-from .numeric import FlatIndex, NumericGame, _project_simplex, project_rows, simplex_grid
+from .numeric import FlatIndex, NumericGame, Row, _project_simplex, project_rows, simplex_grid
 from .recall import has_perfect_recall
 from .strategies import (
     BehavioralStrategy,
@@ -46,7 +48,6 @@ from .strategies import (
     node_reach_map,
     profile_from,
     pure_strategy,
-    uniform_strategy,
     infoset_gradient,
     infoset_terms,
 )
@@ -256,7 +257,7 @@ def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
 def _pure_enumeration_opt(game: Game) -> tuple[Num, BehavioralStrategy]:
     """Exhaustive exact maximum over pure strategies (vectorized scan,
     then exact re-evaluation of the near-optimal slab)."""
-    num = NumericGame(game)
+    num = game.numeric
     rows = num.index.rows
     assign = np.array(list(itertools.product(*[range(r.size) for r in rows])),
                       dtype=np.intp)
@@ -300,7 +301,7 @@ def _reached_leaves(num: NumericGame, assign: np.ndarray) -> np.ndarray:
 
 def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
     """Grid scan + multistart ascent for absentminded games."""
-    num = NumericGame(game)
+    num = game.numeric
     rng = cfg.rng()
     seeds = [num.index.uniform()]
     seeds.extend(_random_vertices(num.index, rng, min(cfg.multistart, 16)))
@@ -633,57 +634,61 @@ def kkt_check_profile(game: Game, profile: StrategyProfile,
 # ---------------------------------------------------------------------------
 
 
-def _schedule_check(game: Game, strategy: BehavioralStrategy,
-                    cfg: Optional[SolverConfig], gains: Callable,
+def _schedule_check(num: NumericGame, x: np.ndarray, player: int,
+                    cfg: SolverConfig, gains: Callable,
                     first_visit: bool) -> tuple[bool, np.ndarray]:
-    """Limit-based rationality, verified along ``cfg.schedule``: mix the
-    strategy toward uniform at every rate delta at once, divide each
-    infoset's incentive ``gains(num, X, live)`` (an (S, rows) array, read
-    where ``live``) by its first-visit reach or by its expected visit
-    count, and accept when the worst quotient decays linearly in delta: fit
-    the slope on the first points and demand the rest stay under it (or
-    under the equilibrium tolerance).
+    """Limit-based rationality of the player's rows of ``x``, verified along
+    ``cfg.schedule`` with the other rows fixed: mix them toward uniform at
+    every rate delta at once, divide each of the player's incentives
+    ``gains(num, X, player, live)`` (an (S, rows) array, read where
+    ``live``) by its first-visit reach or by its expected visit count, and
+    accept when the worst quotient decays linearly in delta: fit the slope
+    on the first points and demand the rest stay under it (or under the
+    equilibrium tolerance).
 
     Returns the verdict and the (S,) worst-quotient trace it read.
     """
-    cfg = _cfg(cfg)
-    if game.players != 1:
-        raise ValueError("rationality checks expect a single-player game")
-    num = NumericGame(game)
+    rows, block = num.index.block[player]
     deltas = np.array(cfg.schedule, dtype=float)
-    x = num.index.vector(profile_from(strategy))
-    X = (1.0 - deltas[:, None]) * x + deltas[:, None] * num.index.uniform()
+    X = np.tile(x, (len(deltas), 1))
+    X[:, block] = ((1.0 - deltas[:, None]) * x[block]
+                   + deltas[:, None] * num.index.uniform()[block])
     # Every row of X sums to one, so these are the reach and the frequency.
-    norm = num.leaf_probs(X) @ (num.visits > 0 if first_visit else num.visits)
+    visits = num.visits[:, rows]
+    norm = num.leaf_probs(X) @ (visits > 0 if first_visit else visits)
     live = norm > 0.0
-    ratios = np.divide(gains(num, X, live), norm,
+    ratios = np.divide(gains(num, X, player, live), norm,
                        out=np.zeros_like(norm), where=live)
     trace = ratios.max(axis=1, initial=0.0)
     slope = cfg.schedule_safety * (trace[:5] / deltas[:5]).max(initial=0.0)
     return bool(np.all(trace <= np.maximum(cfg.eps_eq, slope * deltas))), trace
 
 
-def _edt_gains(num: NumericGame, X: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """Best gain from replacing one infoset's row, per schedule step.
+def _edt_gains(num: NumericGame, X: np.ndarray, player: int,
+               live: np.ndarray) -> np.ndarray:
+    """Best gain from replacing one of the player's rows, per schedule step.
     ``_best_deviation`` is affine in its base utility: at base 0 it returns
     the gain itself, not a difference of two utilities, which would lose
     the gain's digits at infosets of tiny reach."""
+    rows = num.index.rows[num.index.block[player][0]]
     out = np.zeros(live.shape)
     for s in range(len(X)):
         prof = num.index.profile(X[s])
         for j in np.nonzero(live[s])[0]:
-            iid = num.index.rows[j].infoset_id
-            out[s, j] = float(_best_deviation(num.game, prof, 1, iid, 0.0)[0])
+            iid = rows[j].infoset_id
+            out[s, j] = float(_best_deviation(num.game, prof, player, iid, 0.0)[0])
     return out
 
 
-def _cdt_gains(num: NumericGame, X: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """First-order gain at every infoset: its largest gradient entry minus
-    the row's average gradient entry."""
-    G = num.gradient(X, 1)
-    starts = [r.offset for r in num.index.rows]
+def _cdt_gains(num: NumericGame, X: np.ndarray, player: int,
+               live: np.ndarray) -> np.ndarray:
+    """First-order gain at every infoset of the player: its largest
+    gradient entry minus the row's average gradient entry."""
+    rows, block = num.index.block[player]
+    G = num.gradient(X, player)[:, block]
+    starts = [r.offset - block.start for r in num.index.rows[rows]]
     return (np.maximum.reduceat(G, starts, axis=1)
-            - np.add.reduceat(X * G, starts, axis=1))
+            - np.add.reduceat(X[:, block] * G, starts, axis=1))
 
 
 def edt_rational_check(game: Game, strategy: BehavioralStrategy,
@@ -691,56 +696,62 @@ def edt_rational_check(game: Game, strategy: BehavioralStrategy,
     """Finite verification of the limit condition behind EDT rationality:
     the reach-normalized deviation gains must vanish linearly along the
     schedule."""
-    return _schedule_check(game, strategy, cfg, _edt_gains, first_visit=True)[0]
+    x = game.numeric.index.vector(profile_from(strategy))
+    return _schedule_check(game.numeric, x, 1, _cfg(cfg), _edt_gains, True)[0]
 
 
 def cdt_rational_check(game: Game, strategy: BehavioralStrategy,
                        cfg: Optional[SolverConfig] = None) -> bool:
     """Schedule verification of the frequency-normalized, first-order
     (CDT-utility) rationality condition."""
-    return _schedule_check(game, strategy, cfg, _cdt_gains, first_visit=False)[0]
+    x = game.numeric.index.vector(profile_from(strategy))
+    return _schedule_check(game.numeric, x, 1, _cfg(cfg), _cdt_gains, False)[0]
 
 
-def _rationality_witnesses(game: Game, strategy: BehavioralStrategy,
-                           cfg: SolverConfig) -> list[BehavioralStrategy]:
-    """The strategy itself plus completions that rewrite unreached rows
-    with uniform play or with every pure-action combination (capped).
+def _unreached_rows(num: NumericGame, x: np.ndarray, player: int,
+                    cfg: SolverConfig) -> list[Row]:
+    """The player's rows ``x`` reaches with at most ``cfg.supp_tol``."""
+    rows = num.index.block[player][0]
+    reach = num.leaf_probs(x[None])[0] @ (num.visits[:, rows] > 0)
+    return [row for row, r in zip(num.index.rows[rows], reach) if r <= cfg.supp_tol]
 
-    All completions are realization-equivalent to the input by
-    construction, since only unreached infosets change.
+
+def _rationality_witnesses(num: NumericGame, x: np.ndarray, player: int,
+                           cfg: SolverConfig) -> list[np.ndarray]:
+    """``x`` itself plus copies that overwrite the player's unreached rows
+    with uniform play or with every pure-action combination (the first
+    ``cfg.witness_cap`` of them).
+
+    All are realization-equivalent to ``x`` by construction, since only
+    unreached infosets change.
     """
-    num = NumericGame(game)
-    x = num.index.vector(profile_from(strategy))
-    reach = num.leaf_probs(x[None])[0] @ (num.visits > 0)
-    unreached = [row for row, r in zip(num.index.rows, reach) if r <= cfg.supp_tol]
-    witnesses = [strategy]
+    unreached = _unreached_rows(num, x, player, cfg)
     if not unreached:
-        return witnesses
-    uniform = uniform_strategy(game, 1)
-    w = strategy
-    for row in unreached:
-        w = w.replace_row(row.infoset_id, uniform.row(row.infoset_id))
-    witnesses.append(w)
-    combos = itertools.product(*[range(row.size) for row in unreached])
-    for combo in itertools.islice(combos, cfg.witness_cap):
-        w = strategy
-        for row, a in zip(unreached, combo):
-            pure = tuple(Fraction(int(j == a)) for j in range(row.size))
-            w = w.replace_row(row.infoset_id, pure)
-        witnesses.append(w)
-    return witnesses
+        return [x]
+
+    def completion(rows) -> np.ndarray:
+        w = x.copy()
+        for row, probs in zip(unreached, rows):
+            w[row.offset : row.offset + row.size] = probs
+        return w
+
+    pure = itertools.product(*[np.eye(row.size) for row in unreached])
+    return [x, completion([1.0 / row.size for row in unreached]),
+            *map(completion, itertools.islice(pure, cfg.witness_cap))]
 
 
 def _rational_per_player(game: Game, profile: StrategyProfile,
-                         cfg: SolverConfig, rational: Callable) -> bool:
-    """Per player, some witness for the player's strategy in the
-    opponent-fixed single-player view passes the ``rational`` check."""
-    for player in range(1, game.players + 1):
-        sub = fix_opponents(game, profile, player)
-        witnesses = _rationality_witnesses(sub, profile[player].as_player(1), cfg)
-        if not any(rational(sub, w, cfg) for w in witnesses):
-            return False
-    return True
+                         cfg: SolverConfig, gains: Callable,
+                         first_visit: bool) -> bool:
+    """Per player, with the opponents' rows held fixed, some witness for
+    the player's rows passes the schedule check."""
+    num = game.numeric
+    x = num.index.vector(profile)
+    return all(
+        any(_schedule_check(num, w, p, cfg, gains, first_visit)[0]
+            for w in _rationality_witnesses(num, x, p, cfg))
+        for p in range(1, game.players + 1)
+    )
 
 
 def edt_nash_check(game: Game, profile: StrategyProfile,
@@ -753,7 +764,7 @@ def edt_nash_check(game: Game, profile: StrategyProfile,
     """
     cfg = _cfg(cfg)
     return (edt_check(game, profile, cfg.eps_eq, cfg)[0]
-            and _rational_per_player(game, profile, cfg, edt_rational_check))
+            and _rational_per_player(game, profile, cfg, _edt_gains, True))
 
 
 def cdt_nash_check(game: Game, profile: StrategyProfile,
@@ -762,7 +773,7 @@ def cdt_nash_check(game: Game, profile: StrategyProfile,
     strategy per player (same canonical witness search)."""
     cfg = _cfg(cfg)
     return (kkt_check_profile(game, profile, cfg.eps_eq, cfg)[0]
-            and _rational_per_player(game, profile, cfg, cdt_rational_check))
+            and _rational_per_player(game, profile, cfg, _cdt_gains, False))
 
 
 def nash_check(game: Game, profile: StrategyProfile,
@@ -830,9 +841,6 @@ def _gradient_polish(num: NumericGame, X: np.ndarray, cfg: SolverConfig) -> np.n
     X = project_rows(num.index, X)
     B = X.shape[0]
     players = range(1, num.game.players + 1)
-    blocks = {
-        p: [r for r in num.index.rows if r.player == p] for p in players
-    }
     step = {p: np.full(B, 0.25) for p in players}
     active = np.ones(B, dtype=bool)
     for _ in range(cfg.polish_iters):
@@ -849,13 +857,12 @@ def _gradient_polish(num: NumericGame, X: np.ndarray, cfg: SolverConfig) -> np.n
         if len(idx) == 0:
             continue
         for p in players:
-            if not blocks[p]:
+            block = num.index.block[p][1]
+            if block.start == block.stop:
                 continue
             A = X[idx]
-            G = num.gradient(A, p)
             D = np.zeros_like(A)
-            for r in blocks[p]:
-                D[:, r.offset : r.offset + r.size] = G[:, r.offset : r.offset + r.size]
+            D[:, block] = num.gradient(A, p)[:, block]
             Y = project_rows(num.index, A + step[p][idx, None] * D)
             improved = num.utility(Y, p) > num.utility(A, p) + 1e-14
             X[idx[improved]] = Y[improved]
@@ -915,13 +922,15 @@ def enumerate_equilibria(game: Game, concept: str,
     member with the smallest residual.  Only profiles that individually
     pass the concept's residual/filters are ever admitted, so every report
     is sound; completeness is only as good as the seeding, hence the
-    certification flag.
+    certification flag.  When ``cfg.witness_cap`` cut the witness search of
+    a rejected EDT-/CDT-NASH class, every report says so and is
+    ``heuristic``; if no class is left, EquilibriumNotFoundError says so.
     """
     cfg = _cfg(cfg)
     concept = concept.upper()
     if concept not in CONCEPTS or concept == "OPT":
         raise ValueError(f"unknown enumeration concept {concept!r}")
-    num = NumericGame(game)
+    num = game.numeric
     if num.index.dim > cfg.enum_dim_cap:
         raise CapExceededError(
             f"flattened strategy dimension {num.index.dim} exceeds cap "
@@ -990,25 +999,24 @@ def enumerate_equilibria(game: Game, concept: str,
         if pure_full and grid_full
         else "heuristic"
     )
+    capped = 0  # rejections after some player's witness list was cut
     for j in rep_rows:
         idx = keep[j]
         prof = num.index.profile(X[idx])
+        rep_res, rep_cert = float(res[idx]), certified
         if concept == "NASH":
             ok, nres, ncert = nash_check(game, prof, cfg)
             if not ok:
                 continue
-            rep_res = max(float(res[idx]), nres)
+            rep_res = max(rep_res, nres)
             rep_cert = certified if ncert == "exact" else "heuristic"
-        elif concept == "EDT-NASH":
-            if not edt_nash_check(game, prof, cfg):
+        elif concept in ("EDT-NASH", "CDT-NASH"):
+            check = edt_nash_check if concept == "EDT-NASH" else cdt_nash_check
+            if not check(game, prof, cfg):
+                capped += any(
+                    math.prod(r.size for r in _unreached_rows(num, X[idx], p, cfg))
+                    > cfg.witness_cap for p in range(1, game.players + 1))
                 continue
-            rep_res, rep_cert = float(res[idx]), certified
-        elif concept == "CDT-NASH":
-            if not cdt_nash_check(game, prof, cfg):
-                continue
-            rep_res, rep_cert = float(res[idx]), certified
-        else:
-            rep_res, rep_cert = float(res[idx]), certified
         reports.append(
             SolveReport(
                 concept=concept,
@@ -1019,6 +1027,13 @@ def enumerate_equilibria(game: Game, concept: str,
                 certified=rep_cert,
             )
         )
+    if capped:
+        note = (f"witness_cap={cfg.witness_cap} cut the witness search of "
+                f"{capped} rejected class(es)")
+        if not reports:
+            raise EquilibriumNotFoundError(f"no {concept} equilibrium found; {note}")
+        reports = [replace(r, certified="heuristic", notes=r.notes + (note,))
+                   for r in reports]
     reports.sort(key=lambda r: (float(r.utilities[0]), r.residual))
     return reports
 

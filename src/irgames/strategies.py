@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .game import CHANCE, Game, Infoset, Node, Num, seq
+from .game import CHANCE, Game, Infoset, Node, Num, first_visit_nodes, seq
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class BehavioralStrategy:
         table = dict(self.table)
         table[infoset_id] = tuple(probs)
         return BehavioralStrategy(player=self.player, table=table)
-
-    def as_player(self, player: int) -> "BehavioralStrategy":
-        return BehavioralStrategy(player=player, table=dict(self.table))
 
 
 @dataclass(frozen=True)
@@ -101,13 +98,18 @@ def uniform_profile(game: Game, rational: Optional[bool] = None) -> StrategyProf
 
 
 def validate_profile(game: Game, profile: StrategyProfile, tol: float = 1e-9) -> list[str]:
-    """Report missing rows and rows that are not distributions."""
+    """Report missing rows, rows for infosets the player does not have, and
+    rows that are not distributions."""
     problems = []
     players_seen = sorted(s.player for s in profile.strategies)
     if players_seen != list(range(1, game.players + 1)):
         problems.append(f"profile covers players {players_seen}, game has {game.players}")
     for s in profile.strategies:
-        for iset in game.infosets.get(s.player, {}).values():
+        own = game.infosets.get(s.player, {})
+        for iid in s.table:
+            if iid not in own:
+                problems.append(f"player {s.player}: row for unknown infoset {iid!r}")
+        for iset in own.values():
             row = s.table.get(iset.id)
             if row is None:
                 problems.append(f"player {s.player}: missing row for {iset.id!r}")
@@ -183,9 +185,6 @@ def node_reach_map(game: Game, profile: StrategyProfile) -> dict[str, Num]:
 def infoset_reach(game: Game, profile: StrategyProfile, infoset_id: str) -> Num:
     """Probability of entering the infoset for the first time: sums node
     reach over first-visit members only."""
-    from .game import first_visit_nodes
-
-    iset = game.infoset(infoset_id)
     reach = node_reach_map(game, profile)
     first = first_visit_nodes(game, infoset_id)
     return sum((reach[n] for n in sorted(first)), start=Fraction(0))

@@ -18,7 +18,6 @@ leaf monomials:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -26,7 +25,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .game import Game, Leaf, Num, chance_nodes, has_absentmindedness, subtree_nodes
-from .numeric import NumericGame, project_rows
 from .recall import perfect_recall_refinement
 from .solvers import (
     SolveReport,
@@ -399,7 +397,7 @@ def smoothness_check(
     if isinstance(pistar, StrategyProfile):
         pistar = pistar[1]
 
-    num = NumericGame(game)
+    num = game.numeric
     rng = cfg.rng()
     xstar = num.index.vector(profile_from(pistar))
     opt = float(optimal_strategy(game, cfg).utilities[0])

@@ -243,3 +243,22 @@ def test_cli_rejects_invalid_strategy_with_exit_1(tmp_path, capsys, command, pro
     err = capsys.readouterr().err
     assert err.startswith("error: invalid strategy")
     assert ("missing row for 'I'" if problem == "unknown infoset" else "sums to 2") in err
+
+
+@pytest.mark.parametrize("command", [
+    ["smooth-check", "--lambda", "1", "--mu", "1", "--pistar"],
+    ["export-dot", "--strategy"],
+])
+def test_cli_rejects_strategy_row_for_unknown_infoset(tmp_path, capsys, command):
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+    doc = [{"player": 1, "entries": [
+        {"infoset": "I", "probs": ["1/2", "1/2"]},
+        {"infoset": "ghost", "probs": ["1", "0"]},
+    ]}]
+    bad = tmp_path / "extra_row.json"
+    bad.write_text(json.dumps(doc))
+    assert run([command[0], str(game), *command[1:], str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid strategy")
+    assert "row for unknown infoset 'ghost'" in err

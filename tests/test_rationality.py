@@ -1,0 +1,190 @@
+"""The EDT-/CDT-Nash rationality filters: they check every player and
+witness in place on the game's one compiled table, agree with the
+opponent-fixed single-player checks, and say when ``witness_cap`` cut the
+witness search behind a rejection."""
+
+import itertools
+import re
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from irgames.game import TERMINAL, Infoset, Node, make_game
+from irgames.generators import gen_dory, gen_fig1, gen_random
+from irgames.numeric import NumericGame
+from irgames.solvers import (
+    EquilibriumNotFoundError,
+    SolverConfig,
+    _cdt_gains,
+    _edt_gains,
+    _rational_per_player,
+    _rationality_witnesses,
+    _schedule_check,
+    cdt_nash_check,
+    cdt_rational_check,
+    edt_rational_check,
+    enumerate_equilibria,
+)
+from irgames.strategies import (
+    BehavioralStrategy,
+    fix_opponents,
+    infoset_reach,
+    profile_from,
+)
+from irgames.vor import vor_compute
+
+# A small cap makes both sides truncate their witness lists on most pure
+# profiles, so the property covers the cut as well.
+CFG = SolverConfig(witness_cap=4)
+
+
+def test_each_game_is_compiled_once(monkeypatch):
+    built = []
+    init = NumericGame.__init__
+
+    def counted(self, game):
+        built.append(game)
+        init(self, game)
+
+    monkeypatch.setattr(NumericGame, "__init__", counted)
+    vor_compute(gen_dory(2), "wCDT-NASH")  # the game and its refinement
+    assert len(built) == 2
+    built.clear()
+    enumerate_equilibria(gen_fig1(Fraction(1, 100)), "EDT-NASH")
+    assert len(built) == 1
+
+
+# -- in place against the opponent-fixed single-player checks ----------------
+
+
+def make_profile(game, kind: str, seed: int):
+    rng = np.random.default_rng(seed)
+    strategies = []
+    for player in range(1, game.players + 1):
+        table = {}
+        for iid, iset in game.infosets[player].items():
+            n = len(iset.actions)
+            if kind == "uniform":
+                row = np.full(n, 1.0 / n)
+            elif kind == "pure":
+                row = np.eye(n)[rng.integers(n)]
+            else:
+                row = rng.dirichlet(np.ones(n))
+            table[iid] = tuple(float(p) for p in row)
+        strategies.append(BehavioralStrategy(player, table))
+    return profile_from(*strategies)
+
+
+def reference_rational(game, profile, player: int, check) -> bool:
+    """The player's strategy in the opponent-fixed game, and its
+    completions of unreached rows built as strategies, through the public
+    single-player check."""
+    sub = fix_opponents(game, profile, player)
+    own = BehavioralStrategy(1, dict(profile[player].table))
+    unreached = [
+        iid for iid in sorted(sub.infosets[1])
+        if float(infoset_reach(sub, profile_from(own), iid)) <= CFG.supp_tol
+    ]
+    witnesses = [own]
+    if unreached:
+        table = dict(own.table)
+        for iid in unreached:
+            n = len(sub.infosets[1][iid].actions)
+            table[iid] = (1.0 / n,) * n
+        witnesses.append(BehavioralStrategy(1, table))
+        sizes = [len(sub.infosets[1][iid].actions) for iid in unreached]
+        combos = itertools.product(*[range(n) for n in sizes])
+        for combo in itertools.islice(combos, CFG.witness_cap):
+            table = dict(own.table)
+            for iid, n, a in zip(unreached, sizes, combo):
+                table[iid] = tuple(float(j == a) for j in range(n))
+            witnesses.append(BehavioralStrategy(1, table))
+    return any(check(sub, w, CFG) for w in witnesses)
+
+
+@pytest.mark.parametrize("check, gains, first_visit", [
+    (edt_rational_check, _edt_gains, True),
+    (cdt_rational_check, _cdt_gains, False),
+])
+@settings(derandomize=True, max_examples=25, deadline=None)
+# Holding the opponent's pure rows fixed while the player's rows are mixed
+# decides this example: mixing both gives another verdict.
+@example(depth=3, branching=3, merge=0.5, chance=0.0, seed=5, kind="pure")
+@given(depth=st.integers(2, 3), branching=st.integers(2, 3),
+       merge=st.sampled_from([0.5, 0.9]), chance=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["uniform", "pure", "dirichlet"]))
+def test_in_place_verdicts_match_opponent_fixed_checks(check, gains, first_visit,
+                                                       depth, branching, merge,
+                                                       chance, seed, kind):
+    game = gen_random(depth, branching, merge, chance, False, seed, players=2)
+    profile = make_profile(game, kind, seed)
+    num = game.numeric
+    x = num.index.vector(profile)
+    want = []
+    for player in (1, 2):
+        got = any(_schedule_check(num, w, player, CFG, gains, first_visit)[0]
+                  for w in _rationality_witnesses(num, x, player, CFG))
+        want.append(reference_rational(game, profile, player, check))
+        assert got == want[-1]
+    assert _rational_per_player(game, profile, CFG, gains, first_visit) == all(want)
+
+
+# -- witness_cap ---------------------------------------------------------------
+
+
+def bluff_game(out_utility: int, chain: int = 9):
+    """Player 1 opts out for ``out_utility`` or goes in to the bluff
+    infoset, where only the middle action pays (1, whatever the ``chain``
+    of two-action infosets below it plays).  Playing out leaves "bluff"
+    (first in row order) and the chain unreached, so the only rational
+    completions play the middle action, and with ``chain`` >= 9 every one
+    of them lies beyond the first 256 pure completions."""
+    nodes = [Node("r", 1, ("in", "out"), ("b", "zo")),
+             Node("b", 1, ("a0", "a1", "a2"), ("z0", "x0", "z2"))]
+    utilities = {"zo": (Fraction(out_utility),), "z0": (Fraction(0),),
+                 "z2": (Fraction(0),)}
+    infosets = [Infoset("root", 1, ("r",), ("in", "out")),
+                Infoset("bluff", 1, ("b",), ("a0", "a1", "a2"))]
+    for k in range(chain):
+        below = f"x{k + 1}" if k + 1 < chain else "zg"
+        nodes.append(Node(f"x{k}", 1, ("stop", "go"), (f"zs{k}", below)))
+        infosets.append(Infoset(f"x{k}", 1, (f"x{k}",), ("stop", "go")))
+        utilities[f"zs{k}"] = (Fraction(1),)
+    utilities["zg"] = (Fraction(1),)
+    nodes += [Node(z, TERMINAL) for z in utilities]
+    return make_game(1, "r", nodes, utilities, infosets, name="bluff")
+
+
+# Fewer random seeds than the defaults: the crafted game needs none of them.
+LEAN = SolverConfig(grid_samples=16, multistart=4)
+WIDE = SolverConfig(grid_samples=16, multistart=4, witness_cap=1024)
+NOTE = "witness_cap=256 cut the witness search of 1 rejected class(es)"
+
+
+def test_nash_check_stays_boolean_when_the_cap_decides():
+    game = bluff_game(2)
+    table = {"root": (0, 1), "bluff": (0, 0, 1),
+             **{f"x{k}": (0, 1) for k in range(9)}}
+    profile = profile_from(BehavioralStrategy(1, {
+        iid: tuple(Fraction(p) for p in row) for iid, row in table.items()}))
+    assert cdt_nash_check(game, profile, LEAN) is False
+    assert cdt_nash_check(game, profile, WIDE) is True
+
+
+def test_cap_decided_rejection_without_survivors_raises_with_the_cap():
+    with pytest.raises(EquilibriumNotFoundError, match=re.escape(NOTE)):
+        enumerate_equilibria(bluff_game(2), "CDT-NASH", LEAN)
+    [report] = enumerate_equilibria(bluff_game(2), "CDT-NASH", WIDE)
+    assert report.u1 == 2 and report.notes == ()
+
+
+def test_cap_decided_rejection_marks_every_report_heuristic():
+    reports = enumerate_equilibria(bluff_game(1), "CDT-NASH", LEAN)
+    assert reports
+    assert all(r.certified == "heuristic" and NOTE in r.notes for r in reports)
+    wide = enumerate_equilibria(bluff_game(1), "CDT-NASH", WIDE)
+    assert len(wide) == len(reports) + 1
+    assert not any(NOTE in r.notes for r in wide)

@@ -105,7 +105,9 @@ def reference_accepts(trace: list[float]) -> bool:
 def test_schedule_check_matches_scalar_reference(concept, gains, first_visit,
                                                  game, kind, seed):
     strategy = make_strategy(game, kind, seed)
-    ok, trace = _schedule_check(game, strategy, CFG, gains, first_visit)
+    ok, trace = _schedule_check(
+        game.numeric, game.numeric.index.vector(profile_from(strategy)), 1,
+        CFG, gains, first_visit)
     want, slack = reference_trace(game, strategy, concept)
     assert np.all(np.abs(trace - want) <= 1e-9 * np.abs(want) + slack)
     assert ok == reference_accepts(want)

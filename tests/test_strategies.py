@@ -202,3 +202,11 @@ def test_validate_profile_reports_problems():
     assert any("sums to" in p for p in validate_profile(g, bad))
     missing = single({"I1": (1, 0)})
     assert any("missing" in p for p in validate_profile(g, missing))
+
+
+def test_validate_profile_reports_rows_for_unknown_infosets():
+    g = gen_fig2()
+    extra = single({"I": (THIRD, 1 - THIRD), "ghost": (1, 0)})
+    assert validate_profile(g, extra) == [
+        "player 1: row for unknown infoset 'ghost'"
+    ]
