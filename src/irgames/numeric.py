@@ -8,6 +8,12 @@ coordinates, compiled here from ``Game.leaves`` once per game, as
 exact polynomial gradients, and pure single-row deviation values for whole
 batches at once, which is what makes grid scans and multistart ascent
 affordable in pure Python.
+
+Every kernel builds the leaf products rank by rank (the r-th entry of every
+leaf's monomial in one vectorized step).  ``NumericGame.gradient`` is one
+fused pass: a forward sweep of running products gives the utilities, and a
+backward sweep of running suffixes gives every partial, so projected ascent
+values and differentiates its candidate points with one call per step.
 """
 
 from __future__ import annotations
@@ -48,6 +54,12 @@ class FlatIndex:
                                   slice(first_coord, offset))
         self.dim = offset
         self.row_of = {(r.player, r.infoset_id): r for r in self.rows}
+        # One (rows, size) coordinate array per row size.
+        self.rows_by_size = [
+            np.array([np.arange(r.offset, r.offset + size)
+                      for r in self.rows if r.size == size], dtype=np.intp)
+            for size in sorted({r.size for r in self.rows})
+        ]
 
     def vector(self, profile: StrategyProfile) -> np.ndarray:
         x = np.empty(self.dim)
@@ -79,11 +91,11 @@ class FlatIndex:
 
 
 def project_rows(index: FlatIndex, X: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every infoset row onto its simplex."""
+    """Euclidean projection of every infoset row onto its simplex, one
+    batched projection per row size."""
     out = np.array(X, dtype=float, copy=True)
-    for row in index.rows:
-        block = out[..., row.offset : row.offset + row.size]
-        out[..., row.offset : row.offset + row.size] = _project_simplex(block)
+    for coords in index.rows_by_size:
+        out[..., coords] = _project_simplex(out[..., coords])
     return out
 
 
@@ -114,12 +126,12 @@ class NumericGame:
         self.utils = np.zeros((Z, game.players))
 
         # Distinct (leaf, flat coordinate, multiplicity) entries of every
-        # leaf's reach monomial, with per-leaf ranks so products can be
-        # taken division-free via prefix/suffix sweeps.
+        # leaf's reach monomial, leaf by leaf; an entry's rank is its place
+        # among its leaf's entries, so products are taken division-free by
+        # prefix/suffix sweeps over the ranks.
         ent_leaf: list[int] = []
         ent_coord: list[int] = []
         ent_count: list[int] = []
-        ent_rank: list[int] = []
         for zi, (z, leaf) in enumerate(game.leaves.items()):
             self.utils[zi] = [float(u) for u in game.utilities[z]]
             self.coef[zi] = float(leaf.chance)
@@ -127,24 +139,36 @@ class NumericGame:
                 self.index.row_of[(p, iid)].offset + idx: n
                 for (p, iid, idx), n in leaf.visits
             }
-            for rank, coord in enumerate(sorted(counts)):
+            for coord in sorted(counts):
                 ent_leaf.append(zi)
                 ent_coord.append(coord)
                 ent_count.append(counts[coord])
-                ent_rank.append(rank)
 
         self.ent_leaf = np.array(ent_leaf, dtype=np.intp)
         self.ent_coord = np.array(ent_coord, dtype=np.intp)
         self.ent_count = np.array(ent_count, dtype=np.float64)
-        self.ent_rank = np.array(ent_rank, dtype=np.intp)
         self.n_entries = len(ent_leaf)
-        self.max_rank = int(self.ent_rank.max()) + 1 if ent_leaf else 0
 
-        # (Z, max_rank) entry-index grid, -1 where a leaf has fewer entries.
-        self.rank_grid = -np.ones((Z, self.max_rank), dtype=np.intp)
-        self.rank_grid[self.ent_leaf, self.ent_rank] = np.arange(self.n_entries)
+        # Rank steps of the leaf products: step r holds the entries of rank
+        # r.  Leaves are taken longest first, so the leaves with an entry of
+        # rank r are the first n_r of ``_order`` and each step works on a
+        # block of rows of a leaf-major (Z, B) array.  Per step: n_r, the
+        # entries' coordinates, and the positions and (column) counts of the
+        # entries visited more than once.
+        lengths = np.bincount(self.ent_leaf, minlength=Z)
+        self._order = np.argsort(-lengths, kind="stable")
+        self._unorder = np.argsort(self._order)
+        first = np.cumsum(lengths) - lengths
+        self._steps = []
+        for rank in range(int(lengths.max(initial=0))):
+            leaves = self._order[lengths[self._order] > rank]
+            ents = first[leaves] + rank
+            count = self.ent_count[ents]
+            many = np.nonzero(count > 1)[0]
+            self._steps.append(
+                (len(ents), self.ent_coord[ents], many, count[many, None]))
 
-        self._row_cache: dict[int, tuple] = {}
+        self._row_cache: dict[int, np.ndarray] = {}
 
     @cached_property
     def visits(self) -> np.ndarray:
@@ -157,27 +181,32 @@ class NumericGame:
 
     # -- core monomial machinery -------------------------------------------
 
-    def _entry_factors(self, X: np.ndarray) -> np.ndarray:
-        """(B, E) powers X[:, coord] ** count for every monomial entry."""
-        return X[:, self.ent_coord] ** self.ent_count
+    @staticmethod
+    def _entry_factors(XT: np.ndarray, coords, many, count) -> np.ndarray:
+        """(n, B) factors x[coord] ** count of one rank step's entries, from
+        the (R, B) transposed batch; only the entries visited more than once
+        take a power."""
+        factors = XT[coords]
+        if len(many):
+            factors[many] **= count
+        return factors
 
-    def _accumulate(self, probs: np.ndarray, factors: np.ndarray, skip=None):
-        """Multiply per-leaf entry factors into ``probs`` (B, Z), skipping
-        entries flagged in the boolean array ``skip``."""
-        for rank in range(self.max_rank):
-            sel = self.rank_grid[:, rank]
-            mask = sel >= 0
-            if skip is not None:
-                mask[mask] = ~skip[sel[mask]]
-            probs[:, mask] *= factors[:, sel[mask]]
+    def _products(self, XT: np.ndarray, prefixes=None) -> np.ndarray:
+        """(B, Z) leaf products of chance coefficient and entry factors,
+        multiplied in rank order.  With a list ``prefixes``, also appends
+        each step's (n, B) product before the step and its factors."""
+        probs = np.tile(self.coef[self._order, None], (1, XT.shape[1]))
+        for n, *entries in self._steps:
+            factors = self._entry_factors(XT, *entries)
+            if prefixes is not None:
+                prefixes.append((probs[:n].copy(), factors))
+            probs[:n] *= factors
+        # C order, so that every sum over the leaves is taken in one order.
+        return np.ascontiguousarray(probs[self._unorder].T)
 
-    def leaf_probs(self, X: np.ndarray, factors=None) -> np.ndarray:
+    def leaf_probs(self, X: np.ndarray) -> np.ndarray:
         """(B, Z) reach probabilities including chance coefficients."""
-        if factors is None:
-            factors = self._entry_factors(X)
-        probs = np.tile(self.coef, (X.shape[0], 1))
-        self._accumulate(probs, factors)
-        return probs
+        return self._products(np.ascontiguousarray(X.T))
 
     def utilities(self, X: np.ndarray) -> np.ndarray:
         """(B, N) expected utility per player."""
@@ -186,56 +215,62 @@ class NumericGame:
     def utility(self, X: np.ndarray, player: int) -> np.ndarray:
         return self.leaf_probs(X) @ self.utils[:, player - 1]
 
-    def gradient(self, X: np.ndarray, player: int, factors=None) -> np.ndarray:
-        """(B, R) partials of the player's utility in every coordinate."""
-        B = X.shape[0]
-        G = np.zeros((B, self.index.dim))
-        E = self.n_entries
-        if factors is None:
-            factors = self._entry_factors(X)
-        prefix = np.ones((B, E))
-        suffix = np.ones((B, E))
-        for rank in range(1, self.max_rank):
-            cur = self.rank_grid[:, rank]
-            prev = self.rank_grid[:, rank - 1]
-            mask = cur >= 0
-            prefix[:, cur[mask]] = prefix[:, prev[mask]] * factors[:, prev[mask]]
-        for rank in range(self.max_rank - 2, -1, -1):
-            cur = self.rank_grid[:, rank]
-            nxt = self.rank_grid[:, rank + 1]
-            mask = (cur >= 0) & (nxt >= 0)
-            suffix[:, cur[mask]] = suffix[:, nxt[mask]] * factors[:, nxt[mask]]
-        base = X[:, self.ent_coord] ** (self.ent_count - 1.0)
-        weight = self.coef[self.ent_leaf] * self.utils[self.ent_leaf, player - 1]
-        vals = weight * self.ent_count * base * prefix * suffix
-        np.add.at(G.T, self.ent_coord, vals.T)
-        return G
+    def gradient(self, X: np.ndarray, player: int) -> tuple[np.ndarray, np.ndarray]:
+        """The player's (B,) utilities and (B, R) partials in every
+        coordinate, from one forward and one backward pass over the leaves.
+
+        Forward, rank by rank: a running product of chance coefficients and
+        entry factors per leaf, keeping the product before each rank; the
+        utilities are the final products times the leaf utilities, the same
+        sums as ``utility``.  Backward: a running suffix, the leaf utility
+        times the factors of the later ranks.  At each rank, prefix times
+        suffix is the partial of the leaf product in that rank's factor,
+        times n x^(n-1) for an entry visited n > 1 times, and one
+        ``bincount`` adds it into the entry's coordinate.
+        """
+        B, R = X.shape[0], self.index.dim
+        XT = np.ascontiguousarray(X.T)
+        prefixes: list = []
+        values = self._products(XT, prefixes) @ self.utils[:, player - 1]
+
+        suffix = np.tile(self.utils[self._order, player - 1, None], (1, B))
+        grad = np.zeros(R * B)
+        columns = np.arange(B)
+        for (n, coords, many, count), (prefix, factors) in zip(
+                self._steps[::-1], prefixes[::-1]):
+            partial = prefix * suffix[:n]
+            if len(many):
+                partial[many] *= count * XT[coords[many]] ** (count - 1.0)
+            grad += np.bincount((coords[:, None] * B + columns).ravel(),
+                                partial.ravel(), R * B)
+            suffix[:n] *= factors
+        return values, np.ascontiguousarray(grad.reshape(R, B).T)
 
     # -- pure single-row deviations -----------------------------------------
 
-    def _row_info(self, row: Row):
-        cached = self._row_cache.get(row.offset)
-        if cached is not None:
-            return cached
+    def _row_alive(self, row: Row) -> np.ndarray:
+        """alive[a, z]: leaf z still reachable when the row deviates to pure
+        action a."""
+        alive = self._row_cache.get(row.offset)
+        if alive is not None:
+            return alive
         in_row = ((self.ent_coord >= row.offset)
                   & (self.ent_coord < row.offset + row.size))
-        # alive[a, z]: leaf z still reachable when the row deviates to pure a.
         alive = np.ones((row.size, self.n_leaves), dtype=bool)
         action = self.ent_coord[in_row] - row.offset
         for a in range(row.size):
             alive[a, self.ent_leaf[in_row][action != a]] = False
-        cached = (in_row, alive)
-        self._row_cache[row.offset] = cached
-        return cached
+        self._row_cache[row.offset] = alive
+        return alive
 
-    def deviation_values_pure(self, X: np.ndarray, row: Row, factors=None) -> np.ndarray:
+    def deviation_values_pure(self, X: np.ndarray, row: Row) -> np.ndarray:
         """(B, A) utilities of ``row.player`` after replacing the whole row
         with each pure action (applied at every visit of the infoset)."""
-        if factors is None:
-            factors = self._entry_factors(X)
-        in_row, alive = self._row_info(row)
-        probs = np.tile(self.coef, (X.shape[0], 1))
-        self._accumulate(probs, factors, skip=in_row)
+        alive = self._row_alive(row)
+        # A row of ones drops the row's factors from every leaf product.
+        XT = np.array(X.T, order="C")
+        XT[row.offset : row.offset + row.size] = 1.0
+        probs = self._products(XT)
         u = self.utils[:, row.player - 1]
         out = np.empty((X.shape[0], row.size))
         for a in range(row.size):
@@ -248,11 +283,10 @@ class NumericGame:
         Exact EDT residual when the game has no absentmindedness; a lower
         bound otherwise."""
         B = X.shape[0]
-        factors = self._entry_factors(X)
-        base = self.leaf_probs(X, factors) @ self.utils
+        base = self.utilities(X)
         best = np.full(B, 0.0)
         for row in self.index.rows:
-            vals = self.deviation_values_pure(X, row, factors)
+            vals = self.deviation_values_pure(X, row)
             gain = vals.max(axis=1) - base[:, row.player - 1]
             best = np.maximum(best, gain)
         return best
@@ -262,7 +296,7 @@ class NumericGame:
         gradient entry minus the worst on-support gradient entry."""
         B = X.shape[0]
         out = np.zeros(B)
-        grads = {p: self.gradient(X, p) for p in range(1, self.game.players + 1)}
+        grads = {p: self.gradient(X, p)[1] for p in range(1, self.game.players + 1)}
         for row in self.index.rows:
             block = slice(row.offset, row.offset + row.size)
             v = grads[row.player][:, block]

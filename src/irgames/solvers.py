@@ -254,27 +254,37 @@ def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
     return value(game.root), strategy
 
 
+# Pure strategies decoded, masked and valued at a time by the exhaustive
+# scan, so it holds (block, leaves) arrays, never a (strategies, leaves) mask.
+_PURE_BLOCK = 4096
+
+
 def _pure_enumeration_opt(game: Game) -> tuple[Num, BehavioralStrategy]:
-    """Exhaustive exact maximum over pure strategies (vectorized scan,
-    then exact re-evaluation of the near-optimal slab)."""
+    """Exhaustive exact maximum over pure strategies: a vectorized scan in
+    blocks of strategy indices, then exact re-evaluation of the near-optimal
+    slab."""
     num = game.numeric
-    rows = num.index.rows
-    assign = np.array(list(itertools.product(*[range(r.size) for r in rows])),
-                      dtype=np.intp)
-    reached = _reached_leaves(num, assign)
-    values = reached @ (num.coef * num.utils[:, 0])
+    total = math.prod(r.size for r in num.index.rows)
+    w = num.coef * num.utils[:, 0]
+    values = np.concatenate([
+        _reached_leaves(num, np.arange(lo, min(lo + _PURE_BLOCK, total))) @ w
+        for lo in range(0, total, _PURE_BLOCK)
+    ])
     best = values.max()
     slab = np.nonzero(values >= best - 1e-9 - 1e-9 * abs(best))[0]
 
     # Pure strategies that reach the same leaves have the same exact value,
-    # so each reached set is valued once, at its first row.  Rows are in
-    # lexicographic order: the first exact maximum wins ties.
+    # so each reached set is valued once, at its first index.  Indices are
+    # in lexicographic order: the first exact maximum wins ties.
     first: dict[bytes, int] = {}
-    for i in slab:
-        first.setdefault(reached[i].tobytes(), i)
+    for lo in range(0, len(slab), _PURE_BLOCK):
+        ids = slab[lo : lo + _PURE_BLOCK]
+        for i, mask in zip(ids, _reached_leaves(num, ids)):
+            first.setdefault(mask.tobytes(), i)
     best_val, best = None, None
     for i in first.values():
-        choice = {r.infoset_id: int(assign[i, j]) for j, r in enumerate(rows)}
+        actions = _pure_assignments(num.index, [i])[0]
+        choice = {r.infoset_id: int(a) for r, a in zip(num.index.rows, actions)}
         strategy = pure_strategy(game, 1, choice)
         v = expected_utility(game, profile_from(strategy), 1)
         if best_val is None or v > best_val:
@@ -282,20 +292,29 @@ def _pure_enumeration_opt(game: Game) -> tuple[Num, BehavioralStrategy]:
     return best_val, best
 
 
-def _reached_leaves(num: NumericGame, assign: np.ndarray) -> np.ndarray:
-    """(T, Z) mask of the leaves each pure assignment (T, n_rows) reaches."""
-    T = assign.shape[0]
-    reached = np.ones((T, num.n_leaves), dtype=bool)
+def _pure_assignments(index: FlatIndex, ids) -> np.ndarray:
+    """(T, rows) actions of the pure strategies with the given indices, in
+    the lexicographic order of ``itertools.product`` over the rows."""
+    sizes = [r.size for r in index.rows]
+    if not sizes:
+        return np.zeros((len(ids), 0), dtype=np.intp)
+    return np.stack(np.unravel_index(ids, sizes), axis=1)
+
+
+def _reached_leaves(num: NumericGame, ids) -> np.ndarray:
+    """(T, Z) mask of the leaves the pure strategies with the given indices
+    reach: those whose every entry takes the strategy's action."""
+    assign = _pure_assignments(num.index, ids)
     coord_row = np.empty(num.index.dim, dtype=np.intp)
     coord_act = np.empty(num.index.dim, dtype=np.intp)
     for j, r in enumerate(num.index.rows):
         coord_row[r.offset : r.offset + r.size] = j
         coord_act[r.offset : r.offset + r.size] = np.arange(r.size)
-    for e in range(num.n_entries):
-        coord = int(num.ent_coord[e])
-        reached[:, num.ent_leaf[e]] &= (
-            assign[:, coord_row[coord]] == coord_act[coord]
-        )
+    taken = assign[:, coord_row[num.ent_coord]] == coord_act[num.ent_coord]
+    reached = np.ones((len(assign), num.n_leaves), dtype=bool)
+    leaves, starts = np.unique(num.ent_leaf, return_index=True)
+    if len(leaves):
+        reached[:, leaves] = np.logical_and.reduceat(taken, starts, axis=1)
     return reached
 
 
@@ -307,10 +326,12 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
     seeds.extend(_random_vertices(num.index, rng, min(cfg.multistart, 16)))
     seeds.extend(_random_mixed(num.index, rng, cfg.multistart))
 
-    grid_full = False
+    grid_full, notes = False, ()
     if grid:
         grid_pts, grid_full = _grid_points(num.index, cfg, rng)
         seeds.extend(grid_pts)
+        if not grid_full:
+            notes = (_sampled_note("grid_cap", cfg.grid_cap, len(grid_pts), "grid points"),)
 
     X = np.array(seeds)
     X = _ascent(num, X, player=1, cfg=cfg)
@@ -340,7 +361,6 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
         residual = float(num.kkt_residuals(best_vec[None])[0])
 
     certified = f"grid-certified(delta=1/{cfg.grid_resolution})" if grid_full else "heuristic"
-    notes = ()
     if grid_full:
         lip = _lipschitz_bound(num)
         notes = (f"grid gap bound {lip * cfg.grid_delta:.6g}",)
@@ -355,6 +375,10 @@ def _lipschitz_bound(num: NumericGame) -> float:
     the utility change per unit sup-norm strategy change."""
     steps_per_leaf = np.bincount(num.ent_leaf, num.ent_count, minlength=num.n_leaves)
     return float((num.coef * num.utils[:, 0] * steps_per_leaf).sum())
+
+
+def _sampled_note(cap: str, value: int, count: int, what: str) -> str:
+    return f"{cap}={value} exceeded: sampled {count} {what}"
 
 
 def _random_vertices(index: FlatIndex, rng, count: int) -> list[np.ndarray]:
@@ -427,11 +451,15 @@ def _ascent(num: NumericGame, X: np.ndarray, player: int, cfg: SolverConfig,
             iters: Optional[int] = None) -> np.ndarray:
     """Batched projected gradient ascent with multiplicative step control.
 
-    Seeds drop out of the batch once their step has collapsed, so the hard
-    iteration cap only matters for pathological landscapes.
+    One kernel call per step values and differentiates the candidate
+    points; an accepted row carries their value and gradient forward, a
+    rejected row keeps its own, since its point did not move.  Seeds drop
+    out of the batch once their step has collapsed, so the hard iteration
+    cap only matters for pathological landscapes.
     """
     X = project_rows(num.index, X)
     B = X.shape[0]
+    f, G = num.gradient(X, player)
     step = np.full(B, 0.25)
     active = np.ones(B, dtype=bool)
     max_iters = iters if iters is not None else cfg.ascent_iters
@@ -439,14 +467,12 @@ def _ascent(num: NumericGame, X: np.ndarray, player: int, cfg: SolverConfig,
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
-        A = X[idx]
-        f = num.utility(A, player)
-        G = num.gradient(A, player)
-        Y = project_rows(num.index, A + step[idx, None] * G)
-        fY = num.utility(Y, player)
-        improved = fY > f + 1e-14
-        X[idx[improved]] = Y[improved]
-        step[idx[improved]] *= 1.3
+        Y = project_rows(num.index, X[idx] + step[idx, None] * G[idx])
+        fY, GY = num.gradient(Y, player)
+        improved = fY > f[idx] + 1e-14
+        moved = idx[improved]
+        X[moved], f[moved], G[moved] = Y[improved], fY[improved], GY[improved]
+        step[moved] *= 1.3
         step[idx[~improved]] *= 0.5
         active[idx[step[idx] < 1e-12]] = False
     return X
@@ -459,24 +485,73 @@ def _ascent(num: NumericGame, X: np.ndarray, player: int, cfg: SolverConfig,
 
 def _maximize_two_action(const: Num, terms: list) -> tuple[float, float]:
     """(max value, argmax) over s in [0, 1] of const + sum_k c_k s^p (1-s)^q,
-    a two-action infoset's deviation utility.  Candidates (the ends, each
-    term's maximizer p/(p+q), the derivative's real roots) are valued term
-    by term: expanded coefficients cancel catastrophically at high degree.
+    a two-action infoset's deviation utility.
+
+    Every c_k >= 0 (utilities are non-negative), and each term rises up to
+    its maximizer p/(p+q) and falls after it, so the sum rises below the
+    smallest maximizer and falls above the largest: an interior maximum is
+    a + to - sign change of the derivative between the two.  The sign is
+    read on a grid through the term maximizers, and each change is refined
+    by Newton steps kept inside its bracket.  The derivative and the
+    candidates (the ends, the term maximizers, the refined changes) are
+    evaluated term by term, the derivative scaled by its largest term:
+    expanded coefficients cancel catastrophically at high degree.
     """
     C = np.array([float(c) for c, _ in terms])
     P, Q = np.array([exps for _, exps in terms], dtype=float).T
-    poly = np.zeros(int((P + Q).max()) + 1)
-    for c, (p, q) in terms:
-        part = np.array([1.0])  # ascending coeffs of (1 - s)^q
-        for _ in range(q):
-            part = np.convolve(part, [1.0, -1.0])
-        poly[p : p + len(part)] += float(c) * part
-    candidates = [0.0, 1.0, *(P / (P + Q))]
-    deriv = np.polynomial.polynomial.polyder(poly)
-    if np.any(deriv):
-        for r in np.polynomial.polynomial.polyroots(deriv):
-            if abs(r.imag) < 1e-9 and -1e-12 <= r.real <= 1 + 1e-12:
-                candidates.append(float(min(max(r.real, 0.0), 1.0)))
+    peaks = P / (P + Q)
+    candidates = [0.0, 1.0, *peaks]
+    live = C > 0
+    lo, hi = peaks[live].min(initial=1.0), peaks[live].max(initial=0.0)
+    if lo < hi:
+        # phi(s) = s (1-s) f'(s) / (f(s) - const) has the sign of f'; with
+        # w_k the terms scaled by the largest, it is the w-weighted mean of
+        # p - (p+q) s.  The grid reads it in one vectorized call, Newton in
+        # plain floats, cheaper than a numpy call per step for a few terms.
+        logc, p, q = np.log(C[live]), P[live], Q[live]
+        t = np.sort(np.concatenate([np.linspace(lo, hi, 65)[1:-1],
+                                    peaks[(peaks > lo) & (peaks < hi)]]))[:, None]
+        logs = logc + p * np.log(t) + q * np.log1p(-t)
+        w = np.exp(logs - logs.max(axis=1, keepdims=True))
+        inner = (w * (p - (p + q) * t)).sum(axis=1) / w.sum(axis=1)
+        phis = np.concatenate([[1.0], inner, [-1.0]])
+        grid = np.concatenate([[lo], t[:, 0], [hi]])
+        live_terms = list(zip(logc.tolist(), p.tolist(), q.tolist()))
+
+        def slope(x: float) -> tuple[float, float]:
+            """phi(x) and phi'(x)."""
+            lx, l1x = math.log(x), math.log1p(-x)
+            logs = [lc + pk * lx + qk * l1x for lc, pk, qk in live_terms]
+            top = max(logs)
+            tot = mean = square = deg = 0.0
+            for lw, (_, pk, qk) in zip(logs, live_terms):
+                wk = math.exp(lw - top)
+                ak = pk - (pk + qk) * x
+                tot += wk
+                mean += wk * ak
+                square += wk * ak * ak
+                deg += wk * (pk + qk)
+            phi = mean / tot
+            return phi, (square / tot - phi * phi) / (x * (1.0 - x)) - deg / tot
+
+        for i in np.nonzero((phis[:-1] > 0) & (phis[1:] <= 0))[0]:
+            # Newton from the secant point; a step that would leave the
+            # bracket, or go uphill, halves it instead.  phi(a) > 0 >= phi(b).
+            a, b = float(grid[i]), float(grid[i + 1])
+            x = a + (b - a) * float(phis[i] / (phis[i] - phis[i + 1]))
+            for _ in range(100):
+                phi, dphi = slope(x)
+                a, b = (x, b) if phi > 0 else (a, x)
+                new = x - phi / dphi if dphi < 0 else 0.5 * (a + b)
+                if new == x:
+                    break
+                if not a < new < b:
+                    new = 0.5 * (a + b)
+                    if not a < new < b:
+                        break
+                x = new
+            # Newton stops within an ulp or two: let the values decide.
+            candidates.extend([x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)])
     S = np.array(candidates)[:, None]
     vals = float(const) + (C * S ** P * (1.0 - S) ** Q).sum(axis=1)
     best = int(np.argmax(vals))
@@ -685,7 +760,7 @@ def _cdt_gains(num: NumericGame, X: np.ndarray, player: int,
     """First-order gain at every infoset of the player: its largest
     gradient entry minus the row's average gradient entry."""
     rows, block = num.index.block[player]
-    G = num.gradient(X, player)[:, block]
+    G = num.gradient(X, player)[1][:, block]
     starts = [r.offset - block.start for r in num.index.rows[rows]]
     return (np.maximum.reduceat(G, starts, axis=1)
             - np.add.reduceat(X[:, block] * G, starts, axis=1))
@@ -861,10 +936,11 @@ def _gradient_polish(num: NumericGame, X: np.ndarray, cfg: SolverConfig) -> np.n
             if block.start == block.stop:
                 continue
             A = X[idx]
+            f, G = num.gradient(A, p)
             D = np.zeros_like(A)
-            D[:, block] = num.gradient(A, p)[:, block]
+            D[:, block] = G[:, block]
             Y = project_rows(num.index, A + step[p][idx, None] * D)
-            improved = num.utility(Y, p) > num.utility(A, p) + 1e-14
+            improved = num.utility(Y, p) > f + 1e-14
             X[idx[improved]] = Y[improved]
             step[p][idx[improved]] *= 1.2
             step[p][idx[~improved]] *= 0.5
@@ -940,6 +1016,10 @@ def enumerate_equilibria(game: Game, concept: str,
 
     pure_seeds, pure_full = _pure_seed_vectors(num.index, cfg, rng)
     grid_seeds, grid_full = _grid_points(num.index, cfg, rng)
+    notes = ()
+    if not pure_full:
+        notes = (_sampled_note("enum_pure_cap", cfg.enum_pure_cap, len(pure_seeds),
+                               "pure seeds"),)
     seeds = pure_seeds + grid_seeds + _random_mixed(num.index, rng, cfg.multistart)
     seeds.append(num.index.uniform())
     if game.players == 1:
@@ -1025,6 +1105,7 @@ def enumerate_equilibria(game: Game, concept: str,
                 utilities=_profile_utilities(game, prof),
                 residual=rep_res,
                 certified=rep_cert,
+                notes=notes,
             )
         )
     if capped:

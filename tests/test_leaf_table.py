@@ -1,16 +1,18 @@
 """The compiled leaf table (``Game.leaves``) against paths that do not read
-it: finite differences, whole-tree evaluation of deviated profiles, and a
-brute-force ancestor scan; plus deep chains that once hit recursion limits."""
+it: finite differences, whole-tree evaluation of deviated profiles, exact
+gradients, and a brute-force ancestor scan; plus deep chains that once hit
+recursion limits."""
 
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from irgames.game import has_absentmindedness
+from irgames.game import Infoset, Node, has_absentmindedness, make_game
 from irgames.generators import gen_lenny, gen_random
-from irgames.numeric import NumericGame
+from irgames.numeric import NumericGame, _project_simplex, project_rows
 from irgames.solvers import best_deviation, edt_check
 from irgames.strategies import (
     BehavioralStrategy,
@@ -112,6 +114,68 @@ def test_compiled_utility_matches_expected_utility(game, seed):
         got = float(num.utility(x, p)[0])
         assert got == pytest.approx(float(expected_utility(game, profile, p)),
                                     rel=1e-12, abs=1e-12)
+
+
+def pure_profile(game, seed: int) -> StrategyProfile:
+    rng = random.Random(seed)
+    return StrategyProfile(tuple(
+        BehavioralStrategy(p, {
+            iid: tuple(Fraction(int(a == k)) for a in range(len(iset.actions)))
+            for iid, iset in game.infosets.get(p, {}).items()
+            for k in [rng.randrange(len(iset.actions))]
+        })
+        for p in range(1, game.players + 1)
+    ))
+
+
+@PROPERTY
+@given(game=st.one_of(games, st.sampled_from([2, 4, 6, 8]).map(gen_lenny)),
+       seed=st.integers(0, 10_000))
+def test_fused_gradient_matches_exact_utility_and_gradient(game, seed):
+    # A batch of mixed and pure profiles; lenny chains add leaves of every
+    # depth and entries visited many times.
+    profiles = [random_profile(game, seed + k, exact=True) for k in range(3)]
+    profiles.append(pure_profile(game, seed))
+    num = NumericGame(game)
+    X = np.array([num.index.vector(prof) for prof in profiles])
+    for p in range(1, game.players + 1):
+        values, grads = num.gradient(X, p)
+        assert values.shape == (len(profiles),)
+        assert grads.shape == (len(profiles), num.index.dim)
+        for b, prof in enumerate(profiles):
+            assert values[b] == pytest.approx(
+                float(expected_utility(game, prof, p)), rel=1e-9, abs=0)
+            for row in num.index.rows:
+                if row.player != p:
+                    continue
+                for a in range(row.size):
+                    exact = utility_gradient(game, prof, p, row.infoset_id, a)
+                    assert grads[b, row.offset + a] == pytest.approx(
+                        float(exact), rel=1e-9, abs=0)
+
+
+def mixed_rows_game():
+    """Player 1 picks one of three actions, then one of two."""
+    nodes = [Node("r", 1, ("a", "b", "c"), ("m", "zb", "zc")),
+             Node("m", 1, ("x", "y"), ("zx", "zy"))]
+    nodes += [Node(z, "terminal") for z in ("zb", "zc", "zx", "zy")]
+    utilities = {z: (Fraction(u),) for z, u in zip(("zb", "zc", "zx", "zy"), (1, 2, 3, 4))}
+    infosets = [Infoset("R", 1, ("r",), ("a", "b", "c")),
+                Infoset("M", 1, ("m",), ("x", "y"))]
+    return make_game(1, "r", nodes, utilities, infosets, name="mixed-rows")
+
+
+@PROPERTY
+@given(seed=st.integers(0, 10_000), rows=st.integers(1, 6))
+def test_project_rows_matches_per_row_projection(seed, rows):
+    index = NumericGame(mixed_rows_game()).index
+    assert sorted(r.size for r in index.rows) == [2, 3]
+    X = np.random.default_rng(seed).normal(scale=2.0, size=(rows, index.dim))
+    want = X.copy()
+    for row in index.rows:
+        block = slice(row.offset, row.offset + row.size)
+        want[:, block] = _project_simplex(X[:, block])
+    assert np.array_equal(project_rows(index, X), want)
 
 
 @PROPERTY

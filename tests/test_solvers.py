@@ -3,6 +3,7 @@ refinements, best-response verification, and enumeration."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import single, strat
@@ -387,3 +388,59 @@ def test_pure_enumeration_values_tied_optima_once(monkeypatch):
     first = {"A": (1, 0, 0), "B": (1, 0, 0), "C": (1, 0, 0), "R": (0, 0, 1)}
     assert report.profile[1].table == {k: tuple(map(Fraction, v)) for k, v in first.items()}
     assert len(calls) < 27  # one evaluation per reached-leaf set, not per tie
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 5, 7, 81])
+def test_pure_enumeration_blocks_keep_the_first_optimum(monkeypatch, block):
+    # The 27 tied optima are every third strategy index, so small blocks
+    # split the scan and the slab at every possible place.
+    import irgames.solvers as solvers
+
+    shapes = []
+    reached = solvers._reached_leaves
+
+    def recorded(num, ids):
+        shapes.append(len(ids))
+        return reached(num, ids)
+
+    monkeypatch.setattr(solvers, "_PURE_BLOCK", block)
+    monkeypatch.setattr(solvers, "_reached_leaves", recorded)
+    report = optimal_strategy(forgetful_stop_game())
+    assert report.utilities == (Fraction(10),)
+    first = {"A": (1, 0, 0), "B": (1, 0, 0), "C": (1, 0, 0), "R": (0, 0, 1)}
+    assert report.profile[1].table == {k: tuple(map(Fraction, v)) for k, v in first.items()}
+    assert max(shapes) <= block
+
+
+def test_two_action_deviation_finds_an_interior_maximum_between_term_peaks():
+    from irgames.solvers import _maximize_two_action
+
+    # Neither term's own maximizer (0.45, 0.5) nor the ends is optimal.
+    terms = [(1, (90, 110)), (1, (100, 100))]
+    value, s = _maximize_two_action(0, terms)
+    grid = np.linspace(0.44, 0.47, 300_001)
+    logs = np.logaddexp(90 * np.log(grid) + 110 * np.log1p(-grid),
+                        100 * np.log(grid) + 100 * np.log1p(-grid))
+    assert value == pytest.approx(float(np.exp(logs.max())), rel=1e-9)
+    assert s == pytest.approx(grid[logs.argmax()], abs=1e-6)
+    at_peaks = [t ** 90 * (1 - t) ** 110 + t ** 100 * (1 - t) ** 100 for t in (0.45, 0.5)]
+    assert value > 1.01 * max(at_peaks)  # s = 0.45 gave 1.8% less
+
+
+def test_sampled_grid_is_noted_in_optimal_strategy():
+    cfg = SolverConfig(grid_cap=10, grid_samples=8)
+    report = optimal_strategy(gen_fig2(), cfg)
+    assert report.certified == "heuristic"
+    assert report.notes == ("grid_cap=10 exceeded: sampled 8 grid points",)
+    full = optimal_strategy(gen_fig2())
+    assert full.certified.startswith("grid-certified")
+    assert not any("grid_cap" in n for n in full.notes)
+
+
+def test_sampled_pure_seeds_are_noted_in_enumeration():
+    cfg = SolverConfig(enum_pure_cap=1, enum_pure_samples=5)
+    reports = enumerate_equilibria(gen_fig3(EPS3), "EDT", cfg)
+    assert reports
+    note = "enum_pure_cap=1 exceeded: sampled 5 pure seeds"
+    assert all(r.certified == "heuristic" and note in r.notes for r in reports)
+    assert not any(note in r.notes for r in enumerate_equilibria(gen_fig3(EPS3), "EDT"))
