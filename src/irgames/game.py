@@ -11,7 +11,8 @@ times the leaf's reach monomial: its chance coefficient times each strategy
 entry on its path, raised to the number of times the path takes it.
 ``Game.leaves`` compiles these monomials once per game, and every
 evaluator, gradient, deviation, compiled array and coefficient reads them
-from there; ``Game.numeric`` is their float table, also built once.
+from there; ``Game.numeric`` is their float table, also built once, and
+``Game.memo`` keeps what solvers derive from the game once per input.
 
 Nothing here mutates: refinements and transforms build new ``Game`` objects.
 """
@@ -216,6 +217,14 @@ class Game:
         from .numeric import NumericGame
 
         return NumericGame(self)
+
+    @cached_property
+    def memo(self) -> dict:
+        """Results derived from this game that are computed once and shared,
+        keyed by everything they depend on: its perfect-recall refinements,
+        and a polish family's equilibrium classes under one
+        ``SolverConfig``.  Stored results are never mutated."""
+        return {}
 
     def _ordered_ids(self) -> list[str]:
         """Node ids in deterministic depth-first order from the root."""

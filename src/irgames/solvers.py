@@ -15,10 +15,19 @@ Computation policy, in one place:
   simplices, so optimal play falls back to a seeded grid scan plus
   multistart projected gradient ascent, then snaps near-rational optima to
   exact fractions when that does not lose value;
-* equilibrium enumeration seeds pure/grid/random profiles, polishes them by
-  improving-deviation dynamics (gradient dynamics for CDT), keeps profiles
-  whose residual clears the tolerance, and dedups by realization
-  equivalence.  Flags on every report say how much certainty was earned;
+* equilibrium enumeration runs in two stages.  The candidate stage seeds
+  pure/grid/random profiles, polishes them, keeps the profiles whose
+  residual clears the tolerance, and dedups them by realization
+  equivalence, comparing leaf reaches.  It depends only on the concept's
+  polish family: EDT, NASH and EDT-NASH polish by improving deviations
+  and keep EDT residuals, CDT and CDT-NASH polish by gradient dynamics and
+  keep KKT residuals.  Its classes are kept in ``Game.memo`` under the key
+  (family, ``SolverConfig``), so every concept of a family in one game
+  shares one run.  The filter stage applies the concept's filter and
+  computes exact utilities: for every class when enumerating, and lazily
+  for best/worst selection, which walks the classes from the requested
+  end of Player 1's utility order and stops at the first that passes.
+  Flags on every report say how much certainty was earned;
 * every solver reads the game's one compiled float table, ``Game.numeric``.
   The Nash-refinement filters check each player in place on it: the other
   players' rows stay fixed, each witness overwrites the player's unreached
@@ -402,21 +411,20 @@ def _random_mixed(index: FlatIndex, rng, count: int) -> list[np.ndarray]:
 
 
 def _grid_points(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[list[np.ndarray], bool]:
-    """Full product simplex grid when affordable, else a seeded sample."""
+    """Full product simplex grid when affordable, else a seeded sample.
+    The full grid lists its points in ``itertools.product`` order over the
+    rows' grids."""
     m = cfg.grid_resolution
     counts = [
         math.comb(m + row.size - 1, row.size - 1) for row in index.rows
     ]
     total = math.prod(counts) if counts else 1
     if total <= cfg.grid_cap:
-        per_row = [simplex_grid(row.size, m) for row in index.rows]
-        pts = []
-        for combo in itertools.product(*[range(len(g)) for g in per_row]):
-            x = np.empty(index.dim)
-            for row, g, i in zip(index.rows, per_row, combo):
-                x[row.offset : row.offset + row.size] = g[i]
-            pts.append(x)
-        return pts, True
+        combos = np.indices(counts).reshape(len(counts), total)
+        pts = np.empty((total, index.dim))
+        for row, i in zip(index.rows, combos):
+            pts[:, row.offset : row.offset + row.size] = simplex_grid(row.size, m)[i]
+        return list(pts), True
     pts = []
     for _ in range(cfg.grid_samples):
         x = np.empty(index.dim)
@@ -971,9 +979,29 @@ def _mixed_br_polish(game: Game, num: NumericGame, x: np.ndarray,
     return num.index.vector(prof)
 
 
-def _residuals_for(game: Game, num: NumericGame, X: np.ndarray, concept: str,
+# Polish family of each enumeration concept.  A family's concepts share
+# their seeds, polish and residuals, and so their equilibrium classes; only
+# the filter that follows differs.
+_FAMILY = {"EDT": "EDT", "NASH": "EDT", "EDT-NASH": "EDT",
+           "CDT": "CDT", "CDT-NASH": "CDT"}
+
+
+@dataclass(frozen=True)
+class _Classes:
+    """A polish family's equilibrium classes in one game, before any
+    concept's filter: one representative per realization-equivalence class
+    of the polished seeds whose residual clears ``cfg.eps_eq``."""
+
+    X: np.ndarray         # (K, R) representatives, read-only, clustering order
+    residual: np.ndarray  # (K,) their residuals, read-only
+    order: np.ndarray     # X's rows by Player 1's kernel utility, then residual
+    certified: str
+    notes: tuple[str, ...]
+
+
+def _residuals_for(game: Game, num: NumericGame, X: np.ndarray, family: str,
                    cfg: SolverConfig) -> np.ndarray:
-    if concept in ("CDT", "CDT-NASH"):
+    if family == "CDT":
         return num.kkt_residuals(X, cfg.supp_tol)
     res = num.edt_pure_residuals(X)
     if any(game.absentminded.values()):
@@ -989,10 +1017,147 @@ def _residuals_for(game: Game, num: NumericGame, X: np.ndarray, concept: str,
     return res
 
 
+def _equilibrium_classes(game: Game, concept: str, cfg: SolverConfig) -> _Classes:
+    """The classes of ``concept``'s polish family, found once per game and
+    ``SolverConfig`` and kept in ``game.memo``."""
+    family = _FAMILY.get(concept)
+    if family is None:
+        raise ValueError(f"unknown enumeration concept {concept!r}")
+    dim = game.numeric.index.dim
+    if dim > cfg.enum_dim_cap:
+        raise CapExceededError(
+            f"flattened strategy dimension {dim} exceeds cap "
+            f"{cfg.enum_dim_cap}; shrink the instance"
+        )
+    key = ("equilibrium classes", family, cfg)
+    if key not in game.memo:
+        game.memo[key] = _find_classes(game, family, cfg)
+    return game.memo[key]
+
+
+def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
+    """Seed, polish, keep the profiles whose residual clears the tolerance,
+    and dedup them by realization equivalence."""
+    num = game.numeric
+    rng = cfg.rng()
+
+    pure_seeds, pure_full = _pure_seed_vectors(num.index, cfg, rng)
+    grid_seeds, grid_full = _grid_points(num.index, cfg, rng)
+    notes = []
+    if not pure_full:
+        notes.append(_sampled_note("enum_pure_cap", cfg.enum_pure_cap,
+                                   len(pure_seeds), "pure seeds"))
+    if not grid_full:
+        notes.append(_sampled_note("grid_cap", cfg.grid_cap, len(grid_seeds),
+                                   "grid points"))
+    seeds = pure_seeds + grid_seeds + _random_mixed(num.index, rng, cfg.multistart)
+    seeds.append(num.index.uniform())
+    if game.players == 1:
+        try:
+            seeds.append(num.index.vector(optimal_strategy(game, cfg).profile))
+        except (ValueError, CapExceededError):
+            pass
+    X = np.array(seeds)
+
+    if family == "CDT":
+        X = _gradient_polish(num, X, cfg)
+    else:
+        X = _br_polish(num, X, cfg)
+        if game.players == 1 and has_absentmindedness(game, 1):
+            res = _residuals_for(game, num, X, family, cfg)
+            stalled = np.nonzero(res > cfg.eps_eq)[0]
+            seen = set()
+            for i in stalled[: 2 * cfg.grid_samples]:
+                key = tuple(np.round(X[i], 4))
+                if key in seen:
+                    continue
+                seen.add(key)
+                X[i] = _mixed_br_polish(game, num, X[i], cfg)
+
+    res = _residuals_for(game, num, X, family, cfg)
+    keep = np.nonzero(res <= cfg.eps_eq)[0]
+    if len(keep):
+        # Drop candidates that polished to numerically identical vectors.
+        rounded = np.round(X[keep], 10)
+        _, first = np.unique(rounded, axis=0, return_index=True)
+        keep = keep[np.sort(first)]
+
+    # Dedup by realization equivalence: greedy clustering of leaf-reach
+    # vectors against class representatives, lowest residual first.  Every
+    # node's reach is the sum of its subtree's leaf reaches, so equal leaf
+    # reaches mean equal node reaches.
+    reach = num.leaf_probs(X[keep])
+    order = sorted(
+        range(len(keep)),
+        key=lambda j: (res[keep[j]], tuple(np.round(X[keep[j]], 9))),
+    )
+    reps = np.empty_like(reach)
+    chosen: list[int] = []
+    for j in order:
+        n = len(chosen)
+        if n and np.abs(reps[:n] - reach[j]).max(axis=1).min() <= cfg.dedup_tol:
+            continue
+        reps[n] = reach[j]
+        chosen.append(j)
+
+    X, res = X[keep[chosen]], res[keep[chosen]]
+    X.setflags(write=False)
+    res.setflags(write=False)
+    u1 = reps[: len(chosen)] @ num.utils[:, 0]
+    return _Classes(
+        X=X, residual=res, order=np.lexsort((res, u1)),
+        certified=(f"grid-certified(delta=1/{cfg.grid_resolution})"
+                   if pure_full and grid_full else "heuristic"),
+        notes=tuple(notes),
+    )
+
+
+def _class_report(game: Game, concept: str, cfg: SolverConfig,
+                  classes: _Classes, k: int) -> tuple[Optional[SolveReport], bool]:
+    """The concept's report on class ``k``, or None if its filter rejects
+    the class; and whether ``cfg.witness_cap`` cut the witness search of
+    that rejection."""
+    num = game.numeric
+    x = classes.X[k]
+    prof = num.index.profile(x)
+    residual, certified = float(classes.residual[k]), classes.certified
+    if concept == "NASH":
+        ok, nres, ncert = nash_check(game, prof, cfg)
+        if not ok:
+            return None, False
+        residual = max(residual, nres)
+        if ncert != "exact":
+            certified = "heuristic"
+    elif concept in ("EDT-NASH", "CDT-NASH"):
+        check = edt_nash_check if concept == "EDT-NASH" else cdt_nash_check
+        if not check(game, prof, cfg):
+            return None, any(
+                math.prod(r.size for r in _unreached_rows(num, x, p, cfg))
+                > cfg.witness_cap for p in range(1, game.players + 1))
+    return SolveReport(
+        concept=concept, which="any", profile=prof,
+        utilities=_profile_utilities(game, prof), residual=residual,
+        certified=certified, notes=classes.notes,
+    ), False
+
+
+def _cap_note(cfg: SolverConfig, capped: int) -> str:
+    return (f"witness_cap={cfg.witness_cap} cut the witness search of "
+            f"{capped} rejected class(es)")
+
+
 def enumerate_equilibria(game: Game, concept: str,
                          cfg: Optional[SolverConfig] = None) -> list[SolveReport]:
-    """Seed, polish, filter, dedup: return one report per equilibrium class
+    """Seed, polish, dedup, filter: return one report per equilibrium class
     found, sorted by Player 1's utility.
+
+    Two stages.  The candidate stage (seeds, polish, residuals, dedup)
+    depends only on the concept's polish family: EDT, NASH and EDT-NASH
+    polish by best responses and keep EDT residuals, CDT and CDT-NASH
+    polish by gradients and keep KKT residuals.  It runs once per game,
+    family and ``SolverConfig``, and ``game.memo`` keeps its classes for
+    every later call.  The filter stage applies the concept's filter to
+    every class and computes its exact utilities.
 
     Classes are realization-equivalence classes; the representative is the
     member with the smallest residual.  Only profiles that individually
@@ -1004,113 +1169,16 @@ def enumerate_equilibria(game: Game, concept: str,
     """
     cfg = _cfg(cfg)
     concept = concept.upper()
-    if concept not in CONCEPTS or concept == "OPT":
-        raise ValueError(f"unknown enumeration concept {concept!r}")
-    num = game.numeric
-    if num.index.dim > cfg.enum_dim_cap:
-        raise CapExceededError(
-            f"flattened strategy dimension {num.index.dim} exceeds cap "
-            f"{cfg.enum_dim_cap}; shrink the instance"
-        )
-    rng = cfg.rng()
-
-    pure_seeds, pure_full = _pure_seed_vectors(num.index, cfg, rng)
-    grid_seeds, grid_full = _grid_points(num.index, cfg, rng)
-    notes = ()
-    if not pure_full:
-        notes = (_sampled_note("enum_pure_cap", cfg.enum_pure_cap, len(pure_seeds),
-                               "pure seeds"),)
-    seeds = pure_seeds + grid_seeds + _random_mixed(num.index, rng, cfg.multistart)
-    seeds.append(num.index.uniform())
-    if game.players == 1:
-        try:
-            seeds.append(num.index.vector(optimal_strategy(game, cfg).profile))
-        except (ValueError, CapExceededError):
-            pass
-    X = np.array(seeds)
-
-    if concept in ("CDT", "CDT-NASH"):
-        X = _gradient_polish(num, X, cfg)
-    else:
-        X = _br_polish(num, X, cfg)
-        if game.players == 1 and has_absentmindedness(game, 1):
-            res = _residuals_for(game, num, X, concept, cfg)
-            stalled = np.nonzero(res > cfg.eps_eq)[0]
-            seen = set()
-            for i in stalled[: 2 * cfg.grid_samples]:
-                key = tuple(np.round(X[i], 4))
-                if key in seen:
-                    continue
-                seen.add(key)
-                X[i] = _mixed_br_polish(game, num, X[i], cfg)
-
-    res = _residuals_for(game, num, X, concept, cfg)
-    keep = np.nonzero(res <= cfg.eps_eq)[0]
-    if len(keep) == 0:
-        return []
-
-    # Drop candidates that polished to numerically identical vectors.
-    rounded = np.round(X[keep], 10)
-    _, first = np.unique(rounded, axis=0, return_index=True)
-    keep = keep[np.sort(first)]
-
-    # Dedup by realization equivalence: greedy clustering of node-reach
-    # vectors against class representatives, lowest residual first.
-    node_order = sorted(game.nodes)
-    reaches = np.empty((len(keep), len(node_order)))
-    for j, i in enumerate(keep):
-        rm = node_reach_map(game, num.index.profile(X[i]))
-        reaches[j] = [float(rm[n]) for n in node_order]
-    order = sorted(
-        range(len(keep)),
-        key=lambda j: (res[keep[j]], tuple(np.round(X[keep[j]], 9))),
-    )
-    rep_rows: list[int] = []
-    for j in order:
-        for r in rep_rows:
-            if np.abs(reaches[j] - reaches[r]).max() <= cfg.dedup_tol:
-                break
+    classes = _equilibrium_classes(game, concept, cfg)
+    reports, capped = [], 0
+    for k in range(len(classes.X)):
+        report, cut = _class_report(game, concept, cfg, classes, k)
+        if report is None:
+            capped += cut
         else:
-            rep_rows.append(j)
-
-    reports = []
-    certified = (
-        f"grid-certified(delta=1/{cfg.grid_resolution})"
-        if pure_full and grid_full
-        else "heuristic"
-    )
-    capped = 0  # rejections after some player's witness list was cut
-    for j in rep_rows:
-        idx = keep[j]
-        prof = num.index.profile(X[idx])
-        rep_res, rep_cert = float(res[idx]), certified
-        if concept == "NASH":
-            ok, nres, ncert = nash_check(game, prof, cfg)
-            if not ok:
-                continue
-            rep_res = max(rep_res, nres)
-            rep_cert = certified if ncert == "exact" else "heuristic"
-        elif concept in ("EDT-NASH", "CDT-NASH"):
-            check = edt_nash_check if concept == "EDT-NASH" else cdt_nash_check
-            if not check(game, prof, cfg):
-                capped += any(
-                    math.prod(r.size for r in _unreached_rows(num, X[idx], p, cfg))
-                    > cfg.witness_cap for p in range(1, game.players + 1))
-                continue
-        reports.append(
-            SolveReport(
-                concept=concept,
-                which="any",
-                profile=prof,
-                utilities=_profile_utilities(game, prof),
-                residual=rep_res,
-                certified=rep_cert,
-                notes=notes,
-            )
-        )
+            reports.append(report)
     if capped:
-        note = (f"witness_cap={cfg.witness_cap} cut the witness search of "
-                f"{capped} rejected class(es)")
+        note = _cap_note(cfg, capped)
         if not reports:
             raise EquilibriumNotFoundError(f"no {concept} equilibrium found; {note}")
         reports = [replace(r, certified="heuristic", notes=r.notes + (note,))
@@ -1121,7 +1189,16 @@ def enumerate_equilibria(game: Game, concept: str,
 
 def best_worst(game: Game, concept: str, which: str,
                cfg: Optional[SolverConfig] = None) -> SolveReport:
-    """Extremal Player-1 utility over the found equilibrium classes."""
+    """Extremal Player-1 utility over the found equilibrium classes.
+
+    Reads the classes of :func:`enumerate_equilibria`'s candidate stage,
+    shared through ``game.memo``, and walks them lazily from the requested
+    end of Player 1's utility order (kernel value, then residual).  The
+    first class the concept's filter passes is the answer, and only its
+    exact utilities are computed.  A ``witness_cap`` note counts the
+    rejected classes the walk examined: every one is more extreme than the
+    answer, and no less extreme class can change it.
+    """
     cfg = _cfg(cfg)
     concept = concept.upper()
     if which not in ("best", "worst"):
@@ -1129,11 +1206,22 @@ def best_worst(game: Game, concept: str, which: str,
     if concept == "OPT":
         report = optimal_strategy(game, cfg)
         return replace(report, which=which)
-    found = enumerate_equilibria(game, concept, cfg)
-    if not found:
+    classes = _equilibrium_classes(game, concept, cfg)
+    capped = 0
+    for k in (classes.order[::-1] if which == "best" else classes.order):
+        report, cut = _class_report(game, concept, cfg, classes, k)
+        if report is not None:
+            break
+        capped += cut
+    else:
+        if capped:
+            raise EquilibriumNotFoundError(
+                f"no {concept} equilibrium found; {_cap_note(cfg, capped)}")
         raise EquilibriumNotFoundError(
             f"no {concept} equilibrium found at resolution "
             f"delta=1/{cfg.grid_resolution}"
         )
-    chosen = found[-1] if which == "best" else found[0]
-    return replace(chosen, which=which)
+    if capped:
+        report = replace(report, certified="heuristic",
+                         notes=report.notes + (_cap_note(cfg, capped),))
+    return replace(report, which=which)

@@ -196,8 +196,7 @@ def bound_chance(game: Game, cfg: Optional[SolverConfig] = None) -> tuple[Num, N
     if has_absentmindedness(game, 1):
         raise ValueError("bound_chance requires a game without absentmindedness")
     cfg = _cfg(cfg)
-    refined, _ = perfect_recall_refinement(game, 1)
-    opt_refined = optimal_strategy(refined, cfg).utilities[0]
+    opt_refined = optimal_strategy(_refined(game), cfg).utilities[0]
     best_leaf_value = max(
         chance_coefficient(game, z) * game.utilities[z][0] for z in game.terminals
     )
@@ -287,7 +286,17 @@ class VorReport:
     refined_report: SolveReport
     base_report: SolveReport
     bounds: dict[str, Optional[float]]
-    bounds_satisfied: dict[str, Optional[bool]]
+    bounds_satisfied: dict[str, Optional[bool]]  # all None unless concept is OPT
+
+
+def _refined(game: Game) -> Game:
+    """Player 1's coarsest perfect-recall refinement, built once per game
+    and kept in ``game.memo``, so every concept solved on it shares its
+    compiled table and its equilibrium classes."""
+    key = ("perfect-recall refinement", 1)
+    if key not in game.memo:
+        game.memo[key] = perfect_recall_refinement(game, 1)[0]
+    return game.memo[key]
 
 
 def _solve_concept(game: Game, concept: str, cfg: SolverConfig) -> SolveReport:
@@ -299,13 +308,16 @@ def _solve_concept(game: Game, concept: str, cfg: SolverConfig) -> SolveReport:
 
 def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) -> VorReport:
     """Solve the concept in the game and in its Player-1 perfect-recall
-    refinement; report the utility ratio next to every applicable bound."""
+    refinement; report the utility ratio next to every applicable bound.
+
+    The bounds are theorems about optimal play, so only an OPT report says
+    whether its ratio satisfies them; for every other concept each entry of
+    ``bounds_satisfied`` is None."""
     cfg = _cfg(cfg)
     if concept not in VOR_CONCEPTS:
         raise ValueError(f"unknown VoR concept {concept!r}; choose from {VOR_CONCEPTS}")
-    refined, _ = perfect_recall_refinement(game, 1)
     base_report = _solve_concept(game, concept, cfg)
-    refined_report = _solve_concept(refined, concept, cfg)
+    refined_report = _solve_concept(_refined(game), concept, cfg)
     numerator = refined_report.utilities[0]
     denominator = base_report.utilities[0]
 
@@ -345,7 +357,8 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
         bounds["composed"] = float(bound_composed(game))
 
     satisfied = {
-        name: (None if b is None or ratio is None else ratio <= b + 1e-9)
+        name: (None if b is None or ratio is None or concept != "OPT"
+               else ratio <= b + 1e-9)
         for name, b in bounds.items()
     }
     return VorReport(

@@ -1,0 +1,149 @@
+"""Equilibrium enumeration in two stages: the candidate classes of a polish
+family are found once per game and ``SolverConfig`` and shared by every
+concept of the family, and ``best_worst`` filters them lazily from the
+requested end of Player 1's utility order."""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import irgames.solvers as solvers
+from irgames.generators import (
+    default_valid_utility,
+    gen_dory,
+    gen_fig1,
+    gen_fig2,
+    gen_fig3,
+    gen_fig5,
+    gen_lenny,
+    gen_random,
+)
+from irgames.numeric import simplex_grid
+from irgames.solvers import SolverConfig, best_worst, enumerate_equilibria
+from irgames.strategies import node_reach_map
+from irgames.vor import VOR_CONCEPTS, _refined, vor_compute
+
+from test_rationality import LEAN, NOTE, bluff_game
+
+PAPER_GAMES = {
+    "fig1": lambda: gen_fig1(Fraction(1, 100)),
+    "fig2": gen_fig2,
+    "fig3": lambda: gen_fig3(Fraction(1, 10)),
+    "fig5": gen_fig5,
+    "lenny6": lambda: gen_lenny(6),
+    "dory2": lambda: gen_dory(2),
+    "valid": default_valid_utility,
+}
+ENUM_CONCEPTS = ("EDT", "CDT", "NASH", "EDT-NASH", "CDT-NASH")
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    calls = []
+    original = getattr(solvers, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [gen_fig2, lambda: gen_dory(2)])
+def test_one_candidate_stage_per_game_family_and_config(monkeypatch, make):
+    br = count_calls(monkeypatch, "_br_polish")
+    grad = count_calls(monkeypatch, "_gradient_polish")
+    game = make()
+    for concept in VOR_CONCEPTS[1:]:
+        vor_compute(game, concept)
+    # Once per family in the game and once in its refinement.
+    assert len(br) == 2 and len(grad) == 2
+    assert {id(num.game) for num in br} == {id(game), id(_refined(game))}
+
+    enumerate_equilibria(game, "EDT-NASH")
+    best_worst(game, "CDT", "worst")
+    assert len(br) == 2 and len(grad) == 2
+    best_worst(game, "NASH", "best", SolverConfig(seed=1))
+    assert len(br) == 3 and len(grad) == 2
+
+
+def test_shared_classes_give_the_answers_of_a_fresh_game():
+    for name, make in PAPER_GAMES.items():
+        shared = make()
+        for concept in ENUM_CONCEPTS:
+            for which in ("best", "worst"):
+                got = best_worst(shared, concept, which)
+                assert got == best_worst(make(), concept, which), (name, concept, which)
+
+
+def test_lazy_best_worst_is_an_end_of_the_enumeration():
+    for make in PAPER_GAMES.values():
+        game = make()
+        for g in (game, _refined(game)):
+            for concept in ENUM_CONCEPTS:
+                found = enumerate_equilibria(g, concept)
+                for which, want in (("best", found[-1]), ("worst", found[0])):
+                    got = best_worst(g, concept, which)
+                    assert (got.u1, got.certified, got.residual) == (
+                        want.u1, want.certified, want.residual), (g.name, concept, which)
+
+
+def test_lazy_walk_notes_only_the_cut_rejections_it_examined():
+    # Every class is worth 1.  The cut rejection is the out-profile's class,
+    # first in utility order by its residual 0; only the walk from the worst
+    # end meets it, and the enumeration, which filters every class.
+    game = bluff_game(1)
+    worst = best_worst(game, "CDT-NASH", "worst", LEAN)
+    best = best_worst(game, "CDT-NASH", "best", LEAN)
+    assert worst.certified == "heuristic" and NOTE in worst.notes
+    assert NOTE not in best.notes
+    assert all(NOTE in r.notes for r in enumerate_equilibria(game, "CDT-NASH", LEAN))
+
+
+def test_classes_are_read_only_and_walked_in_kernel_utility_order():
+    refined = _refined(gen_fig3(Fraction(1, 10)))
+    classes = solvers._equilibrium_classes(refined, "EDT", solvers.DEFAULT_CONFIG)
+    assert len(classes.X) == 2
+    assert not classes.X.flags.writeable and not classes.residual.flags.writeable
+    u1 = refined.numeric.utility(classes.X[classes.order], 1)
+    assert list(u1) == sorted(u1)
+
+
+def product_grid(index, m: int) -> list:
+    """The full product grid, point by point in ``itertools.product``
+    order: the reference for the vectorised ``_grid_points``."""
+    per_row = [simplex_grid(row.size, m) for row in index.rows]
+    pts = []
+    for combo in itertools.product(*[range(len(g)) for g in per_row]):
+        x = np.empty(index.dim)
+        for row, g, i in zip(index.rows, per_row, combo):
+            x[row.offset : row.offset + row.size] = g[i]
+        pts.append(x)
+    return pts
+
+
+@pytest.mark.parametrize("make", [
+    gen_fig2, lambda: gen_fig1(Fraction(1, 100)), lambda: gen_dory(2),
+    lambda: gen_random(3, 3, 0.5, 0.0, False, 7, players=2),
+])
+def test_full_grid_is_the_product_of_the_row_grids(make):
+    index = make().numeric.index
+    for m in (1, 2):
+        cfg = SolverConfig(grid_resolution=m)
+        pts, full = solvers._grid_points(index, cfg, cfg.rng())
+        want = product_grid(index, m)
+        assert full and len(pts) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(pts, want))
+
+
+def test_class_representatives_differ_in_some_node_reach():
+    for make in (lambda: gen_fig1(Fraction(1, 100)), lambda: gen_dory(2)):
+        game = make()
+        for g in (game, _refined(game)):
+            for concept in ("EDT", "CDT"):
+                classes = solvers._equilibrium_classes(g, concept, solvers.DEFAULT_CONFIG)
+                reach = [node_reach_map(g, g.numeric.index.profile(x)) for x in classes.X]
+                for a, b in itertools.combinations(reach, 2):
+                    assert max(abs(float(a[n]) - float(b[n])) for n in g.nodes) > 1e-6

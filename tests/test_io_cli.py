@@ -131,6 +131,15 @@ def test_cli_gen_solve_vor(tmp_path, capsys):
     assert "2.25 (= 9/4)" in out
 
 
+def test_cli_vor_prints_bounds_as_na_off_opt(tmp_path, capsys):
+    game = tmp_path / "valid.json"
+    assert run(["gen", "valid-utility", "--out", str(game)]) == 0
+    assert run(["vor", str(game), "--concept", "wEDT"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("bound ")]
+    assert len(lines) == 6 and all(line.endswith(" (n/a)") for line in lines)
+
+
 def test_cli_refine_round_trips(tmp_path):
     src = tmp_path / "fig2.json"
     dst = tmp_path / "pr.json"

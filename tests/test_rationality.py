@@ -178,7 +178,8 @@ def test_cap_decided_rejection_without_survivors_raises_with_the_cap():
     with pytest.raises(EquilibriumNotFoundError, match=re.escape(NOTE)):
         enumerate_equilibria(bluff_game(2), "CDT-NASH", LEAN)
     [report] = enumerate_equilibria(bluff_game(2), "CDT-NASH", WIDE)
-    assert report.u1 == 2 and report.notes == ()
+    assert report.u1 == 2
+    assert report.notes == ("grid_cap=5000 exceeded: sampled 16 grid points",)
 
 
 def test_cap_decided_rejection_marks_every_report_heuristic():

@@ -194,6 +194,17 @@ def test_vor_opt_fig2():
     assert report.bounds_satisfied["composed"]
 
 
+def test_bounds_are_checked_for_opt_only():
+    # The bounds are theorems about optimal play; the worst EDT ratio 16/13
+    # is above them without breaking any.
+    game = default_valid_utility()
+    worst = vor_compute(game, "wEDT")
+    assert worst.ratio == pytest.approx(16 / 13)
+    assert all(b == 1 for b in worst.bounds.values())
+    assert set(worst.bounds_satisfied.values()) == {None}
+    assert all(vor_compute(game, "OPT").bounds_satisfied.values())
+
+
 def test_vor_fig1_worst_cdt_is_zero():
     report = vor_compute(gen_fig1(Fraction(1, 100)), "wCDT")
     assert float(report.denominator) == pytest.approx(2.0)
