@@ -26,6 +26,10 @@ import numpy as np
 from .game import Game
 from .strategies import BehavioralStrategy, StrategyProfile
 
+# Probabilities at or below this count as off the support, and reaches at or
+# below it as unreached, in every KKT and witness test.
+SUPP_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Row:
@@ -291,7 +295,7 @@ class NumericGame:
             best = np.maximum(best, gain)
         return best
 
-    def kkt_residuals(self, X: np.ndarray, supp_tol: float = 1e-9) -> np.ndarray:
+    def kkt_residuals(self, X: np.ndarray) -> np.ndarray:
         """(B,) max over players and infosets of the simplex-KKT gap: best
         gradient entry minus the worst on-support gradient entry."""
         B = X.shape[0]
@@ -300,7 +304,7 @@ class NumericGame:
         for row in self.index.rows:
             block = slice(row.offset, row.offset + row.size)
             v = grads[row.player][:, block]
-            supp = X[:, block] > supp_tol
+            supp = X[:, block] > SUPP_TOL
             vmax = v.max(axis=1)
             vmin_supp = np.where(supp, v, np.inf).min(axis=1)
             out = np.maximum(out, np.maximum(vmax - vmin_supp, 0.0))

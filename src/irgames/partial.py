@@ -16,7 +16,6 @@ from typing import Callable, Optional
 from .game import Game, Infoset, Num
 from .recall import refines, perfect_recall_refinement
 from .solvers import CapExceededError, SolverConfig, _cfg, optimal_strategy
-from .strategies import profile_from, pure_strategy
 
 
 @dataclass(frozen=True)
@@ -189,41 +188,3 @@ def k_best_partial(
         if best is None or key < best[0]:
             best = (key, cand, value)
     return best[1], best[2]
-
-
-def edt_nash_partial_regression(pair: Optional[tuple[Game, Game]] = None,
-                                cfg: Optional[SolverConfig] = None) -> dict:
-    """Regression for the bad-equilibrium-from-partial-recall phenomenon:
-    in the merged game the sole surviving equilibrium class plays the first
-    action (value 2); the split game additionally accepts always-second
-    (value 1)."""
-    from .generators import gen_fig5, gen_fig5_split
-    from .solvers import edt_nash_check, enumerate_equilibria
-    from .strategies import expected_utility
-
-    cfg = _cfg(cfg)
-    merged, split = pair if pair is not None else (gen_fig5(), gen_fig5_split())
-
-    merged_classes = [
-        r for r in enumerate_equilibria(merged, "EDT", cfg)
-        if edt_nash_check(merged, r.profile, cfg)
-    ]
-    iid = next(iter(merged.infosets[1]))
-    plays_first = [
-        r for r in merged_classes
-        if abs(float(r.profile[1].row(iid)[0]) - 1.0) <= 1e-6
-    ]
-    rr = profile_from(
-        pure_strategy(split, 1, {i: 1 for i in split.infosets[1]})
-    )
-    rr_ok = edt_nash_check(split, rr, cfg)
-    report = {
-        "merged_classes": len(merged_classes),
-        "merged_class_utilities": [float(r.utilities[0]) for r in merged_classes],
-        "merged_plays_first": len(plays_first) == len(merged_classes) == 1,
-        "split_always_second_accepted": rr_ok,
-        "split_always_second_utility": float(expected_utility(split, rr, 1)),
-    }
-    assert report["merged_plays_first"], "merged game must have the single first-action class"
-    assert rr_ok, "split game must accept the always-second profile"
-    return report

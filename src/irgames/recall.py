@@ -86,14 +86,37 @@ def refines(g_fine: Game, g_coarse: Game, player: int) -> Optional[RefinementPla
     return RefinementPlan(player=player, mapping=mapping)
 
 
+def own_histories(game: Game, player: int) -> dict[str, tuple[int, int]]:
+    """node id -> (id, length) of the player's own history there: the
+    (infoset, action) steps of its ``obs_i``.  One root walk extends each
+    parent's history by at most one step and numbers every distinct
+    (history, step) pair once, so two nodes share an id exactly when their
+    ``obs_i`` keys are equal."""
+    ids: dict[tuple, int] = {}
+    out = {game.root: (-1, 0)}
+    stack = [game.root]
+    while stack:
+        nid = stack.pop()
+        node = game.nodes[nid]
+        history, length = out[nid]
+        for child in node.children:
+            if node.owner == player:
+                step = (history, game.infoset_of_node[nid], game.incoming_action[child])
+                out[child] = (ids.setdefault(step, len(ids)), length + 1)
+            else:
+                out[child] = (history, length)
+            stack.append(child)
+    return out
+
+
 def has_perfect_recall(game: Game, player: int) -> bool:
     """True iff all nodes of each infoset of ``player`` share obs_i."""
     game._check_player(player)
-    for iset in game.infosets.get(player, {}).values():
-        signatures = {_obs_key(obs_i(game, nid, player)) for nid in iset.nodes}
-        if len(signatures) > 1:
-            return False
-    return True
+    history = own_histories(game, player)
+    return all(
+        len({history[nid] for nid in iset.nodes}) <= 1
+        for iset in game.infosets.get(player, {}).values()
+    )
 
 
 def _obs_key(sequence: ObservationSequence) -> tuple:

@@ -32,7 +32,17 @@ Computation policy, in one place:
   The Nash-refinement filters check each player in place on it: the other
   players' rows stay fixed, each witness overwrites the player's unreached
   rows, one batch holds the whole mixing schedule, and reach, visit
-  frequency and CDT gains are read from its kernels.
+  frequency and CDT gains are read from its kernels;
+* the parts of the verification policy with one value in use are module
+  constants, not options: the ascent and polish iteration caps
+  (``_ASCENT_ITERS``, ``_POLISH_ITERS``), the rationality schedule and its
+  slope safety factor (``_SCHEDULE``, ``_SCHEDULE_SAFETY``), the
+  realization-dedup tolerance (``_DEDUP_TOL``), the pure-enumeration cap
+  of optimal play (``_PURE_CAP``), the snapping denominator
+  (``_SNAP_DENOMINATOR``) and the support tolerance ``numeric.SUPP_TOL``.
+  No caller sets another value, and an option would still have to be
+  tested and would join every ``Game.memo`` key.  ``SolverConfig`` holds
+  only the values some caller does set.
 """
 
 from __future__ import annotations
@@ -45,9 +55,17 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .game import Game, Num, has_absentmindedness, seq
-from .numeric import FlatIndex, NumericGame, Row, _project_simplex, project_rows, simplex_grid
-from .recall import has_perfect_recall
+from .game import Game, Num, has_absentmindedness
+from .numeric import (
+    SUPP_TOL,
+    FlatIndex,
+    NumericGame,
+    Row,
+    _project_simplex,
+    project_rows,
+    simplex_grid,
+)
+from .recall import has_perfect_recall, own_histories
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
@@ -72,27 +90,41 @@ class EquilibriumNotFoundError(RuntimeError):
     """No profile passed the concept's residual test at this resolution."""
 
 
+# The fixed verification policy (see the module docstring).
+_ASCENT_ITERS = 10_000
+_POLISH_ITERS = 200
+_SCHEDULE = tuple(2.0 ** -k for k in range(1, 21))
+_SCHEDULE_SAFETY = 2.0
+_DEDUP_TOL = 1e-6
+_PURE_CAP = 200_000
+_SNAP_DENOMINATOR = 4096
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by all solvers; defaults match the documented tests."""
+    """The solver settings a caller can change.
+
+    ``grid_resolution``, ``multistart``, ``eps_eq`` and ``seed`` are the
+    CLI's ``--grid-resolution``, ``--multistart``, ``--eps-eq`` and
+    ``--seed``.  The others are caps on exhaustive work, and every report
+    that a cap cut says so: ``enum_pure_cap``/``enum_pure_samples`` and
+    ``grid_cap``/``grid_samples`` bound the pure and grid seeds (a sampled
+    set is noted), ``enum_dim_cap`` bounds the enumerable strategy
+    dimension (``CapExceededError``), ``witness_cap`` bounds the
+    rationality witness search (noted on the report), and
+    ``smoothness_samples`` sizes the mixed sample of ``smoothness_check``,
+    whose verdict certifies only the pure profiles it enumerated.
+    """
 
     grid_resolution: int = 64
     multistart: int = 32
-    ascent_iters: int = 10_000
-    polish_iters: int = 200
     eps_eq: float = 1e-6
-    schedule: tuple = tuple(2.0 ** -k for k in range(1, 21))
-    schedule_safety: float = 2.0
-    supp_tol: float = 1e-9
-    dedup_tol: float = 1e-6
-    pure_cap: int = 200_000
     enum_pure_cap: int = 4096
     enum_pure_samples: int = 200
     grid_cap: int = 5_000
     grid_samples: int = 256
     enum_dim_cap: int = 512
     witness_cap: int = 256
-    snap_denominator: int = 4096
     smoothness_samples: int = 10_000
     seed: int = 0
 
@@ -148,64 +180,40 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
     enumeration.  With absentmindedness the polynomial utility is attacked
     by a seeded grid scan plus multistart projected ascent; near-rational
     optima are snapped to exact fractions when doing so loses nothing.
+    The report is solved once per game and ``SolverConfig`` and kept in
+    ``game.memo``.
     """
     cfg = _cfg(cfg)
     if game.players != 1:
         raise ValueError("optimal_strategy expects a single-player game; "
                          "use fix_opponents first")
-    if not has_absentmindedness(game, 1):
-        if has_perfect_recall(game, 1):
-            value, strategy = _perfect_recall_dp(game)
-            return SolveReport(
-                concept="OPT", which="any",
-                profile=profile_from(strategy),
-                utilities=(value,), residual=0.0, certified="exact",
-            )
+    key = ("optimal strategy", cfg)
+    if key not in game.memo:
+        game.memo[key] = _solve_opt(game, cfg)
+    return game.memo[key]
+
+
+def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
+    # Perfect recall rules out absentmindedness: a member's own history
+    # strictly extends that of every member above it.
+    if has_perfect_recall(game, 1):
+        value, strategy = _perfect_recall_dp(game)
+    elif not has_absentmindedness(game, 1):
         sizes = [len(i.actions) for i in game.infosets.get(1, {}).values()]
-        if math.prod(sizes) <= cfg.pure_cap:
-            value, strategy = _pure_enumeration_opt(game)
-            return SolveReport(
-                concept="OPT", which="any",
-                profile=profile_from(strategy),
-                utilities=(value,), residual=0.0, certified="exact",
+        if math.prod(sizes) > _PURE_CAP:
+            report = _numeric_opt(game, cfg, grid=False)
+            return replace(
+                report,
+                certified="heuristic",
+                notes=report.notes + ("pure enumeration cap exceeded",),
             )
-        report = _numeric_opt(game, cfg, grid=False)
-        return replace(
-            report,
-            certified="heuristic",
-            notes=report.notes + ("pure enumeration cap exceeded",),
-        )
-    return _numeric_opt(game, cfg, grid=True)
-
-
-def _infoset_topo_order(game: Game) -> Optional[list[str]]:
-    """Infoset ids ordered ancestors-first, or None on a cycle."""
-    isets = game.infosets.get(1, {})
-    member_of = {}
-    for iset in isets.values():
-        for nid in iset.nodes:
-            member_of[nid] = iset.id
-    edges: dict[str, set[str]] = {i: set() for i in isets}
-    for nid, iid in member_of.items():
-        for anc in seq(game, nid):
-            aid = member_of.get(anc)
-            if aid is not None and aid != iid:
-                edges[aid].add(iid)
-    indeg = {i: 0 for i in isets}
-    for outs in edges.values():
-        for j in outs:
-            indeg[j] += 1
-    ready = sorted(i for i, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        cur = ready.pop(0)
-        order.append(cur)
-        for j in sorted(edges[cur]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-        ready.sort()
-    return order if len(order) == len(isets) else None
+        value, strategy = _pure_enumeration_opt(game)
+    else:
+        return _numeric_opt(game, cfg, grid=True)
+    return SolveReport(
+        concept="OPT", which="any", profile=profile_from(strategy),
+        utilities=(value,), residual=0.0, certified="exact",
+    )
 
 
 def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
@@ -213,17 +221,18 @@ def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
 
     Sound for perfect recall: members of an infoset share the player's own
     action history, so their relative weights are chance-only and the
-    infoset's contribution separates from upstream decisions.
+    infoset's contribution separates from upstream decisions.  Every
+    infoset below a member has a strictly longer own history, so the
+    infosets are decided from the longest own history up.
     """
-    order = _infoset_topo_order(game)
-    if order is None:
-        return _pure_enumeration_opt(game)
+    isets = game.infosets.get(1, {})
+    history = own_histories(game, 1)
+    order = sorted(isets, key=lambda iid: (history[isets[iid].nodes[0]][1], iid))
     # Chance-only reach of every node: every player action weighs 1.
     weights = node_reach_map(game, StrategyProfile(strategies=tuple(
         BehavioralStrategy(p, {i: (1,) * len(iset.actions) for i, iset in own.items()})
         for p, own in game.infosets.items()
     )))
-    isets = game.infosets.get(1, {})
     choice: dict[str, int] = {}
     memo: dict[str, Num] = {}
 
@@ -343,7 +352,7 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
             notes = (_sampled_note("grid_cap", cfg.grid_cap, len(grid_pts), "grid points"),)
 
     X = np.array(seeds)
-    X = _ascent(num, X, player=1, cfg=cfg)
+    X = _ascent(num, X, player=1)
     vals = num.utility(X, 1)
     order = np.argsort(-vals)
 
@@ -353,7 +362,7 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
     best_exact: Optional[tuple[Num, StrategyProfile]] = None
     if game.is_rational:
         for idx in order[: min(8, len(order))]:
-            snapped = _snap_vector(num.index, X[idx], cfg.snap_denominator)
+            snapped = _snap_vector(num.index, X[idx])
             if snapped is None:
                 continue
             prof = snapped
@@ -435,12 +444,12 @@ def _grid_points(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[list[np.ndar
     return pts, False
 
 
-def _snap_vector(index: FlatIndex, x: np.ndarray, max_den: int) -> Optional[StrategyProfile]:
+def _snap_vector(index: FlatIndex, x: np.ndarray) -> Optional[StrategyProfile]:
     """Round each row to nearby small fractions summing exactly to one."""
     tables: dict[int, dict[str, tuple]] = {p: {} for p in range(1, index.game.players + 1)}
     for row in index.rows:
         block = x[row.offset : row.offset + row.size]
-        snapped = [Fraction(float(v)).limit_denominator(max_den) for v in block]
+        snapped = [Fraction(float(v)).limit_denominator(_SNAP_DENOMINATOR) for v in block]
         snapped[-1] = 1 - sum(snapped[:-1])
         if any(p < 0 or p > 1 for p in snapped):
             return None
@@ -455,8 +464,7 @@ def _snap_vector(index: FlatIndex, x: np.ndarray, max_den: int) -> Optional[Stra
     )
 
 
-def _ascent(num: NumericGame, X: np.ndarray, player: int, cfg: SolverConfig,
-            iters: Optional[int] = None) -> np.ndarray:
+def _ascent(num: NumericGame, X: np.ndarray, player: int) -> np.ndarray:
     """Batched projected gradient ascent with multiplicative step control.
 
     One kernel call per step values and differentiates the candidate
@@ -470,8 +478,7 @@ def _ascent(num: NumericGame, X: np.ndarray, player: int, cfg: SolverConfig,
     f, G = num.gradient(X, player)
     step = np.full(B, 0.25)
     active = np.ones(B, dtype=bool)
-    max_iters = iters if iters is not None else cfg.ascent_iters
-    for _ in range(max_iters):
+    for _ in range(_ASCENT_ITERS):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
@@ -567,8 +574,7 @@ def _maximize_two_action(const: Num, terms: list) -> tuple[float, float]:
 
 
 def best_deviation(game: Game, profile: StrategyProfile, player: int,
-                   infoset_id: str, cfg: Optional[SolverConfig] = None
-                   ) -> tuple[Union[Num, float], tuple]:
+                   infoset_id: str) -> tuple[Union[Num, float], tuple]:
     """Value and maximizer of sigma -> U(profile deviated to sigma at the
     infoset).  Vertex scan without absentmindedness (exact); polynomial
     root-finding (2 actions) or inner ascent otherwise."""
@@ -646,7 +652,7 @@ def _best_deviation(game: Game, profile: StrategyProfile, player: int,
 
 
 def edt_incentive(game: Game, profile: StrategyProfile, player: int,
-                  infoset_id: str, cfg: Optional[SolverConfig] = None) -> float:
+                  infoset_id: str) -> float:
     """Best gain from replacing the whole randomized action at one infoset
     (applied at every visit), holding everything else fixed."""
     base = expected_utility(game, profile, player)
@@ -655,18 +661,15 @@ def edt_incentive(game: Game, profile: StrategyProfile, player: int,
 
 
 def edt_check(game: Game, profile: StrategyProfile,
-              eps_eq: Optional[float] = None,
               cfg: Optional[SolverConfig] = None) -> tuple[bool, float]:
-    """No single-infoset deviation may gain more than ``eps_eq``."""
-    cfg = _cfg(cfg)
-    eps = cfg.eps_eq if eps_eq is None else eps_eq
+    """No single-infoset deviation may gain more than ``cfg.eps_eq``."""
     residual = 0.0
     for player in range(1, game.players + 1):
         base = expected_utility(game, profile, player)
         for iid in game.infosets.get(player, {}):
             val, _ = _best_deviation(game, profile, player, iid, base)
             residual = max(residual, float(val) - float(base))
-    return residual <= eps, residual
+    return residual <= _cfg(cfg).eps_eq, residual
 
 
 def cdt_utility(game: Game, profile: StrategyProfile, player: int,
@@ -682,34 +685,30 @@ def cdt_utility(game: Game, profile: StrategyProfile, player: int,
 
 
 def kkt_check(game: Game, profile: StrategyProfile, player: int,
-              eps_eq: Optional[float] = None,
               cfg: Optional[SolverConfig] = None) -> tuple[bool, float]:
     """Stationarity over the product of simplices: at every infoset the
-    largest gradient entry must be attained on the support."""
-    cfg = _cfg(cfg)
-    eps = cfg.eps_eq if eps_eq is None else eps_eq
+    largest gradient entry must be attained on the support, up to
+    ``cfg.eps_eq``."""
     residual = 0.0
     for iid in game.infosets.get(player, {}):
         v = [float(g) for g in infoset_gradient(game, profile, player, iid)]
         row = profile[player].row(iid)
-        supp = [float(p) > cfg.supp_tol for p in row]
+        supp = [float(p) > SUPP_TOL for p in row]
         if not any(supp):
             supp = [True] * len(v)
         gap = max(v) - min(x for x, s in zip(v, supp) if s)
         residual = max(residual, gap, 0.0)
-    return residual <= eps, residual
+    return residual <= _cfg(cfg).eps_eq, residual
 
 
 def kkt_check_profile(game: Game, profile: StrategyProfile,
-                      eps_eq: Optional[float] = None,
                       cfg: Optional[SolverConfig] = None) -> tuple[bool, float]:
-    cfg = _cfg(cfg)
-    residual = 0.0
-    for player in range(1, game.players + 1):
-        _, r = kkt_check(game, profile, player, eps_eq, cfg)
-        residual = max(residual, r)
-    eps = cfg.eps_eq if eps_eq is None else eps_eq
-    return residual <= eps, residual
+    """:func:`kkt_check` for every player."""
+    residual = max(
+        (kkt_check(game, profile, p, cfg)[1] for p in range(1, game.players + 1)),
+        default=0.0,
+    )
+    return residual <= _cfg(cfg).eps_eq, residual
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +720,7 @@ def _schedule_check(num: NumericGame, x: np.ndarray, player: int,
                     cfg: SolverConfig, gains: Callable,
                     first_visit: bool) -> tuple[bool, np.ndarray]:
     """Limit-based rationality of the player's rows of ``x``, verified along
-    ``cfg.schedule`` with the other rows fixed: mix them toward uniform at
+    ``_SCHEDULE`` with the other rows fixed: mix them toward uniform at
     every rate delta at once, divide each of the player's incentives
     ``gains(num, X, player, live)`` (an (S, rows) array, read where
     ``live``) by its first-visit reach or by its expected visit count, and
@@ -732,7 +731,7 @@ def _schedule_check(num: NumericGame, x: np.ndarray, player: int,
     Returns the verdict and the (S,) worst-quotient trace it read.
     """
     rows, block = num.index.block[player]
-    deltas = np.array(cfg.schedule, dtype=float)
+    deltas = np.array(_SCHEDULE, dtype=float)
     X = np.tile(x, (len(deltas), 1))
     X[:, block] = ((1.0 - deltas[:, None]) * x[block]
                    + deltas[:, None] * num.index.uniform()[block])
@@ -743,7 +742,7 @@ def _schedule_check(num: NumericGame, x: np.ndarray, player: int,
     ratios = np.divide(gains(num, X, player, live), norm,
                        out=np.zeros_like(norm), where=live)
     trace = ratios.max(axis=1, initial=0.0)
-    slope = cfg.schedule_safety * (trace[:5] / deltas[:5]).max(initial=0.0)
+    slope = _SCHEDULE_SAFETY * (trace[:5] / deltas[:5]).max(initial=0.0)
     return bool(np.all(trace <= np.maximum(cfg.eps_eq, slope * deltas))), trace
 
 
@@ -791,12 +790,11 @@ def cdt_rational_check(game: Game, strategy: BehavioralStrategy,
     return _schedule_check(game.numeric, x, 1, _cfg(cfg), _cdt_gains, False)[0]
 
 
-def _unreached_rows(num: NumericGame, x: np.ndarray, player: int,
-                    cfg: SolverConfig) -> list[Row]:
-    """The player's rows ``x`` reaches with at most ``cfg.supp_tol``."""
+def _unreached_rows(num: NumericGame, x: np.ndarray, player: int) -> list[Row]:
+    """The player's rows ``x`` reaches with at most ``SUPP_TOL``."""
     rows = num.index.block[player][0]
     reach = num.leaf_probs(x[None])[0] @ (num.visits[:, rows] > 0)
-    return [row for row, r in zip(num.index.rows[rows], reach) if r <= cfg.supp_tol]
+    return [row for row, r in zip(num.index.rows[rows], reach) if r <= SUPP_TOL]
 
 
 def _rationality_witnesses(num: NumericGame, x: np.ndarray, player: int,
@@ -808,7 +806,7 @@ def _rationality_witnesses(num: NumericGame, x: np.ndarray, player: int,
     All are realization-equivalent to ``x`` by construction, since only
     unreached infosets change.
     """
-    unreached = _unreached_rows(num, x, player, cfg)
+    unreached = _unreached_rows(num, x, player)
     if not unreached:
         return [x]
 
@@ -846,7 +844,7 @@ def edt_nash_check(game: Game, profile: StrategyProfile,
     of unreached infosets; it is sound but not complete.
     """
     cfg = _cfg(cfg)
-    return (edt_check(game, profile, cfg.eps_eq, cfg)[0]
+    return (edt_check(game, profile, cfg)[0]
             and _rational_per_player(game, profile, cfg, _edt_gains, True))
 
 
@@ -855,7 +853,7 @@ def cdt_nash_check(game: Game, profile: StrategyProfile,
     """KKT everywhere plus realization equivalence to a CDT-rational
     strategy per player (same canonical witness search)."""
     cfg = _cfg(cfg)
-    return (kkt_check_profile(game, profile, cfg.eps_eq, cfg)[0]
+    return (kkt_check_profile(game, profile, cfg)[0]
             and _rational_per_player(game, profile, cfg, _cdt_gains, False))
 
 
@@ -896,12 +894,12 @@ def _pure_seed_vectors(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[list[n
     return _random_vertices(index, rng, cfg.enum_pure_samples), False
 
 
-def _br_polish(num: NumericGame, X: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
     """Improving-deviation dynamics, batched over seeds: sweep the infoset
     rows, replacing a row by its best pure deviation whenever that strictly
     gains.  Monotone in single-player games; capped sweeps otherwise."""
     X = project_rows(num.index, X)
-    for _ in range(cfg.polish_iters):
+    for _ in range(_POLISH_ITERS):
         changed = False
         for row in num.index.rows:
             vals = num.deviation_values_pure(X, row)
@@ -919,19 +917,19 @@ def _br_polish(num: NumericGame, X: np.ndarray, cfg: SolverConfig) -> np.ndarray
     return X
 
 
-def _gradient_polish(num: NumericGame, X: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+def _gradient_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
     """Per-player projected gradient dynamics toward KKT points."""
     X = project_rows(num.index, X)
     B = X.shape[0]
     players = range(1, num.game.players + 1)
     step = {p: np.full(B, 0.25) for p in players}
     active = np.ones(B, dtype=bool)
-    for _ in range(cfg.polish_iters):
+    for _ in range(_POLISH_ITERS):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
         sub = X[idx]
-        settled = num.kkt_residuals(sub, cfg.supp_tol) < 1e-11
+        settled = num.kkt_residuals(sub) < 1e-11
         stuck = np.ones(len(idx), dtype=bool)
         for p in players:
             stuck &= step[p][idx] < 1e-12
@@ -955,12 +953,11 @@ def _gradient_polish(num: NumericGame, X: np.ndarray, cfg: SolverConfig) -> np.n
     return X
 
 
-def _mixed_br_polish(game: Game, num: NumericGame, x: np.ndarray,
-                     cfg: SolverConfig) -> np.ndarray:
+def _mixed_br_polish(game: Game, num: NumericGame, x: np.ndarray) -> np.ndarray:
     """Mixed best-response sweeps for absentminded games: each step replaces
     the most profitable row by its exact best randomized action."""
     prof = num.index.profile(x)
-    for _ in range(cfg.polish_iters):
+    for _ in range(_POLISH_ITERS):
         best_gain, best_iid, best_sigma, best_player = 0.0, None, None, None
         base = {
             p: expected_utility(game, prof, p)
@@ -1002,7 +999,7 @@ class _Classes:
 def _residuals_for(game: Game, num: NumericGame, X: np.ndarray, family: str,
                    cfg: SolverConfig) -> np.ndarray:
     if family == "CDT":
-        return num.kkt_residuals(X, cfg.supp_tol)
+        return num.kkt_residuals(X)
     res = num.edt_pure_residuals(X)
     if any(game.absentminded.values()):
         # Pure deviations underestimate mixed ones; redo survivors exactly,
@@ -1012,7 +1009,7 @@ def _residuals_for(game: Game, num: NumericGame, X: np.ndarray, family: str,
             key = X[i].tobytes()
             if key not in exact:
                 prof = num.index.profile(X[i])
-                exact[key] = edt_check(game, prof, cfg.eps_eq, cfg)[1]
+                exact[key] = edt_check(game, prof, cfg)[1]
             res[i] = exact[key]
     return res
 
@@ -1060,9 +1057,9 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     X = np.array(seeds)
 
     if family == "CDT":
-        X = _gradient_polish(num, X, cfg)
+        X = _gradient_polish(num, X)
     else:
-        X = _br_polish(num, X, cfg)
+        X = _br_polish(num, X)
         if game.players == 1 and has_absentmindedness(game, 1):
             res = _residuals_for(game, num, X, family, cfg)
             stalled = np.nonzero(res > cfg.eps_eq)[0]
@@ -1072,7 +1069,7 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
                 if key in seen:
                     continue
                 seen.add(key)
-                X[i] = _mixed_br_polish(game, num, X[i], cfg)
+                X[i] = _mixed_br_polish(game, num, X[i])
 
     res = _residuals_for(game, num, X, family, cfg)
     keep = np.nonzero(res <= cfg.eps_eq)[0]
@@ -1095,7 +1092,7 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     chosen: list[int] = []
     for j in order:
         n = len(chosen)
-        if n and np.abs(reps[:n] - reach[j]).max(axis=1).min() <= cfg.dedup_tol:
+        if n and np.abs(reps[:n] - reach[j]).max(axis=1).min() <= _DEDUP_TOL:
             continue
         reps[n] = reach[j]
         chosen.append(j)
@@ -1132,7 +1129,7 @@ def _class_report(game: Game, concept: str, cfg: SolverConfig,
         check = edt_nash_check if concept == "EDT-NASH" else cdt_nash_check
         if not check(game, prof, cfg):
             return None, any(
-                math.prod(r.size for r in _unreached_rows(num, x, p, cfg))
+                math.prod(r.size for r in _unreached_rows(num, x, p))
                 > cfg.witness_cap for p in range(1, game.players + 1))
     return SolveReport(
         concept=concept, which="any", profile=prof,

@@ -38,8 +38,6 @@ from .solvers import (
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
-    expected_utility,
-    node_reach_map,
     profile_from,
     uniform_strategy,
 )
@@ -216,59 +214,6 @@ def bound_composed(game: Game) -> Num:
     beta = max(_branching_factors(game, game.root).values(), default=1)
     min_am = min(am_coefficient(game, z) for z in game.terminals)
     return Fraction(beta) / min_am
-
-
-# ---------------------------------------------------------------------------
-# Pure-strategy identities used by the bound proofs
-# ---------------------------------------------------------------------------
-
-
-def _require_pure(profile: StrategyProfile) -> None:
-    for s in profile.strategies:
-        for row in s.table.values():
-            if any(0 < float(p) < 1 for p in row):
-                raise ValueError("expected a pure strategy profile")
-
-
-def pure_chance_identity(game: Game, profile: StrategyProfile) -> tuple[list[str], float]:
-    """Leaves a pure profile reaches with positive probability; their
-    chance coefficients sum to one and weight the utility exactly.
-    Returns the leaves and |sum chi - 1|."""
-    _require_pure(profile)
-    reach = node_reach_map(game, profile)
-    leaves = [z for z in game.terminals if float(reach[z]) > 0]
-    chi_sum = sum((chance_coefficient(game, z) for z in leaves), start=Fraction(0))
-    checksum = abs(float(chi_sum) - 1.0)
-    value = sum(
-        (chance_coefficient(game, z) * game.utilities[z][0] for z in leaves),
-        start=Fraction(0),
-    )
-    gap = abs(float(value) - float(expected_utility(game, profile, 1)))
-    if checksum > 1e-9 or gap > 1e-9:
-        raise ValueError(
-            f"pure-strategy chance identity violated (checksum {checksum:.3g}, "
-            f"utility gap {gap:.3g})"
-        )
-    return leaves, checksum
-
-
-def beta_leaf_bound(game: Game, profile: StrategyProfile, node_id: str) -> bool:
-    """Whether the positively-reached leaves below a reached chance node
-    number at most its branching factor (always true; used as an oracle)."""
-    _require_pure(profile)
-    node = game.nodes[node_id]
-    if not node.is_chance:
-        raise ValueError(f"{node_id!r} is not a chance node")
-    reach = node_reach_map(game, profile)
-    if float(reach[node_id]) <= 0:
-        raise ValueError(f"chance node {node_id!r} is not reached under the profile")
-    below = set(subtree_nodes(game, node_id))
-    count = sum(
-        1
-        for z in game.terminals
-        if z in below and float(reach[z]) > 0
-    )
-    return count <= branching_factor(game, node_id)
 
 
 # ---------------------------------------------------------------------------

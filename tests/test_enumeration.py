@@ -1,7 +1,8 @@
 """Equilibrium enumeration in two stages: the candidate classes of a polish
 family are found once per game and ``SolverConfig`` and shared by every
 concept of the family, and ``best_worst`` filters them lazily from the
-requested end of Player 1's utility order."""
+requested end of Player 1's utility order.  Optimal play, which seeds the
+single-player enumerations, is likewise solved once per game and config."""
 
 import itertools
 from fractions import Fraction
@@ -67,6 +68,22 @@ def test_one_candidate_stage_per_game_family_and_config(monkeypatch, make):
     assert len(br) == 2 and len(grad) == 2
     best_worst(game, "NASH", "best", SolverConfig(seed=1))
     assert len(br) == 3 and len(grad) == 2
+
+
+@pytest.mark.parametrize("make", [gen_fig5, default_valid_utility])
+def test_one_optimal_solve_per_game_and_config(monkeypatch, make):
+    solves = [count_calls(monkeypatch, name) for name in (
+        "_numeric_opt", "_pure_enumeration_opt", "_perfect_recall_dp")]
+    game = make()
+    report = solvers.optimal_strategy(game)
+    vor_compute(game, "OPT")
+    best_worst(game, "EDT", "best")
+    best_worst(game, "CDT", "worst")
+    # The enumeration seeds and the OPT row read the first report; the
+    # refinement is solved once for the OPT row.
+    assert sorted(id(g) for calls in solves for g in calls) == sorted(
+        [id(game), id(_refined(game))])
+    assert solvers.optimal_strategy(game) is report
 
 
 def test_shared_classes_give_the_answers_of_a_fresh_game():

@@ -16,13 +16,18 @@ from irgames.generators import (
 from irgames.partial import (
     SplitStep,
     apply_split,
-    edt_nash_partial_regression,
     enumerate_k_refinements,
     is_partial_refinement,
     k_best_partial,
 )
 from irgames.recall import perfect_recall_refinement
-from irgames.solvers import CapExceededError, optimal_strategy
+from irgames.solvers import (
+    CapExceededError,
+    edt_nash_check,
+    enumerate_equilibria,
+    optimal_strategy,
+)
+from irgames.strategies import expected_utility, profile_from, pure_strategy
 
 
 def test_is_partial_refinement_endpoints():
@@ -145,8 +150,17 @@ def test_enumeration_cap():
 
 
 def test_fig5_regression_report():
-    report = edt_nash_partial_regression()
-    assert report["merged_plays_first"]
-    assert report["merged_class_utilities"] == [pytest.approx(2.0)]
-    assert report["split_always_second_accepted"]
-    assert report["split_always_second_utility"] == pytest.approx(1.0)
+    """The bad equilibrium from partial recall: in the merged game the sole
+    surviving EDT-Nash class plays the first action (value 2); the split
+    game also accepts always-second (value 1)."""
+    merged, split = gen_fig5(), gen_fig5_split()
+    merged_classes = [
+        r for r in enumerate_equilibria(merged, "EDT")
+        if edt_nash_check(merged, r.profile)
+    ]
+    iid = next(iter(merged.infosets[1]))
+    assert [float(r.utilities[0]) for r in merged_classes] == [pytest.approx(2.0)]
+    assert abs(float(merged_classes[0].profile[1].row(iid)[0]) - 1.0) <= 1e-6
+    rr = profile_from(pure_strategy(split, 1, {i: 1 for i in split.infosets[1]}))
+    assert edt_nash_check(split, rr)
+    assert float(expected_utility(split, rr, 1)) == pytest.approx(1.0)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from irgames.game import TERMINAL, Infoset, Node, make_game
 from irgames.generators import gen_dory, gen_fig1, gen_random
-from irgames.numeric import NumericGame
+from irgames.numeric import SUPP_TOL, NumericGame
 from irgames.solvers import (
     EquilibriumNotFoundError,
     SolverConfig,
@@ -85,7 +85,7 @@ def reference_rational(game, profile, player: int, check) -> bool:
     own = BehavioralStrategy(1, dict(profile[player].table))
     unreached = [
         iid for iid in sorted(sub.infosets[1])
-        if float(infoset_reach(sub, profile_from(own), iid)) <= CFG.supp_tol
+        if float(infoset_reach(sub, profile_from(own), iid)) <= SUPP_TOL
     ]
     witnesses = [own]
     if unreached:

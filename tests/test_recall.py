@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from irgames.game import has_absentmindedness, validate_game
+from irgames.game import has_absentmindedness, obs_i, validate_game
 from irgames.generators import gen_fig1, gen_fig2, gen_fig3, gen_random
 from irgames.recall import (
     NotComparableError,
@@ -13,6 +13,7 @@ from irgames.recall import (
     dummy_node_transform,
     full_information_refinement,
     has_perfect_recall,
+    own_histories,
     perfect_recall_refinement,
     perfect_recall_refinement_all,
     refines,
@@ -52,6 +53,20 @@ def test_fig2_pr_splits_first_visits_from_revisit():
     assert has_perfect_recall(pr, 1)
     assert not has_perfect_recall(g, 1)
     assert not has_absentmindedness(pr, 1)
+
+
+def test_own_histories_number_the_obs_i_keys():
+    for seed in range(20):
+        g = gen_random(depth=4, branching=2, merge_rate=0.7, chance_rate=0.3,
+                       absentmindedness=seed % 2 == 1, seed=700 + seed, players=2)
+        for player in (1, 2):
+            history = own_histories(g, player)
+            keys = {nid: tuple((s[1], s[2]) for s in obs_i(g, nid, player).steps)
+                    for nid in g.nodes}
+            # One id per key and one key per id.
+            pairs = {(history[n][0], keys[n]) for n in g.nodes}
+            assert len(pairs) == len({i for i, _ in pairs}) == len({k for _, k in pairs})
+            assert all(history[n][1] == len(keys[n]) for n in g.nodes)
 
 
 def test_fig3_pr_splits_second_infoset_into_singletons():

@@ -9,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from irgames.generators import gen_random
 from irgames.solvers import (
+    _SCHEDULE,
+    _SCHEDULE_SAFETY,
     SolverConfig,
     _cdt_gains,
     _edt_gains,
@@ -63,7 +65,7 @@ def reference_trace(game, strategy, concept: str) -> tuple[list, list]:
     error scales with the utility, not with the gain, before the division
     by a reach that may be tiny."""
     trace, slack = [], []
-    for delta in CFG.schedule:
+    for delta in _SCHEDULE:
         table = {
             iid: tuple((1.0 - delta) * p + delta / len(row) for p in row)
             for iid, row in strategy.table.items()
@@ -90,9 +92,9 @@ def reference_trace(game, strategy, concept: str) -> tuple[list, list]:
 
 
 def reference_accepts(trace: list[float]) -> bool:
-    head = [e / d for e, d in zip(trace[:5], CFG.schedule[:5])]
-    slope = CFG.schedule_safety * max(head, default=0.0)
-    return all(e <= max(CFG.eps_eq, slope * d) for e, d in zip(trace, CFG.schedule))
+    head = [e / d for e, d in zip(trace[:5], _SCHEDULE[:5])]
+    slope = _SCHEDULE_SAFETY * max(head, default=0.0)
+    return all(e <= max(CFG.eps_eq, slope * d) for e, d in zip(trace, _SCHEDULE))
 
 
 @pytest.mark.parametrize("concept, gains, first_visit", [

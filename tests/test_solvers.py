@@ -1,6 +1,7 @@
 """Solution concepts: optimal strategies, equilibrium checks, rationality
 refinements, best-response verification, and enumeration."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,7 @@ from irgames.solvers import (
     nash_check,
     optimal_strategy,
 )
+from irgames.vor import _refined
 
 EPS3 = Fraction(1, 10)
 CFG = SolverConfig()
@@ -87,15 +89,37 @@ def test_optimal_dory(n):
     assert optimal_strategy(pr).utilities[0] == 1
 
 
+def perfect_recall_games():
+    """Perfect-recall games for the DP: random trees without merges, the
+    refinements of random imperfect-recall trees (absentminded or not), and
+    the refined dory2 and lenny6."""
+    for seed in range(10):
+        yield gen_random(depth=4, branching=2, merge_rate=0.0, chance_rate=0.3,
+                         absentmindedness=False, seed=seed)
+    for seed in range(10):
+        g = gen_random(depth=4, branching=2, merge_rate=0.7, chance_rate=0.3,
+                       absentmindedness=seed % 2 == 1, seed=500 + seed)
+        yield perfect_recall_refinement(g, 1)[0]
+    yield perfect_recall_refinement(gen_dory(2), 1)[0]
+    yield perfect_recall_refinement(gen_lenny(6), 1)[0]
+
+
 def test_pure_enumeration_agrees_with_dp_on_perfect_recall_games():
     from irgames.solvers import _perfect_recall_dp, _pure_enumeration_opt
 
-    for seed in range(10):
-        g = gen_random(depth=4, branching=2, merge_rate=0.0, chance_rate=0.3,
-                       absentmindedness=False, seed=seed)
-        v_dp, _ = _perfect_recall_dp(g)
+    for g in perfect_recall_games():
+        assert has_perfect_recall(g, 1)
+        v_dp, s_dp = _perfect_recall_dp(g)
         v_enum, _ = _pure_enumeration_opt(g)
-        assert v_dp == v_enum
+        assert v_dp == v_enum == expected_utility(g, profile_from(s_dp), 1)
+
+
+def test_perfect_recall_dp_is_fast_on_a_deep_chain():
+    g = _refined(gen_lenny(2000))
+    start = time.perf_counter()
+    report = optimal_strategy(g)
+    assert time.perf_counter() - start < 0.3
+    assert report.utilities[0] == 1 and report.certified == "exact"
 
 
 # -- incentives and equilibrium checks --------------------------------------
@@ -166,6 +190,21 @@ def test_kkt_check_fig1_cooperative_profile():
     ct = profile_from(strat(1, {"I1": (1, 0)}), strat(2, {"I2": (1, 0)}))
     ok, residual = kkt_check_profile(g, ct)
     assert ok and residual <= 1e-12
+
+
+def test_checks_take_their_tolerance_from_the_config():
+    d = Fraction(1, 10 ** 8)
+    fig3 = gen_fig3(EPS3)
+    near_left = single({"I1": (1 - d, d), "I2": (1, 0)})  # EDT gain 0.9 d
+    fig2 = gen_fig2()
+    near_opt = single({"I": (Fraction(1, 3) + d, Fraction(2, 3) - d)})  # KKT gap 3 d
+    tight = SolverConfig(eps_eq=1e-9)
+    for check in (lambda cfg: edt_check(fig3, near_left, cfg),
+                  lambda cfg: kkt_check(fig2, near_opt, 1, cfg),
+                  lambda cfg: kkt_check_profile(fig2, near_opt, cfg)):
+        ok, residual = check(CFG)
+        assert ok and residual > tight.eps_eq
+        assert check(tight) == (False, residual)
 
 
 # -- rationality refinements -------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import single, strat
 
-from irgames.game import chance_nodes, validate_game
+from irgames.game import chance_nodes, subtree_nodes, validate_game
 from irgames.generators import (
     default_valid_utility,
     gen_dory,
@@ -29,7 +29,6 @@ from irgames.strategies import (
 from irgames.vor import (
     am_coefficient,
     am_witness,
-    beta_leaf_bound,
     bound_am,
     bound_am_entropy,
     bound_chance,
@@ -37,7 +36,6 @@ from irgames.vor import (
     branching_factor,
     chance_coefficient,
     coefficient_table,
-    pure_chance_identity,
     smooth_bounds,
     smoothness_check,
     vor_compute,
@@ -240,6 +238,45 @@ def test_vor_opt_is_one_without_chance_and_absentmindedness():
 
 
 # -- pure-strategy identities --------------------------------------------------
+
+
+def _require_pure(profile):
+    for s in profile.strategies:
+        for row in s.table.values():
+            if any(0 < float(p) < 1 for p in row):
+                raise ValueError("expected a pure strategy profile")
+
+
+def pure_chance_identity(game, profile):
+    """Leaves a pure profile reaches with positive probability; their
+    chance coefficients sum to one and weight the utility exactly.
+    Returns the leaves and |sum chi - 1|."""
+    _require_pure(profile)
+    reach = node_reach_map(game, profile)
+    leaves = [z for z in game.terminals if float(reach[z]) > 0]
+    chi_sum = sum((chance_coefficient(game, z) for z in leaves), start=Fraction(0))
+    checksum = abs(float(chi_sum) - 1.0)
+    value = sum(
+        (chance_coefficient(game, z) * game.utilities[z][0] for z in leaves),
+        start=Fraction(0),
+    )
+    gap = abs(float(value) - float(expected_utility(game, profile, 1)))
+    assert checksum <= 1e-9 and gap <= 1e-9, (checksum, gap)
+    return leaves, checksum
+
+
+def beta_leaf_bound(game, profile, node_id):
+    """Whether the positively-reached leaves below a reached chance node
+    number at most its branching factor."""
+    _require_pure(profile)
+    if not game.nodes[node_id].is_chance:
+        raise ValueError(f"{node_id!r} is not a chance node")
+    reach = node_reach_map(game, profile)
+    if float(reach[node_id]) <= 0:
+        raise ValueError(f"chance node {node_id!r} is not reached under the profile")
+    below = set(subtree_nodes(game, node_id))
+    count = sum(1 for z in game.terminals if z in below and float(reach[z]) > 0)
+    return count <= branching_factor(game, node_id)
 
 
 def test_pure_chance_identity_on_dory():
