@@ -221,9 +221,11 @@ class Game:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this game that are computed once and shared,
-        keyed by everything they depend on: its perfect-recall refinements,
-        and a polish family's equilibrium classes under one
-        ``SolverConfig``.  Stored results are never mutated."""
+        keyed by everything they depend on that a caller can set: its
+        perfect-recall refinements, and its optimal play and a polish
+        family's equilibrium classes under one ``SolverConfig``.  The
+        solvers' module constants are not in the keys.  Stored results are
+        never mutated."""
         return {}
 
     def _ordered_ids(self) -> list[str]:

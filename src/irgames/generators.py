@@ -485,6 +485,11 @@ def default_valid_utility() -> Game:
 # Seeded random games
 # ---------------------------------------------------------------------------
 
+# Chance that a node below the root is a leaf before the depth limit, and
+# the largest leaf utility (utilities are drawn from 0..this).
+_STOP_RATE = 0.25
+_MAX_UTILITY = 10
+
 
 def gen_random(
     depth: int,
@@ -494,8 +499,6 @@ def gen_random(
     absentmindedness: bool,
     seed: int,
     players: int = 1,
-    stop_rate: float = 0.25,
-    max_utility: int = 10,
 ) -> Game:
     """Seeded random game satisfying every structural invariant.
 
@@ -506,7 +509,7 @@ def gen_random(
     """
     if depth < 1 or branching < 2 or players < 1:
         raise ValueError("require depth >= 1, branching >= 2, players >= 1")
-    if not (0 <= merge_rate <= 1 and 0 <= chance_rate <= 1 and 0 <= stop_rate < 1):
+    if not (0 <= merge_rate <= 1 and 0 <= chance_rate <= 1):
         raise ValueError("rates must lie in [0, 1]")
     rng = random.Random(seed)
     actions = tuple(f"a{i}" for i in range(branching))
@@ -519,11 +522,11 @@ def gen_random(
 
     def build(level: int, anc: frozenset[str]) -> str:
         nid = f"n{next(counter)}"
-        terminal = level >= depth or (level > 0 and rng.random() < stop_rate)
+        terminal = level >= depth or (level > 0 and rng.random() < _STOP_RATE)
         if terminal:
             nodes.append(_terminal(nid))
             utilities[nid] = tuple(
-                Fraction(rng.randint(0, max_utility)) for _ in range(players)
+                Fraction(rng.randint(0, _MAX_UTILITY)) for _ in range(players)
             )
             return nid
         is_chance = rng.random() < chance_rate

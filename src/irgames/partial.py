@@ -1,6 +1,6 @@
 """Partial recall: single-infoset splits, the bounded-split refinement
 order, exhaustive enumeration of k-split refinements, and the exhaustive
-best-refinement search driven by an optimal-strategy oracle.
+best-refinement search scored by optimal play.
 
 A split is admissible only when it stays below the player's coarsest
 perfect-recall refinement of the chain's root game: splitting finer than
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .game import Game, Infoset, Num
 from .recall import refines, perfect_recall_refinement
@@ -113,8 +113,11 @@ def _partition_key(game: Game, player: int) -> tuple:
     )
 
 
-def enumerate_k_refinements(game: Game, player: int, k: int,
-                            cap: int = 20_000) -> list[Game]:
+# More candidate refinements than this raise CapExceededError.
+_REFINEMENT_CAP = 20_000
+
+
+def enumerate_k_refinements(game: Game, player: int, k: int) -> list[Game]:
     """Every game reachable from this one by at most ``k`` admissible
     splits, deduplicated by the resulting partition.
 
@@ -145,9 +148,9 @@ def enumerate_k_refinements(game: Game, player: int, k: int,
     results: dict[tuple, Game] = {}
 
     def rec(idx: int, budget: int, current: Game):
-        if len(results) > cap:
+        if len(results) > _REFINEMENT_CAP:
             raise CapExceededError(
-                f"more than {cap} candidate refinements; lower k or raise the cap"
+                f"more than {_REFINEMENT_CAP} candidate refinements; lower k"
             )
         if idx == len(per_infoset):
             key = _partition_key(current, player)
@@ -168,21 +171,17 @@ def k_best_partial(
     game: Game,
     k: int,
     cfg: Optional[SolverConfig] = None,
-    oracle: Optional[Callable[[Game], Num]] = None,
-    cap: int = 20_000,
 ) -> tuple[Game, Num]:
-    """Exhaustively score every at-most-k-split refinement with the
-    optimal-utility oracle; ties prefer fewer splits, then the smallest
-    canonical partition."""
+    """Exhaustively score every at-most-k-split refinement by its
+    ``optimal_strategy`` utility; ties prefer fewer splits, then the
+    smallest canonical partition."""
     cfg = _cfg(cfg)
     if game.players != 1:
         raise ValueError("k_best_partial expects a single-player game")
-    if oracle is None:
-        oracle = lambda g: optimal_strategy(g, cfg).utilities[0]
-    candidates = enumerate_k_refinements(game, 1, k, cap=cap)
+    candidates = enumerate_k_refinements(game, 1, k)
     best = None
     for cand in candidates:
-        value = oracle(cand)
+        value = optimal_strategy(cand, cfg).utilities[0]
         splits = len(cand.infosets.get(1, {})) - len(game.infosets.get(1, {}))
         key = (-float(value), splits, _partition_key(cand, 1))
         if best is None or key < best[0]:

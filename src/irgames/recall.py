@@ -12,12 +12,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
-from .game import (
-    Game,
-    Infoset,
-    ObservationSequence,
-    obs_i,
-)
+from .game import Game, Infoset
 
 
 @dataclass(frozen=True)
@@ -86,12 +81,14 @@ def refines(g_fine: Game, g_coarse: Game, player: int) -> Optional[RefinementPla
     return RefinementPlan(player=player, mapping=mapping)
 
 
-def own_histories(game: Game, player: int) -> dict[str, tuple[int, int]]:
+def own_histories(game: Game, player: int
+                  ) -> tuple[dict[str, tuple[int, int]], list[tuple[int, str, str]]]:
     """node id -> (id, length) of the player's own history there: the
     (infoset, action) steps of its ``obs_i``.  One root walk extends each
     parent's history by at most one step and numbers every distinct
     (history, step) pair once, so two nodes share an id exactly when their
-    ``obs_i`` keys are equal."""
+    ``obs_i`` keys are equal.  Also returns the step table: entry ``h`` is
+    history ``h``'s (parent id, infoset, action); the empty history is -1."""
     ids: dict[tuple, int] = {}
     out = {game.root: (-1, 0)}
     stack = [game.root]
@@ -106,26 +103,44 @@ def own_histories(game: Game, player: int) -> dict[str, tuple[int, int]]:
             else:
                 out[child] = (history, length)
             stack.append(child)
-    return out
+    return out, list(ids)
 
 
 def has_perfect_recall(game: Game, player: int) -> bool:
     """True iff all nodes of each infoset of ``player`` share obs_i."""
     game._check_player(player)
-    history = own_histories(game, player)
+    history, _ = own_histories(game, player)
     return all(
         len({history[nid] for nid in iset.nodes}) <= 1
         for iset in game.infosets.get(player, {}).values()
     )
 
 
-def _obs_key(sequence: ObservationSequence) -> tuple:
-    return tuple((s[1], s[2]) for s in sequence.steps)
-
-
-def _class_id(base: str, key: tuple) -> str:
-    digest = hashlib.sha1(repr(key).encode("utf-8")).hexdigest()[:8]
-    return f"{base}.{digest}"
+def _history_names(steps: list[tuple[int, str, str]]
+                   ) -> tuple[dict[int, int], dict[int, str]]:
+    """Rank of every own history in the sorted order of its ``obs_i`` key
+    (the tuple of its (infoset, action) steps), and the first 8 hex digits
+    of the SHA-1 of the key's ``repr``.  A preorder walk of the history
+    trie, children in step order, meets the keys in sorted order; each
+    history's hash state extends a copy of its parent's by one step of the
+    ``repr``, so no key is ever built."""
+    children: dict[int, list[int]] = {}
+    for h, (parent, _, _) in enumerate(steps):
+        children.setdefault(parent, []).append(h)
+    rank: dict[int, int] = {}
+    digest: dict[int, str] = {}
+    stack = [(-1, 0, hashlib.sha1(b"("))]
+    while stack:
+        h, length, state = stack.pop()
+        rank[h] = len(rank)
+        done = state.copy()
+        done.update(b",)" if length == 1 else b")")  # as repr closes a 1-tuple
+        digest[h] = done.hexdigest()[:8]
+        for c in sorted(children.get(h, ()), key=lambda c: steps[c][1:], reverse=True):
+            child = state.copy()
+            child.update(((", " if length else "") + repr(steps[c][1:])).encode("utf-8"))
+            stack.append((c, length + 1, child))
+    return rank, digest
 
 
 def perfect_recall_refinement(game: Game, player: int) -> tuple[Game, RefinementPlan]:
@@ -138,23 +153,25 @@ def perfect_recall_refinement(game: Game, player: int) -> tuple[Game, Refinement
     their id.
     """
     game._check_player(player)
+    history, steps = own_histories(game, player)
+    rank, digest = _history_names(steps)
     new_isets: dict[str, Infoset] = {}
     mapping: dict[str, tuple[str, ...]] = {}
     for iset in game.infosets.get(player, {}).values():
-        classes: dict[tuple, list[str]] = {}
+        classes: dict[int, list[str]] = {}
         for nid in iset.nodes:
-            classes.setdefault(_obs_key(obs_i(game, nid, player)), []).append(nid)
+            classes.setdefault(history[nid][0], []).append(nid)
         if len(classes) == 1:
             new_isets[iset.id] = iset
             mapping[iset.id] = (iset.id,)
             continue
         ids = []
-        for key in sorted(classes):
-            cid = _class_id(iset.id, key)
+        for h in sorted(classes, key=rank.__getitem__):
+            cid = f"{iset.id}.{digest[h]}"
             new_isets[cid] = Infoset(
                 id=cid,
                 player=player,
-                nodes=tuple(classes[key]),
+                nodes=tuple(classes[h]),
                 actions=iset.actions,
             )
             ids.append(cid)

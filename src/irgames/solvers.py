@@ -39,10 +39,20 @@ Computation policy, in one place:
   slope safety factor (``_SCHEDULE``, ``_SCHEDULE_SAFETY``), the
   realization-dedup tolerance (``_DEDUP_TOL``), the pure-enumeration cap
   of optimal play (``_PURE_CAP``), the snapping denominator
-  (``_SNAP_DENOMINATOR``) and the support tolerance ``numeric.SUPP_TOL``.
-  No caller sets another value, and an option would still have to be
-  tested and would join every ``Game.memo`` key.  ``SolverConfig`` holds
-  only the values some caller does set.
+  (``_SNAP_DENOMINATOR``), the support tolerance ``numeric.SUPP_TOL``, and
+  the caps on exhaustive work: the pure and grid seeds of enumeration and
+  optimal play (``_ENUM_PURE_CAP``/``_ENUM_PURE_SAMPLES``,
+  ``_GRID_CAP``/``_GRID_SAMPLES``), the enumerable strategy dimension
+  (``_ENUM_DIM_CAP``) and the rationality witness search
+  (``_WITNESS_CAP``); every report a cap cut says so.  No caller but a
+  test sets another value, and an option would still have to be tested
+  and would join every ``Game.memo`` key.  Functions read the constants
+  when called, so a test can patch them; the memo keys do not carry them,
+  so a patched run needs a fresh game.  ``SolverConfig`` holds only the
+  CLI's flags;
+* enumeration certifies nothing: seeding every grid point bounds no
+  extremum, so every enumeration report is ``heuristic``.  Optimal play
+  on a full grid is ``grid-certified``, with a Lipschitz gap bound.
 """
 
 from __future__ import annotations
@@ -83,7 +93,7 @@ CONCEPTS = ("OPT", "EDT", "CDT", "NASH", "EDT-NASH", "CDT-NASH")
 
 
 class CapExceededError(ValueError):
-    """Instance too large for the exhaustive path; shrink it or raise caps."""
+    """Instance too large for the exhaustive path; shrink it."""
 
 
 class EquilibriumNotFoundError(RuntimeError):
@@ -98,39 +108,25 @@ _SCHEDULE_SAFETY = 2.0
 _DEDUP_TOL = 1e-6
 _PURE_CAP = 200_000
 _SNAP_DENOMINATOR = 4096
+_ENUM_PURE_CAP = 4096
+_ENUM_PURE_SAMPLES = 200
+_GRID_CAP = 5_000
+_GRID_SAMPLES = 256
+_ENUM_DIM_CAP = 512
+_WITNESS_CAP = 256
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The solver settings a caller can change.
-
-    ``grid_resolution``, ``multistart``, ``eps_eq`` and ``seed`` are the
-    CLI's ``--grid-resolution``, ``--multistart``, ``--eps-eq`` and
-    ``--seed``.  The others are caps on exhaustive work, and every report
-    that a cap cut says so: ``enum_pure_cap``/``enum_pure_samples`` and
-    ``grid_cap``/``grid_samples`` bound the pure and grid seeds (a sampled
-    set is noted), ``enum_dim_cap`` bounds the enumerable strategy
-    dimension (``CapExceededError``), ``witness_cap`` bounds the
-    rationality witness search (noted on the report), and
-    ``smoothness_samples`` sizes the mixed sample of ``smoothness_check``,
-    whose verdict certifies only the pure profiles it enumerated.
-    """
+    """The solver settings a caller can change: the CLI's
+    ``--grid-resolution``, ``--multistart``, ``--eps-eq`` and ``--seed``.
+    The caps on exhaustive work are module constants (see the module
+    docstring)."""
 
     grid_resolution: int = 64
     multistart: int = 32
     eps_eq: float = 1e-6
-    enum_pure_cap: int = 4096
-    enum_pure_samples: int = 200
-    grid_cap: int = 5_000
-    grid_samples: int = 256
-    enum_dim_cap: int = 512
-    witness_cap: int = 256
-    smoothness_samples: int = 10_000
     seed: int = 0
-
-    @property
-    def grid_delta(self) -> float:
-        return 1.0 / self.grid_resolution
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
@@ -226,7 +222,7 @@ def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
     infosets are decided from the longest own history up.
     """
     isets = game.infosets.get(1, {})
-    history = own_histories(game, 1)
+    history, _ = own_histories(game, 1)
     order = sorted(isets, key=lambda iid: (history[isets[iid].nodes[0]][1], iid))
     # Chance-only reach of every node: every player action weighs 1.
     weights = node_reach_map(game, StrategyProfile(strategies=tuple(
@@ -349,7 +345,7 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
         grid_pts, grid_full = _grid_points(num.index, cfg, rng)
         seeds.extend(grid_pts)
         if not grid_full:
-            notes = (_sampled_note("grid_cap", cfg.grid_cap, len(grid_pts), "grid points"),)
+            notes = (_sampled_note("grid_cap", _GRID_CAP, len(grid_pts), "grid points"),)
 
     X = np.array(seeds)
     X = _ascent(num, X, player=1)
@@ -381,7 +377,7 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
     certified = f"grid-certified(delta=1/{cfg.grid_resolution})" if grid_full else "heuristic"
     if grid_full:
         lip = _lipschitz_bound(num)
-        notes = (f"grid gap bound {lip * cfg.grid_delta:.6g}",)
+        notes = (f"grid gap bound {lip / cfg.grid_resolution:.6g}",)
     return SolveReport(
         concept="OPT", which="any", profile=profile,
         utilities=(value,), residual=residual, certified=certified, notes=notes,
@@ -428,14 +424,14 @@ def _grid_points(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[list[np.ndar
         math.comb(m + row.size - 1, row.size - 1) for row in index.rows
     ]
     total = math.prod(counts) if counts else 1
-    if total <= cfg.grid_cap:
+    if total <= _GRID_CAP:
         combos = np.indices(counts).reshape(len(counts), total)
         pts = np.empty((total, index.dim))
         for row, i in zip(index.rows, combos):
             pts[:, row.offset : row.offset + row.size] = simplex_grid(row.size, m)[i]
         return list(pts), True
     pts = []
-    for _ in range(cfg.grid_samples):
+    for _ in range(_GRID_SAMPLES):
         x = np.empty(index.dim)
         for row in index.rows:
             comp = rng.multinomial(m, np.full(row.size, 1.0 / row.size))
@@ -797,11 +793,11 @@ def _unreached_rows(num: NumericGame, x: np.ndarray, player: int) -> list[Row]:
     return [row for row, r in zip(num.index.rows[rows], reach) if r <= SUPP_TOL]
 
 
-def _rationality_witnesses(num: NumericGame, x: np.ndarray, player: int,
-                           cfg: SolverConfig) -> list[np.ndarray]:
+def _rationality_witnesses(num: NumericGame, x: np.ndarray,
+                           player: int) -> list[np.ndarray]:
     """``x`` itself plus copies that overwrite the player's unreached rows
     with uniform play or with every pure-action combination (the first
-    ``cfg.witness_cap`` of them).
+    ``_WITNESS_CAP`` of them).
 
     All are realization-equivalent to ``x`` by construction, since only
     unreached infosets change.
@@ -818,7 +814,7 @@ def _rationality_witnesses(num: NumericGame, x: np.ndarray, player: int,
 
     pure = itertools.product(*[np.eye(row.size) for row in unreached])
     return [x, completion([1.0 / row.size for row in unreached]),
-            *map(completion, itertools.islice(pure, cfg.witness_cap))]
+            *map(completion, itertools.islice(pure, _WITNESS_CAP))]
 
 
 def _rational_per_player(game: Game, profile: StrategyProfile,
@@ -830,7 +826,7 @@ def _rational_per_player(game: Game, profile: StrategyProfile,
     x = num.index.vector(profile)
     return all(
         any(_schedule_check(num, w, p, cfg, gains, first_visit)[0]
-            for w in _rationality_witnesses(num, x, p, cfg))
+            for w in _rationality_witnesses(num, x, p))
         for p in range(1, game.players + 1)
     )
 
@@ -860,12 +856,14 @@ def cdt_nash_check(game: Game, profile: StrategyProfile,
 def nash_check(game: Game, profile: StrategyProfile,
                cfg: Optional[SolverConfig] = None) -> tuple[bool, float, str]:
     """Compare each player's payoff with an exact best response computed by
-    solving the opponent-fixed single-player game."""
+    solving the opponent-fixed single-player game.  A single-player game
+    is its own such game, so every call reads its one memoized
+    ``optimal_strategy`` report."""
     cfg = _cfg(cfg)
     residual = 0.0
     certified = "exact"
     for player in range(1, game.players + 1):
-        sub = fix_opponents(game, profile, player)
+        sub = game if game.players == 1 else fix_opponents(game, profile, player)
         report = optimal_strategy(sub, cfg)
         if report.certified != "exact":
             certified = report.certified
@@ -880,10 +878,10 @@ def nash_check(game: Game, profile: StrategyProfile,
 # ---------------------------------------------------------------------------
 
 
-def _pure_seed_vectors(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[list[np.ndarray], bool]:
+def _pure_seed_vectors(index: FlatIndex, rng) -> tuple[list[np.ndarray], bool]:
     sizes = [r.size for r in index.rows]
     total = math.prod(sizes) if sizes else 1
-    if total <= cfg.enum_pure_cap:
+    if total <= _ENUM_PURE_CAP:
         out = []
         for combo in itertools.product(*[range(s) for s in sizes]):
             x = np.zeros(index.dim)
@@ -891,7 +889,7 @@ def _pure_seed_vectors(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[list[n
                 x[row.offset + a] = 1.0
             out.append(x)
         return out, True
-    return _random_vertices(index, rng, cfg.enum_pure_samples), False
+    return _random_vertices(index, rng, _ENUM_PURE_SAMPLES), False
 
 
 def _br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
@@ -992,7 +990,6 @@ class _Classes:
     X: np.ndarray         # (K, R) representatives, read-only, clustering order
     residual: np.ndarray  # (K,) their residuals, read-only
     order: np.ndarray     # X's rows by Player 1's kernel utility, then residual
-    certified: str
     notes: tuple[str, ...]
 
 
@@ -1021,10 +1018,10 @@ def _equilibrium_classes(game: Game, concept: str, cfg: SolverConfig) -> _Classe
     if family is None:
         raise ValueError(f"unknown enumeration concept {concept!r}")
     dim = game.numeric.index.dim
-    if dim > cfg.enum_dim_cap:
+    if dim > _ENUM_DIM_CAP:
         raise CapExceededError(
             f"flattened strategy dimension {dim} exceeds cap "
-            f"{cfg.enum_dim_cap}; shrink the instance"
+            f"{_ENUM_DIM_CAP}; shrink the instance"
         )
     key = ("equilibrium classes", family, cfg)
     if key not in game.memo:
@@ -1038,14 +1035,14 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     num = game.numeric
     rng = cfg.rng()
 
-    pure_seeds, pure_full = _pure_seed_vectors(num.index, cfg, rng)
+    pure_seeds, pure_full = _pure_seed_vectors(num.index, rng)
     grid_seeds, grid_full = _grid_points(num.index, cfg, rng)
     notes = []
     if not pure_full:
-        notes.append(_sampled_note("enum_pure_cap", cfg.enum_pure_cap,
+        notes.append(_sampled_note("enum_pure_cap", _ENUM_PURE_CAP,
                                    len(pure_seeds), "pure seeds"))
     if not grid_full:
-        notes.append(_sampled_note("grid_cap", cfg.grid_cap, len(grid_seeds),
+        notes.append(_sampled_note("grid_cap", _GRID_CAP, len(grid_seeds),
                                    "grid points"))
     seeds = pure_seeds + grid_seeds + _random_mixed(num.index, rng, cfg.multistart)
     seeds.append(num.index.uniform())
@@ -1064,7 +1061,7 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
             res = _residuals_for(game, num, X, family, cfg)
             stalled = np.nonzero(res > cfg.eps_eq)[0]
             seen = set()
-            for i in stalled[: 2 * cfg.grid_samples]:
+            for i in stalled[: 2 * _GRID_SAMPLES]:
                 key = tuple(np.round(X[i], 4))
                 if key in seen:
                     continue
@@ -1101,45 +1098,39 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     X.setflags(write=False)
     res.setflags(write=False)
     u1 = reps[: len(chosen)] @ num.utils[:, 0]
-    return _Classes(
-        X=X, residual=res, order=np.lexsort((res, u1)),
-        certified=(f"grid-certified(delta=1/{cfg.grid_resolution})"
-                   if pure_full and grid_full else "heuristic"),
-        notes=tuple(notes),
-    )
+    return _Classes(X=X, residual=res, order=np.lexsort((res, u1)),
+                    notes=tuple(notes))
 
 
 def _class_report(game: Game, concept: str, cfg: SolverConfig,
                   classes: _Classes, k: int) -> tuple[Optional[SolveReport], bool]:
     """The concept's report on class ``k``, or None if its filter rejects
-    the class; and whether ``cfg.witness_cap`` cut the witness search of
-    that rejection."""
+    the class; and whether ``_WITNESS_CAP`` cut the witness search of that
+    rejection."""
     num = game.numeric
     x = classes.X[k]
     prof = num.index.profile(x)
-    residual, certified = float(classes.residual[k]), classes.certified
+    residual = float(classes.residual[k])
     if concept == "NASH":
-        ok, nres, ncert = nash_check(game, prof, cfg)
+        ok, nres, _ = nash_check(game, prof, cfg)
         if not ok:
             return None, False
         residual = max(residual, nres)
-        if ncert != "exact":
-            certified = "heuristic"
     elif concept in ("EDT-NASH", "CDT-NASH"):
         check = edt_nash_check if concept == "EDT-NASH" else cdt_nash_check
         if not check(game, prof, cfg):
             return None, any(
                 math.prod(r.size for r in _unreached_rows(num, x, p))
-                > cfg.witness_cap for p in range(1, game.players + 1))
+                > _WITNESS_CAP for p in range(1, game.players + 1))
     return SolveReport(
         concept=concept, which="any", profile=prof,
         utilities=_profile_utilities(game, prof), residual=residual,
-        certified=certified, notes=classes.notes,
+        certified="heuristic", notes=classes.notes,
     ), False
 
 
-def _cap_note(cfg: SolverConfig, capped: int) -> str:
-    return (f"witness_cap={cfg.witness_cap} cut the witness search of "
+def _cap_note(capped: int) -> str:
+    return (f"witness_cap={_WITNESS_CAP} cut the witness search of "
             f"{capped} rejected class(es)")
 
 
@@ -1159,10 +1150,10 @@ def enumerate_equilibria(game: Game, concept: str,
     Classes are realization-equivalence classes; the representative is the
     member with the smallest residual.  Only profiles that individually
     pass the concept's residual/filters are ever admitted, so every report
-    is sound; completeness is only as good as the seeding, hence the
-    certification flag.  When ``cfg.witness_cap`` cut the witness search of
-    a rejected EDT-/CDT-NASH class, every report says so and is
-    ``heuristic``; if no class is left, EquilibriumNotFoundError says so.
+    is sound; completeness is only as good as the seeding, so every report
+    is ``heuristic``.  When ``_WITNESS_CAP`` cut the witness search of a
+    rejected EDT-/CDT-NASH class, every report says so; if no class is
+    left, EquilibriumNotFoundError says so.
     """
     cfg = _cfg(cfg)
     concept = concept.upper()
@@ -1175,11 +1166,10 @@ def enumerate_equilibria(game: Game, concept: str,
         else:
             reports.append(report)
     if capped:
-        note = _cap_note(cfg, capped)
+        note = _cap_note(capped)
         if not reports:
             raise EquilibriumNotFoundError(f"no {concept} equilibrium found; {note}")
-        reports = [replace(r, certified="heuristic", notes=r.notes + (note,))
-                   for r in reports]
+        reports = [replace(r, notes=r.notes + (note,)) for r in reports]
     reports.sort(key=lambda r: (float(r.utilities[0]), r.residual))
     return reports
 
@@ -1213,12 +1203,11 @@ def best_worst(game: Game, concept: str, which: str,
     else:
         if capped:
             raise EquilibriumNotFoundError(
-                f"no {concept} equilibrium found; {_cap_note(cfg, capped)}")
+                f"no {concept} equilibrium found; {_cap_note(capped)}")
         raise EquilibriumNotFoundError(
             f"no {concept} equilibrium found at resolution "
             f"delta=1/{cfg.grid_resolution}"
         )
     if capped:
-        report = replace(report, certified="heuristic",
-                         notes=report.notes + (_cap_note(cfg, capped),))
+        report = replace(report, notes=report.notes + (_cap_note(capped),))
     return replace(report, which=which)

@@ -17,6 +17,9 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .game import CHANCE, Game, Infoset, Node, Num, first_visit_nodes, seq
 
+# Float tolerance of a row's sum and of realization equivalence.
+_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BehavioralStrategy:
@@ -97,9 +100,10 @@ def uniform_profile(game: Game, rational: Optional[bool] = None) -> StrategyProf
     )
 
 
-def validate_profile(game: Game, profile: StrategyProfile, tol: float = 1e-9) -> list[str]:
+def validate_profile(game: Game, profile: StrategyProfile) -> list[str]:
     """Report missing rows, rows for infosets the player does not have, and
-    rows that are not distributions."""
+    rows that are not distributions (a float row's sum may miss one by
+    ``_TOL``)."""
     problems = []
     players_seen = sorted(s.player for s in profile.strategies)
     if players_seen != list(range(1, game.players + 1)):
@@ -121,7 +125,7 @@ def validate_profile(game: Game, profile: StrategyProfile, tol: float = 1e-9) ->
                 problems.append(f"player {s.player}: negative probability at {iset.id!r}")
             total = sum(row)
             exact = all(isinstance(p, Fraction) for p in row)
-            if (total != 1) if exact else (abs(float(total) - 1.0) > tol):
+            if (total != 1) if exact else (abs(float(total) - 1.0) > _TOL):
                 problems.append(
                     f"player {s.player}: row {iset.id!r} sums to {float(total):.12g}"
                 )
@@ -352,13 +356,13 @@ def lift_strategy(
 
 
 def realization_equivalent(
-    game: Game, profile_a: StrategyProfile, profile_b: StrategyProfile, tol: float = 1e-9
+    game: Game, profile_a: StrategyProfile, profile_b: StrategyProfile
 ) -> bool:
     """True when both profiles induce the same reach probability at every
-    node, up to ``tol``."""
+    node, up to ``_TOL``."""
     ra = node_reach_map(game, profile_a)
     rb = node_reach_map(game, profile_b)
-    return all(abs(float(ra[n] - rb[n])) <= tol for n in game.nodes)
+    return all(abs(float(ra[n] - rb[n])) <= _TOL for n in game.nodes)
 
 
 def fix_opponents(game: Game, profile: StrategyProfile, player: int) -> Game:

@@ -324,6 +324,10 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
 # ---------------------------------------------------------------------------
 
 
+# Mixed profiles ``smoothness_check`` samples next to the pure ones.
+_SMOOTHNESS_SAMPLES = 10_000
+
+
 @dataclass(frozen=True)
 class SmoothnessVerdict:
     kind: str  # "falsified" | "pure-verified" | "sampled-ok"
@@ -363,8 +367,8 @@ def smoothness_check(
     if not rows:
         return SmoothnessVerdict("pure-verified", None, 0.0, opt)
 
-    pure, pure_full = _pure_seed_vectors(num.index, cfg, rng)
-    samples = _random_mixed(num.index, rng, cfg.smoothness_samples)
+    pure, pure_full = _pure_seed_vectors(num.index, rng)
+    samples = _random_mixed(num.index, rng, _SMOOTHNESS_SAMPLES)
     X = np.array(pure + samples)
 
     lhs = np.zeros(len(X))

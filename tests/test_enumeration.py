@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import single
+
 import irgames.solvers as solvers
 from irgames.generators import (
     default_valid_utility,
@@ -26,7 +28,7 @@ from irgames.solvers import SolverConfig, best_worst, enumerate_equilibria
 from irgames.strategies import node_reach_map
 from irgames.vor import VOR_CONCEPTS, _refined, vor_compute
 
-from test_rationality import LEAN, NOTE, bluff_game
+from test_rationality import LEAN, NOTE, bluff_game, lean
 
 PAPER_GAMES = {
     "fig1": lambda: gen_fig1(Fraction(1, 100)),
@@ -86,6 +88,14 @@ def test_one_optimal_solve_per_game_and_config(monkeypatch, make):
     assert solvers.optimal_strategy(game) is report
 
 
+def test_single_player_nash_check_solves_the_game_itself(monkeypatch):
+    solves = count_calls(monkeypatch, "_solve_opt")
+    game = gen_fig2()
+    for row in ((1, 0), (Fraction(1, 3), Fraction(2, 3))):
+        solvers.nash_check(game, single({"I": row}))
+    assert [id(g) for g in solves] == [id(game)]
+
+
 def test_shared_classes_give_the_answers_of_a_fresh_game():
     for name, make in PAPER_GAMES.items():
         shared = make()
@@ -107,10 +117,11 @@ def test_lazy_best_worst_is_an_end_of_the_enumeration():
                         want.u1, want.certified, want.residual), (g.name, concept, which)
 
 
-def test_lazy_walk_notes_only_the_cut_rejections_it_examined():
+def test_lazy_walk_notes_only_the_cut_rejections_it_examined(monkeypatch):
     # Every class is worth 1.  The cut rejection is the out-profile's class,
     # first in utility order by its residual 0; only the walk from the worst
     # end meets it, and the enumeration, which filters every class.
+    lean(monkeypatch)
     game = bluff_game(1)
     worst = best_worst(game, "CDT-NASH", "worst", LEAN)
     best = best_worst(game, "CDT-NASH", "best", LEAN)

@@ -1,13 +1,14 @@
 """File round-trips, DOT export, and the command-line surface."""
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from conftest import single
 
-from irgames.cli import cli_main, fmt
+from irgames.cli import _config_from, build_parser, cli_main, fmt
 from irgames.dot import export_dot
 from irgames.fileio import (
     GameParseError,
@@ -24,6 +25,7 @@ from irgames.fileio import (
 from irgames.game import validate_game
 from irgames.generators import gen_dory, gen_fig1, gen_fig2, gen_lenny, gen_random
 from irgames.recall import same_tree
+from irgames.solvers import SolverConfig
 from irgames.strategies import profile_from, pure_strategy
 
 
@@ -215,6 +217,15 @@ def test_cli_rejects_invalid_game_with_exit_1(tmp_path, capsys, command):
     assert run([command[0], str(bad), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid game") and "'ghost'" in err
+
+
+def test_solver_config_holds_exactly_the_cli_flags():
+    args = build_parser().parse_args([
+        "solve", "g.json", "--concept", "edt", "--grid-resolution", "3",
+        "--multistart", "5", "--eps-eq", "0.5", "--seed", "9"])
+    cfg = _config_from(args)
+    assert {f.name: getattr(cfg, f.name) for f in fields(SolverConfig)} == {
+        "grid_resolution": 3, "multistart": 5, "eps_eq": 0.5, "seed": 9}
 
 
 def test_cli_gen_is_deterministic(tmp_path):

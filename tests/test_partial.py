@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import irgames.partial as partial
 from irgames.game import validate_game
 from irgames.generators import (
     gen_fig2,
@@ -143,10 +144,11 @@ def test_enough_splits_recover_the_full_refinement_value():
     assert value == optimal_strategy(pr).utilities[0]
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
     g, _ = gen_x3c_game(9, [(1, 2, 3), (4, 5, 6), (7, 8, 9)])
+    monkeypatch.setattr(partial, "_REFINEMENT_CAP", 50)
     with pytest.raises(CapExceededError):
-        enumerate_k_refinements(g, 1, 8, cap=50)
+        enumerate_k_refinements(g, 1, 8)
 
 
 def test_fig5_regression_report():

@@ -1,6 +1,6 @@
 """The EDT-/CDT-Nash rationality filters: they check every player and
 witness in place on the game's one compiled table, agree with the
-opponent-fixed single-player checks, and say when ``witness_cap`` cut the
+opponent-fixed single-player checks, and say when ``_WITNESS_CAP`` cut the
 witness search behind a rejection."""
 
 import itertools
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import irgames.solvers as solvers
 from irgames.game import TERMINAL, Infoset, Node, make_game
 from irgames.generators import gen_dory, gen_fig1, gen_random
 from irgames.numeric import SUPP_TOL, NumericGame
@@ -37,7 +38,8 @@ from irgames.vor import vor_compute
 
 # A small cap makes both sides truncate their witness lists on most pure
 # profiles, so the property covers the cut as well.
-CFG = SolverConfig(witness_cap=4)
+WITNESS_CAP = 4
+CFG = SolverConfig()
 
 
 def test_each_game_is_compiled_once(monkeypatch):
@@ -96,7 +98,7 @@ def reference_rational(game, profile, player: int, check) -> bool:
         witnesses.append(BehavioralStrategy(1, table))
         sizes = [len(sub.infosets[1][iid].actions) for iid in unreached]
         combos = itertools.product(*[range(n) for n in sizes])
-        for combo in itertools.islice(combos, CFG.witness_cap):
+        for combo in itertools.islice(combos, WITNESS_CAP):
             table = dict(own.table)
             for iid, n, a in zip(unreached, sizes, combo):
                 table[iid] = tuple(float(j == a) for j in range(n))
@@ -124,15 +126,17 @@ def test_in_place_verdicts_match_opponent_fixed_checks(check, gains, first_visit
     num = game.numeric
     x = num.index.vector(profile)
     want = []
-    for player in (1, 2):
-        got = any(_schedule_check(num, w, player, CFG, gains, first_visit)[0]
-                  for w in _rationality_witnesses(num, x, player, CFG))
-        want.append(reference_rational(game, profile, player, check))
-        assert got == want[-1]
-    assert _rational_per_player(game, profile, CFG, gains, first_visit) == all(want)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_WITNESS_CAP", WITNESS_CAP)
+        for player in (1, 2):
+            got = any(_schedule_check(num, w, player, CFG, gains, first_visit)[0]
+                      for w in _rationality_witnesses(num, x, player))
+            want.append(reference_rational(game, profile, player, check))
+            assert got == want[-1]
+        assert _rational_per_player(game, profile, CFG, gains, first_visit) == all(want)
 
 
-# -- witness_cap ---------------------------------------------------------------
+# -- _WITNESS_CAP --------------------------------------------------------------
 
 
 def bluff_game(out_utility: int, chain: int = 9):
@@ -159,33 +163,47 @@ def bluff_game(out_utility: int, chain: int = 9):
 
 
 # Fewer random seeds than the defaults: the crafted game needs none of them.
-LEAN = SolverConfig(grid_samples=16, multistart=4)
-WIDE = SolverConfig(grid_samples=16, multistart=4, witness_cap=1024)
+# ``lean`` cuts the grid samples and ``wide`` widens the witness cap.  The
+# memo keys do not carry the caps, so each setting solves a fresh game.
+LEAN = SolverConfig(multistart=4)
 NOTE = "witness_cap=256 cut the witness search of 1 rejected class(es)"
 
 
-def test_nash_check_stays_boolean_when_the_cap_decides():
+def lean(monkeypatch) -> None:
+    monkeypatch.setattr(solvers, "_GRID_SAMPLES", 16)
+
+
+def wide(monkeypatch) -> None:
+    monkeypatch.setattr(solvers, "_WITNESS_CAP", 1024)
+
+
+def test_nash_check_stays_boolean_when_the_cap_decides(monkeypatch):
     game = bluff_game(2)
     table = {"root": (0, 1), "bluff": (0, 0, 1),
              **{f"x{k}": (0, 1) for k in range(9)}}
     profile = profile_from(BehavioralStrategy(1, {
         iid: tuple(Fraction(p) for p in row) for iid, row in table.items()}))
-    assert cdt_nash_check(game, profile, LEAN) is False
-    assert cdt_nash_check(game, profile, WIDE) is True
+    assert cdt_nash_check(game, profile) is False
+    wide(monkeypatch)
+    assert cdt_nash_check(game, profile) is True
 
 
-def test_cap_decided_rejection_without_survivors_raises_with_the_cap():
+def test_cap_decided_rejection_without_survivors_raises_with_the_cap(monkeypatch):
+    lean(monkeypatch)
     with pytest.raises(EquilibriumNotFoundError, match=re.escape(NOTE)):
         enumerate_equilibria(bluff_game(2), "CDT-NASH", LEAN)
-    [report] = enumerate_equilibria(bluff_game(2), "CDT-NASH", WIDE)
+    wide(monkeypatch)
+    [report] = enumerate_equilibria(bluff_game(2), "CDT-NASH", LEAN)
     assert report.u1 == 2
     assert report.notes == ("grid_cap=5000 exceeded: sampled 16 grid points",)
 
 
-def test_cap_decided_rejection_marks_every_report_heuristic():
+def test_cap_decided_rejection_marks_every_report_heuristic(monkeypatch):
+    lean(monkeypatch)
     reports = enumerate_equilibria(bluff_game(1), "CDT-NASH", LEAN)
     assert reports
     assert all(r.certified == "heuristic" and NOTE in r.notes for r in reports)
-    wide = enumerate_equilibria(bluff_game(1), "CDT-NASH", WIDE)
-    assert len(wide) == len(reports) + 1
-    assert not any(NOTE in r.notes for r in wide)
+    wide(monkeypatch)
+    wide_reports = enumerate_equilibria(bluff_game(1), "CDT-NASH", LEAN)
+    assert len(wide_reports) == len(reports) + 1
+    assert not any(NOTE in r.notes for r in wide_reports)

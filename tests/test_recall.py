@@ -1,12 +1,13 @@
 """Refinement order, the coarsest perfect-recall refinement, and the
 dummy-node transform."""
 
+import time
 from fractions import Fraction
 
 import pytest
 
 from irgames.game import has_absentmindedness, obs_i, validate_game
-from irgames.generators import gen_fig1, gen_fig2, gen_fig3, gen_random
+from irgames.generators import gen_fig1, gen_fig2, gen_fig3, gen_lenny, gen_random
 from irgames.recall import (
     NotComparableError,
     check_coarsest,
@@ -55,12 +56,39 @@ def test_fig2_pr_splits_first_visits_from_revisit():
     assert not has_absentmindedness(pr, 1)
 
 
+LENNY6_IDS = ("I.f9065fa7", "I.702781a8", "I.786c7bb5", "I.8ed80d84",
+              "I.ce37ec62", "I.337c5d2e")
+
+
+@pytest.mark.parametrize("make, split, classes", [
+    (gen_fig2, "I", {"I.f9065fa7": ("a", "w"), "I.702781a8": ("b",)}),
+    (lambda: gen_lenny(6), "I",
+     {i: (f"d{k}",) for k, i in enumerate(LENNY6_IDS, start=1)}),
+    (lambda: gen_fig3(Fraction(1, 10)), "I2",
+     {"I2.5489c534": ("a",), "I2.cc73c109": ("b",)}),
+])
+def test_refined_infoset_ids_are_stable(make, split, classes):
+    # Each class is named by a hash of its obs_i key and listed in key
+    # order; pinned so that no new way of computing them renames the
+    # infosets of saved games or reorders the plan.
+    pr, plan = perfect_recall_refinement(make(), 1)
+    assert plan.mapping[split] == tuple(classes)
+    assert {i: pr.infosets[1][i].nodes for i in plan.mapping[split]} == classes
+
+
+def test_refinement_is_fast_on_a_deep_chain():
+    g = gen_lenny(2000)
+    start = time.perf_counter()
+    perfect_recall_refinement(g, 1)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_own_histories_number_the_obs_i_keys():
     for seed in range(20):
         g = gen_random(depth=4, branching=2, merge_rate=0.7, chance_rate=0.3,
                        absentmindedness=seed % 2 == 1, seed=700 + seed, players=2)
         for player in (1, 2):
-            history = own_histories(g, player)
+            history, _ = own_histories(g, player)
             keys = {nid: tuple((s[1], s[2]) for s in obs_i(g, nid, player).steps)
                     for nid in g.nodes}
             # One id per key and one key per id.

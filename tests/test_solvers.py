@@ -9,6 +9,7 @@ import pytest
 
 from conftest import single, strat
 
+import irgames.solvers as solvers
 from irgames.game import Infoset, Node, has_absentmindedness, make_game, validate_game
 from irgames.generators import (
     gen_dory,
@@ -355,19 +356,17 @@ def test_hierarchy_on_random_games():
     assert rng_profiles > 0
 
 
-def test_enumeration_cap_errors():
+def test_enumeration_cap_errors(monkeypatch):
     from irgames.solvers import CapExceededError
 
     g = gen_random(depth=4, branching=2, merge_rate=0.0, chance_rate=0.0,
                    absentmindedness=False, seed=1)
-    small_cap = SolverConfig(enum_dim_cap=2)
+    monkeypatch.setattr(solvers, "_ENUM_DIM_CAP", 2)
     with pytest.raises(CapExceededError):
-        enumerate_equilibria(g, "EDT", small_cap)
+        enumerate_equilibria(g, "EDT")
 
 
 def test_enumeration_rechecks_each_distinct_edt_survivor_once(monkeypatch):
-    import irgames.solvers as solvers
-
     checked = []
     original = solvers.edt_check
 
@@ -410,8 +409,6 @@ def forgetful_stop_game():
 
 
 def test_pure_enumeration_values_tied_optima_once(monkeypatch):
-    import irgames.solvers as solvers
-
     g = forgetful_stop_game()
     assert validate_game(g) == [] and not has_perfect_recall(g, 1)
     calls = []
@@ -433,8 +430,6 @@ def test_pure_enumeration_values_tied_optima_once(monkeypatch):
 def test_pure_enumeration_blocks_keep_the_first_optimum(monkeypatch, block):
     # The 27 tied optima are every third strategy index, so small blocks
     # split the scan and the slab at every possible place.
-    import irgames.solvers as solvers
-
     shapes = []
     reached = solvers._reached_leaves
 
@@ -466,9 +461,11 @@ def test_two_action_deviation_finds_an_interior_maximum_between_term_peaks():
     assert value > 1.01 * max(at_peaks)  # s = 0.45 gave 1.8% less
 
 
-def test_sampled_grid_is_noted_in_optimal_strategy():
-    cfg = SolverConfig(grid_cap=10, grid_samples=8)
-    report = optimal_strategy(gen_fig2(), cfg)
+def test_sampled_grid_is_noted_in_optimal_strategy(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_GRID_CAP", 10)
+        m.setattr(solvers, "_GRID_SAMPLES", 8)
+        report = optimal_strategy(gen_fig2())
     assert report.certified == "heuristic"
     assert report.notes == ("grid_cap=10 exceeded: sampled 8 grid points",)
     full = optimal_strategy(gen_fig2())
@@ -476,10 +473,14 @@ def test_sampled_grid_is_noted_in_optimal_strategy():
     assert not any("grid_cap" in n for n in full.notes)
 
 
-def test_sampled_pure_seeds_are_noted_in_enumeration():
-    cfg = SolverConfig(enum_pure_cap=1, enum_pure_samples=5)
-    reports = enumerate_equilibria(gen_fig3(EPS3), "EDT", cfg)
+def test_sampled_pure_seeds_are_noted_in_enumeration(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(solvers, "_ENUM_PURE_CAP", 1)
+        m.setattr(solvers, "_ENUM_PURE_SAMPLES", 5)
+        reports = enumerate_equilibria(gen_fig3(EPS3), "EDT")
     assert reports
     note = "enum_pure_cap=1 exceeded: sampled 5 pure seeds"
     assert all(r.certified == "heuristic" and note in r.notes for r in reports)
-    assert not any(note in r.notes for r in enumerate_equilibria(gen_fig3(EPS3), "EDT"))
+    # Seeding every pure profile and grid point certifies no extremum.
+    full = enumerate_equilibria(gen_fig3(EPS3), "EDT")
+    assert all(r.certified == "heuristic" and note not in r.notes for r in full)

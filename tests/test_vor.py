@@ -7,6 +7,7 @@ import pytest
 
 from conftest import single, strat
 
+import irgames.vor as vor
 from irgames.game import chance_nodes, subtree_nodes, validate_game
 from irgames.generators import (
     default_valid_utility,
@@ -18,7 +19,7 @@ from irgames.generators import (
     gen_random,
 )
 from irgames.recall import perfect_recall_refinement
-from irgames.solvers import SolverConfig, enumerate_equilibria, optimal_strategy
+from irgames.solvers import enumerate_equilibria, optimal_strategy
 from irgames.strategies import (
     expected_utility,
     node_reach_map,
@@ -337,13 +338,13 @@ def test_composed_bound_dominates_vor_on_random_games():
         assert report.ratio <= float(bound_composed(g)) + 1e-6
 
 
-def test_smoothness_valid_utility_instance():
+def test_smoothness_valid_utility_instance(monkeypatch):
     g = default_valid_utility()
     pistar = profile_from(pure_strategy(g, 1, {"IS0": 0, "IS1": 1}))
-    fast = SolverConfig(smoothness_samples=500)
-    verdict = smoothness_check(g, pistar, 1.0, 1.0, fast)
+    monkeypatch.setattr(vor, "_SMOOTHNESS_SAMPLES", 500)
+    verdict = smoothness_check(g, pistar, 1.0, 1.0)
     assert verdict.kind == "pure-verified"
-    falsified = smoothness_check(g, pistar, 10.0, 0.0, fast)
+    falsified = smoothness_check(g, pistar, 10.0, 0.0)
     assert falsified.kind == "falsified"
     assert falsified.counterexample is not None
 
