@@ -1,4 +1,4 @@
-"""Self-describing JSON files for games, strategies, and solve reports.
+"""Self-describing JSON files for games and strategies.
 
 One format serves the whole toolkit so that golden tests can diff entire
 files.  Rational numbers round-trip exactly: integers stay JSON integers,
@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Union
 
 from .game import CHANCE, TERMINAL, Game, Infoset, Node, Num, make_game
-from .solvers import SolveReport
 from .strategies import BehavioralStrategy, StrategyProfile
 
 
@@ -216,18 +215,3 @@ def write_profile(profile: StrategyProfile, path: str) -> None:
 def read_profile(path: str) -> StrategyProfile:
     with open(path, "r", encoding="utf-8") as fh:
         return profile_from_jsonable(loads(fh.read()))
-
-
-# -- solve reports -----------------------------------------------------------
-
-
-def report_to_jsonable(report: SolveReport) -> dict:
-    return {
-        "concept": report.concept,
-        "which": report.which,
-        "utilities": [format_number(u) for u in report.utilities],
-        "residual": float(report.residual),
-        "certified": report.certified,
-        "notes": list(report.notes),
-        "profile": profile_to_jsonable(report.profile),
-    }

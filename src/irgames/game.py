@@ -201,14 +201,31 @@ class Game:
 
     @cached_property
     def absentminded(self) -> dict[int, frozenset[str]]:
-        """player -> the infosets some leaf's path visits at least twice."""
+        """player -> the infosets some leaf's path visits at least twice.
+
+        One iterative root walk: it counts each (player, infoset) on the
+        current path, pushed on entering a decision node and popped on
+        leaving it, so a node whose infoset is already on the path marks
+        it.  Linear in the nodes, unlike the leaf table, which holds
+        quadratically many visits on deep chains."""
         out: dict[int, set[str]] = {p: set() for p in range(1, self.players + 1)}
-        for leaf in self.leaves.values():
-            seen = set()
-            for (p, iid, _), n in leaf.visits:
-                if n > 1 or (p, iid) in seen:
-                    out[p].add(iid)
-                seen.add((p, iid))
+        on_path: dict[tuple[int, str], int] = {}
+        stack: list = [(self.root, True)]
+        while stack:
+            nid, entering = stack.pop()
+            node = self.nodes[nid]
+            if node.is_terminal or node.is_chance:
+                stack.extend((c, True) for c in node.children)
+                continue
+            key = (node.owner, self.infoset_of_node[nid])
+            if not entering:
+                on_path[key] -= 1
+                continue
+            if on_path.get(key):
+                out[node.owner].add(key[1])
+            on_path[key] = on_path.get(key, 0) + 1
+            stack.append((nid, False))
+            stack.extend((c, True) for c in node.children)
         return {p: frozenset(isets) for p, isets in out.items()}
 
     @cached_property

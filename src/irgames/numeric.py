@@ -7,7 +7,11 @@ coordinates, compiled here from ``Game.leaves`` once per game, as
 ``Game.numeric``, which every solver reads; the kernels evaluate utilities,
 exact polynomial gradients, and pure single-row deviation values for whole
 batches at once, which is what makes grid scans and multistart ascent
-affordable in pure Python.
+affordable in pure Python.  ``NumericGame.row_polynomial`` is the kernel
+behind mixed single-row deviations: for a batch and one row it gives the
+row player's utility as a polynomial in that row's entries, the
+coefficients read from the leaf products with the row's factors set to
+one and the exponents from the row's visit counts.
 
 Every kernel builds the leaf products rank by rank (the r-th entry of every
 leaf's monomial in one vectorized step).  ``NumericGame.gradient`` is one
@@ -172,7 +176,8 @@ class NumericGame:
             self._steps.append(
                 (len(ents), self.ent_coord[ents], many, count[many, None]))
 
-        self._row_cache: dict[int, np.ndarray] = {}
+        # row offset -> (visiting leaves, their (K, size) exponents, alive)
+        self._row_cache: dict[int, tuple] = {}
 
     @cached_property
     def visits(self) -> np.ndarray:
@@ -250,31 +255,50 @@ class NumericGame:
             suffix[:n] *= factors
         return values, np.ascontiguousarray(grad.reshape(R, B).T)
 
-    # -- pure single-row deviations -----------------------------------------
+    # -- single-row deviations ----------------------------------------------
 
-    def _row_alive(self, row: Row) -> np.ndarray:
-        """alive[a, z]: leaf z still reachable when the row deviates to pure
-        action a."""
-        alive = self._row_cache.get(row.offset)
-        if alive is not None:
-            return alive
-        in_row = ((self.ent_coord >= row.offset)
-                  & (self.ent_coord < row.offset + row.size))
-        alive = np.ones((row.size, self.n_leaves), dtype=bool)
-        action = self.ent_coord[in_row] - row.offset
-        for a in range(row.size):
-            alive[a, self.ent_leaf[in_row][action != a]] = False
-        self._row_cache[row.offset] = alive
-        return alive
+    def _row_table(self, row: Row) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The leaves whose path visits the row, their (K, size) visit counts
+        per action, and alive[a, z]: leaf z still reachable when the row
+        deviates to pure action a."""
+        table = self._row_cache.get(row.offset)
+        if table is None:
+            in_row = ((self.ent_coord >= row.offset)
+                      & (self.ent_coord < row.offset + row.size))
+            leaves, at = np.unique(self.ent_leaf[in_row], return_inverse=True)
+            exps = np.zeros((len(leaves), row.size))
+            exps[at, self.ent_coord[in_row] - row.offset] = self.ent_count[in_row]
+            alive = np.ones((row.size, self.n_leaves), dtype=bool)
+            alive[:, leaves] = (exps == exps.sum(axis=1, keepdims=True)).T
+            table = self._row_cache[row.offset] = (leaves, exps, alive)
+        return table
+
+    def _products_without(self, X: np.ndarray, row: Row) -> np.ndarray:
+        """(B, Z) leaf products with the row's factors set to one."""
+        XT = np.array(X.T, order="C")
+        XT[row.offset : row.offset + row.size] = 1.0
+        return self._products(XT)
+
+    def row_polynomial(self, X: np.ndarray, row: Row) -> tuple[np.ndarray, np.ndarray]:
+        """The row player's utility as a polynomial in the row's entries,
+        ``const + sum_k C[:, k] * prod_a sigma_a ** E[k, a]``, for a (B, R)
+        batch.  One term per leaf whose path visits the row: the (B, K)
+        coefficients ``C`` are those leaves' products with the row's
+        factors set to one, times their utilities, and the (K, size)
+        exponents ``E`` their visit counts of the row's actions.  Leaves
+        that pay the player nothing carry no term, and ``const``, the
+        leaves that never visit the row, is left out."""
+        leaves, exps, _ = self._row_table(row)
+        u = self.utils[leaves, row.player - 1]
+        pays = u != 0
+        probs = self._products_without(X, row)
+        return probs[:, leaves[pays]] * u[pays], exps[pays]
 
     def deviation_values_pure(self, X: np.ndarray, row: Row) -> np.ndarray:
         """(B, A) utilities of ``row.player`` after replacing the whole row
         with each pure action (applied at every visit of the infoset)."""
-        alive = self._row_alive(row)
-        # A row of ones drops the row's factors from every leaf product.
-        XT = np.array(X.T, order="C")
-        XT[row.offset : row.offset + row.size] = 1.0
-        probs = self._products(XT)
+        alive = self._row_table(row)[2]
+        probs = self._products_without(X, row)
         u = self.utils[:, row.player - 1]
         out = np.empty((X.shape[0], row.size))
         for a in range(row.size):

@@ -32,7 +32,10 @@ Computation policy, in one place:
   The Nash-refinement filters check each player in place on it: the other
   players' rows stay fixed, each witness overwrites the player's unreached
   rows, one batch holds the whole mixing schedule, and reach, visit
-  frequency and CDT gains are read from its kernels;
+  frequency and the CDT and EDT gains are read from its kernels: an EDT
+  gain from the gradient on rows without absentmindedness, and from the
+  maximum of the row polynomial on absentminded rows.  The scalar
+  ``best_deviation``/``edt_check`` path stays for single profiles;
 * the parts of the verification policy with one value in use are module
   constants, not options: the ascent and polish iteration caps
   (``_ASCENT_ITERS``, ``_POLISH_ITERS``), the rationality schedule and its
@@ -647,6 +650,162 @@ def _best_deviation(game: Game, profile: StrategyProfile, player: int,
     return best
 
 
+# Profiles per block of a row-gain batch: the maximisers' largest
+# temporaries hold about K (K + 64) floats per profile for two actions
+# (phi on the grid) and K (n + 1) n^2 for n actions (the ascent's partials),
+# K the row's visiting leaves; a block keeps them near this many floats.
+_ROW_BLOCK_FLOATS = 2 ** 20
+
+
+def _row_gains(num: NumericGame, X: np.ndarray, row: Row) -> np.ndarray:
+    """(B,) best gain from replacing the absentminded ``row`` of every
+    profile of the batch by a randomized action: the maximum of its row
+    polynomial on the simplex minus its value at the batch, the batched
+    form of ``_best_deviation`` at base 0, with the same candidates and
+    starts."""
+    C, E = num.row_polynomial(X, row)
+    at_x = _row_values(C, E, X[:, row.offset : row.offset + row.size])
+    K, n = E.shape
+    if n == 2:
+        best = _max_two_action_rows(C, E[:, 0], E[:, 1])
+    else:
+        best = _blockwise(_max_row_ascent, C, K * (n + 1) * n * n, E)
+    return best - at_x
+
+
+def _blockwise(fn: Callable, C: np.ndarray, floats_per_profile: int,
+               *args) -> np.ndarray:
+    """``fn(C[block], *args)`` over blocks of the batch's profiles, so that
+    a block's temporaries hold about ``_ROW_BLOCK_FLOATS`` floats."""
+    block = max(1, _ROW_BLOCK_FLOATS // max(1, floats_per_profile))
+    return np.concatenate([fn(C[lo : lo + block], *args)
+                           for lo in range(0, len(C), block)] or [np.zeros(0)])
+
+
+def _row_values(C: np.ndarray, E: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """(B,) values sum_k C[b, k] prod_a S[b, a] ** E[k, a]."""
+    return (C * np.prod(S[:, None, :] ** E, axis=2)).sum(axis=1)
+
+
+def _max_two_action_rows(C: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(B,) max over s in [0, 1] of sum_k C[b, k] s^P_k (1-s)^Q_k: the
+    batched form of :func:`_maximize_two_action`, without its constant.
+    The candidates are the same: the ends and the term maximizers here,
+    and the interior maxima of :func:`_two_action_interior` where the live
+    maximizers differ."""
+    E = np.stack([P, Q], axis=1)
+    peaks = P / (P + Q)
+    ends = np.concatenate([[0.0, 1.0], peaks])
+    shared = np.prod(np.stack([ends, 1.0 - ends], axis=1)[:, None, :] ** E, axis=2)
+    best = (C @ shared.T).max(axis=1)
+    live = C > 0
+    spread = (np.where(live, peaks, 0.0).max(axis=1, initial=0.0)
+              > np.where(live, peaks, 1.0).min(axis=1, initial=1.0))
+    if spread.any():
+        best[spread] = np.maximum(best[spread], _blockwise(
+            _two_action_interior, C[spread], len(P) * (len(P) + 64), P, Q))
+    return best
+
+
+def _two_action_interior(C: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """(B,) largest value at an interior maximum, for profiles whose live
+    term maximizers differ: every + to - sign change of phi on the grid
+    through the live maximizers, refined by Newton inside its bracket, the
+    brackets of the whole batch at once (0 where there is none)."""
+    E = np.stack([P, Q], axis=1)
+    peaks = P / (P + Q)
+    live = C > 0
+    lo = np.where(live, peaks, 1.0).min(axis=1, keepdims=True)
+    hi = np.where(live, peaks, 0.0).max(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):
+        logc = np.log(C)  # dead terms weigh exp(-inf) = 0
+    # Live maximizers strictly inside (lo, hi) join the grid; the others
+    # are replaced by the midpoint, any point inside serving as well.
+    between = live & (peaks > lo) & (peaks < hi)
+    t = np.sort(np.concatenate([lo + (hi - lo) * np.linspace(0.0, 1.0, 65)[1:-1],
+                                np.where(between, peaks, 0.5 * (lo + hi))],
+                               axis=1), axis=1)
+    logs = logc[:, None, :] + P * np.log(t)[..., None] + Q * np.log1p(-t)[..., None]
+    w = np.exp(logs - logs.max(axis=2, keepdims=True))
+    phi = (w * (P - (P + Q) * t[..., None])).sum(axis=2) / w.sum(axis=2)
+    ones = np.ones((len(C), 1))
+    phis = np.concatenate([ones, phi, -ones], axis=1)
+    grid = np.concatenate([lo, t, hi], axis=1)
+    m, i = np.nonzero((phis[:, :-1] > 0) & (phis[:, 1:] <= 0))
+    a, b = grid[m, i], grid[m, i + 1]
+    x = a + (b - a) * (phis[m, i] / (phis[m, i] - phis[m, i + 1]))
+    x = _newton_in_brackets(logc[m], P, Q, a, b, x)
+    best = np.zeros(len(C))
+    # Newton stops within an ulp or two: let the values decide.
+    for s in (x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
+        np.maximum.at(best, m, _row_values(C[m], E, np.stack([s, 1.0 - s], axis=1)))
+    return best
+
+
+def _newton_in_brackets(logc: np.ndarray, P: np.ndarray, Q: np.ndarray,
+                        a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Roots of phi, one per bracket (phi(a) > 0 >= phi(b)), from the
+    starts ``x``: ``_maximize_two_action``'s Newton steps for all brackets
+    at once.  A step that would leave the bracket, or go uphill, halves it
+    instead; a bracket stops when its step no longer moves it."""
+    a, b, x = a.copy(), b.copy(), x.copy()
+    active = np.ones(len(x), dtype=bool)
+    for _ in range(100):
+        k = np.nonzero(active)[0]
+        if not len(k):
+            break
+        xk = x[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = logc[k] + P * np.log(xk)[:, None] + Q * np.log1p(-xk)[:, None]
+            w = np.exp(logs - logs.max(axis=1, keepdims=True))
+            tot = w.sum(axis=1)
+            slope = P - (P + Q) * xk[:, None]
+            phi = (w * slope).sum(axis=1) / tot
+            dphi = (((w * slope * slope).sum(axis=1) / tot - phi * phi)
+                    / (xk * (1.0 - xk)) - (w * (P + Q)).sum(axis=1) / tot)
+            up = phi > 0
+            a[k] = ak = np.where(up, xk, a[k])
+            b[k] = bk = np.where(up, b[k], xk)
+            mid = 0.5 * (ak + bk)
+            new = np.where(dphi < 0, xk - phi / dphi, mid)
+        stop = new == xk
+        outside = ~((ak < new) & (new < bk))
+        new = np.where(outside, mid, new)
+        stop |= outside & ~((ak < mid) & (mid < bk))
+        x[k] = np.where(stop, xk, new)
+        active[k[stop]] = False
+    return x
+
+
+def _max_row_ascent(C: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """(B,) max of sum_k C[b, k] prod_a s_a ** E[k, a] over the simplex:
+    the batched form of ``_best_deviation``'s inner ascent, from the
+    uniform point and every vertex, up to 200 projected steps each."""
+    n = E.shape[1]
+    starts = np.vstack([np.full(n, 1.0 / n), np.eye(n)])
+    s = np.tile(starts, (len(C), 1))
+    c = np.repeat(C, n + 1, axis=0)
+    f = _row_values(c, E, s)
+    # Exponents of each partial: one less in its own action, never below 0.
+    lowered = np.maximum(E - np.eye(n)[:, None, :], 0.0)
+    step = np.full(len(s), 0.25)
+    active = np.ones(len(s), dtype=bool)
+    for _ in range(200):
+        k = np.nonzero(active)[0]
+        if not len(k):
+            break
+        sk = s[k]
+        grad = np.einsum("bk,ak,bak->ba", c[k], E.T,
+                         np.prod(sk[:, None, None, :] ** lowered, axis=3))
+        cand = _project_simplex(sk + step[k, None] * grad)
+        fc = _row_values(c[k], E, cand)
+        up = fc > f[k] + 1e-14
+        s[k[up]], f[k[up]] = cand[up], fc[up]
+        step[k] *= np.where(up, 1.3, 0.5)
+        active[k[~up & (step[k] < 1e-10)]] = False
+    return f.reshape(len(C), n + 1).max(axis=1)
+
+
 def edt_incentive(game: Game, profile: StrategyProfile, player: int,
                   infoset_id: str) -> float:
     """Best gain from replacing the whole randomized action at one infoset
@@ -744,17 +903,34 @@ def _schedule_check(num: NumericGame, x: np.ndarray, player: int,
 
 def _edt_gains(num: NumericGame, X: np.ndarray, player: int,
                live: np.ndarray) -> np.ndarray:
-    """Best gain from replacing one of the player's rows, per schedule step.
-    ``_best_deviation`` is affine in its base utility: at base 0 it returns
-    the gain itself, not a difference of two utilities, which would lose
-    the gain's digits at infosets of tiny reach."""
-    rows = num.index.rows[num.index.block[player][0]]
-    out = np.zeros(live.shape)
-    for s in range(len(X)):
-        prof = num.index.profile(X[s])
-        for j in np.nonzero(live[s])[0]:
-            iid = rows[j].infoset_id
-            out[s, j] = float(_best_deviation(num.game, prof, player, iid, 0.0)[0])
+    """(B, rows) best gain from replacing each of the player's rows, for a
+    batch of profiles.  Each is computed as a gain, not as a difference of
+    two utilities, which would lose its digits at infosets of tiny reach.
+
+    A row without absentmindedness enters every leaf product at most once,
+    so the utility is affine in the row and its best deviation is a pure
+    action: the gain is the first-order gain of :func:`_cdt_gains`, every
+    such row from one gradient call.  An absentminded row's gain, read
+    where ``live``, is the maximum of its row polynomial on the simplex
+    minus its value at the batch (:func:`_row_gains`).
+    """
+    out = _cdt_gains(num, X, player, live)
+    absentminded = num.game.absentminded[player]
+    for j, row in enumerate(num.index.rows[num.index.block[player][0]]):
+        if row.infoset_id in absentminded and live[:, j].any():
+            out[live[:, j], j] = _row_gains(num, X[live[:, j]], row)
+    return out
+
+
+def _edt_residuals(num: NumericGame, X: np.ndarray) -> np.ndarray:
+    """(B,) largest gain from replacing any one row of any player, clamped
+    at 0: ``edt_check``'s residual for a whole batch."""
+    out = np.zeros(len(X))
+    for player in range(1, num.game.players + 1):
+        rows = num.index.block[player][0]
+        if rows.start < rows.stop:
+            live = np.ones((len(X), rows.stop - rows.start), dtype=bool)
+            out = np.maximum(out, _edt_gains(num, X, player, live).max(axis=1))
     return out
 
 
@@ -999,15 +1175,13 @@ def _residuals_for(game: Game, num: NumericGame, X: np.ndarray, family: str,
         return num.kkt_residuals(X)
     res = num.edt_pure_residuals(X)
     if any(game.absentminded.values()):
-        # Pure deviations underestimate mixed ones; redo survivors exactly,
-        # once per distinct vector (many seeds polish to the same one).
-        exact: dict[bytes, float] = {}
-        for i in np.nonzero(res <= cfg.eps_eq)[0]:
-            key = X[i].tobytes()
-            if key not in exact:
-                prof = num.index.profile(X[i])
-                exact[key] = edt_check(game, prof, cfg)[1]
-            res[i] = exact[key]
+        # Pure deviations underestimate mixed ones; redo the survivors with
+        # mixed ones, once per distinct vector (many seeds polish to the
+        # same one).
+        survivors = np.nonzero(res <= cfg.eps_eq)[0]
+        if len(survivors):
+            distinct, inverse = np.unique(X[survivors], axis=0, return_inverse=True)
+            res[survivors] = _edt_residuals(num, distinct)[inverse.ravel()]
     return res
 
 

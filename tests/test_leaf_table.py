@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from irgames.game import Infoset, Node, has_absentmindedness, make_game
 from irgames.generators import gen_lenny, gen_random
@@ -24,6 +24,7 @@ from irgames.strategies import (
     uniform_profile,
     utility_gradient,
 )
+from irgames.vor import _refined
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -191,6 +192,36 @@ def test_has_absentmindedness_matches_ancestor_scan(game):
                     brute = anc in members
                     anc = game.parent[anc]
         assert has_absentmindedness(game, p) == brute
+
+
+def leaf_table_absentminded(game) -> dict:
+    """The infosets some leaf's path visits at least twice, read from the
+    leaf table."""
+    out = {p: set() for p in range(1, game.players + 1)}
+    for leaf in game.leaves.values():
+        counts: dict = {}
+        for (p, iid, _), n in leaf.visits:
+            counts[p, iid] = counts.get((p, iid), 0) + n
+        for (p, iid), n in counts.items():
+            if n > 1:
+                out[p].add(iid)
+    return out
+
+
+@PROPERTY
+@example(game=gen_lenny(4))
+@example(game=gen_random(2, 3, 0.9, 0.0, True, 3))
+@given(game=games)
+def test_absentminded_walk_matches_leaf_table(game):
+    assert game.absentminded == leaf_table_absentminded(game)
+
+
+def test_absentmindedness_of_a_deep_chain_skips_the_leaf_table():
+    chain = gen_lenny(2000)
+    refined = _refined(chain)
+    assert has_absentmindedness(chain, 1)
+    assert not has_absentmindedness(refined, 1)
+    assert "leaves" not in vars(chain) and "leaves" not in vars(refined)
 
 
 @pytest.mark.parametrize("n", [200, 1000])

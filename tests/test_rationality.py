@@ -5,6 +5,7 @@ witness search behind a rejection."""
 
 import itertools
 import re
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,7 @@ from irgames.solvers import (
     _schedule_check,
     cdt_nash_check,
     cdt_rational_check,
+    edt_nash_check,
     edt_rational_check,
     enumerate_equilibria,
 )
@@ -177,33 +179,89 @@ def wide(monkeypatch) -> None:
     monkeypatch.setattr(solvers, "_WITNESS_CAP", 1024)
 
 
-def test_nash_check_stays_boolean_when_the_cap_decides(monkeypatch):
-    game = bluff_game(2)
+def out_profile():
+    """Plays out, leaving the bluff infoset and the chain unreached."""
     table = {"root": (0, 1), "bluff": (0, 0, 1),
              **{f"x{k}": (0, 1) for k in range(9)}}
-    profile = profile_from(BehavioralStrategy(1, {
+    return profile_from(BehavioralStrategy(1, {
         iid: tuple(Fraction(p) for p in row) for iid, row in table.items()}))
-    assert cdt_nash_check(game, profile) is False
+
+
+# Each witness_cap test runs once per Nash refinement: the helper takes the
+# concept, and the EDT-NASH twin follows the CDT-NASH test.
+
+
+def stays_boolean(monkeypatch, check) -> None:
+    game, profile = bluff_game(2), out_profile()
+    assert check(game, profile) is False
     wide(monkeypatch)
-    assert cdt_nash_check(game, profile) is True
+    assert check(game, profile) is True
 
 
-def test_cap_decided_rejection_without_survivors_raises_with_the_cap(monkeypatch):
+def test_nash_check_stays_boolean_when_the_cap_decides(monkeypatch):
+    stays_boolean(monkeypatch, cdt_nash_check)
+
+
+def test_edt_nash_check_stays_boolean_when_the_cap_decides(monkeypatch):
+    stays_boolean(monkeypatch, edt_nash_check)
+
+
+def raises_with_the_cap(monkeypatch, concept: str) -> None:
     lean(monkeypatch)
     with pytest.raises(EquilibriumNotFoundError, match=re.escape(NOTE)):
-        enumerate_equilibria(bluff_game(2), "CDT-NASH", LEAN)
+        enumerate_equilibria(bluff_game(2), concept, LEAN)
     wide(monkeypatch)
-    [report] = enumerate_equilibria(bluff_game(2), "CDT-NASH", LEAN)
+    [report] = enumerate_equilibria(bluff_game(2), concept, LEAN)
     assert report.u1 == 2
     assert report.notes == ("grid_cap=5000 exceeded: sampled 16 grid points",)
 
 
-def test_cap_decided_rejection_marks_every_report_heuristic(monkeypatch):
+def test_cap_decided_rejection_without_survivors_raises_with_the_cap(monkeypatch):
+    raises_with_the_cap(monkeypatch, "CDT-NASH")
+
+
+def test_edt_nash_rejection_without_survivors_raises_with_the_cap(monkeypatch):
+    raises_with_the_cap(monkeypatch, "EDT-NASH")
+
+
+def marks_every_report(monkeypatch, concept: str) -> None:
     lean(monkeypatch)
-    reports = enumerate_equilibria(bluff_game(1), "CDT-NASH", LEAN)
+    reports = enumerate_equilibria(bluff_game(1), concept, LEAN)
     assert reports
     assert all(r.certified == "heuristic" and NOTE in r.notes for r in reports)
     wide(monkeypatch)
-    wide_reports = enumerate_equilibria(bluff_game(1), "CDT-NASH", LEAN)
+    wide_reports = enumerate_equilibria(bluff_game(1), concept, LEAN)
     assert len(wide_reports) == len(reports) + 1
     assert not any(NOTE in r.notes for r in wide_reports)
+
+
+def test_cap_decided_rejection_marks_every_report_heuristic(monkeypatch):
+    marks_every_report(monkeypatch, "CDT-NASH")
+
+
+def test_edt_nash_rejection_marks_every_report_heuristic(monkeypatch):
+    marks_every_report(monkeypatch, "EDT-NASH")
+
+
+# -- timing ----------------------------------------------------------------------
+
+
+def test_edt_nash_check_is_fast_on_a_long_witness_list():
+    # 258 witnesses of 20 schedule steps each: the rows have no
+    # absentmindedness, so every witness takes one gradient call.
+    game, profile = bluff_game(2), out_profile()
+    start = time.perf_counter()
+    assert edt_nash_check(game, profile) is False
+    assert time.perf_counter() - start < 0.5
+
+
+def test_edt_rational_check_is_fast_on_a_three_action_absentminded_row():
+    # The game's only infoset is such a row: the batched ascent covers all
+    # 20 schedule steps at once.
+    game = gen_random(2, 3, 0.9, 0.0, True, 3)
+    [(iid, iset)] = game.infosets[1].items()
+    assert iid in game.absentminded[1] and len(iset.actions) == 3
+    strategy = BehavioralStrategy(1, {iid: (Fraction(1, 3),) * 3})
+    start = time.perf_counter()
+    edt_rational_check(game, strategy)
+    assert time.perf_counter() - start < 0.1

@@ -1,12 +1,14 @@
 """The batched schedule check behind ``edt_rational_check`` and
 ``cdt_rational_check`` against a scalar reference: one profile per
 schedule step, infoset reach/frequency by tree walks, exact gradients and
-best deviations per infoset."""
+best deviations per infoset.  The batched EDT row gains are also checked
+row by row against the scalar ``best_deviation``."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import irgames.solvers as solvers
 from irgames.generators import gen_random
 from irgames.solvers import (
     _SCHEDULE,
@@ -14,6 +16,7 @@ from irgames.solvers import (
     SolverConfig,
     _cdt_gains,
     _edt_gains,
+    _best_deviation,
     _schedule_check,
     best_deviation,
 )
@@ -29,9 +32,9 @@ from irgames.strategies import (
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
 CFG = SolverConfig()
 
-# Absentminded rows with three actions take best_deviation's inner ascent,
-# about 20 ms a call on both sides of the comparison; random draws keep two
-# actions there, and one explicit example below covers three.
+# Absentminded rows with three actions take the scalar best_deviation's
+# inner ascent, about 20 ms a call on the reference side; random draws keep
+# two actions there, and one explicit example below covers three.
 games = st.builds(
     lambda depth, branching, merge, chance, am, seed: gen_random(
         depth, 2 if am else branching, merge, chance, am, seed),
@@ -113,3 +116,44 @@ def test_schedule_check_matches_scalar_reference(concept, gains, first_visit,
     want, slack = reference_trace(game, strategy, concept)
     assert np.all(np.abs(trace - want) <= 1e-9 * np.abs(want) + slack)
     assert ok == reference_accepts(want)
+
+
+# Three-action absentminded rows take the scalar inner ascent, so those games
+# stay at depth 2; every row kind (no absentmindedness, absentminded with two
+# and with three actions) occurs among the draws and the examples.
+row_games = st.builds(
+    lambda branching, merge, chance, am, seed: gen_random(
+        3 if branching == 2 else 2, branching, merge, chance, am, seed),
+    branching=st.integers(2, 3),
+    merge=st.sampled_from([0.5, 0.9]),
+    chance=st.sampled_from([0.0, 0.3]),
+    am=st.booleans(),
+    seed=st.integers(0, 10_000),
+)
+
+
+@PROPERTY
+@example(game=gen_random(2, 3, 0.9, 0.0, True, 3), seed=0)
+@example(game=gen_random(2, 3, 0.5, 0.3, True, 0), seed=0)  # interior maximum
+@example(game=gen_random(3, 2, 0.9, 0.0, True, 1), seed=0)
+@example(game=gen_random(3, 3, 0.5, 0.3, False, 2), seed=0)
+@given(game=row_games, seed=st.integers(0, 10_000))
+def test_batched_row_gains_match_scalar_best_deviation(game, seed):
+    strategies = [make_strategy(game, kind, seed)
+                  for kind in ("uniform", "pure", "dirichlet")]
+    num = game.numeric
+    X = np.array([num.index.vector(profile_from(s)) for s in strategies])
+    live = np.ones((len(X), len(num.index.rows)), dtype=bool)
+    got = _edt_gains(num, X, 1, live)
+    # Blocks of the batch are independent: one profile per block agrees.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_ROW_BLOCK_FLOATS", 1)
+        assert np.array_equal(_edt_gains(num, X, 1, live), got)
+    for b, strategy in enumerate(strategies):
+        prof = profile_from(strategy)
+        # The gain is read at base 0; the row's own utility, at most the
+        # whole utility, is what its rounding is relative to.
+        scale = float(expected_utility(game, prof, 1))
+        for j, row in enumerate(num.index.rows):
+            want = float(_best_deviation(game, prof, 1, row.infoset_id, 0.0)[0])
+            assert abs(got[b, j] - want) <= 1e-9 * (abs(want) + scale)

@@ -368,16 +368,13 @@ def test_enumeration_cap_errors(monkeypatch):
 
 def test_enumeration_rechecks_each_distinct_edt_survivor_once(monkeypatch):
     checked = []
-    original = solvers.edt_check
+    original = solvers._edt_residuals
 
-    def counted(game, profile, *args, **kwargs):
-        checked.append(tuple(
-            (s.player, iid, row) for s in profile.strategies
-            for iid, row in sorted(s.table.items())
-        ))
-        return original(game, profile, *args, **kwargs)
+    def counted(num, X):
+        checked.extend(map(tuple, X))
+        return original(num, X)
 
-    monkeypatch.setattr(solvers, "edt_check", counted)
+    monkeypatch.setattr(solvers, "_edt_residuals", counted)
     g = gen_fig1(Fraction(1, 100))
     assert has_absentmindedness(g, 1) or has_absentmindedness(g, 2)
     assert enumerate_equilibria(g, "EDT")
