@@ -6,6 +6,16 @@ rational in parentheses when one is available.
 
 Exit codes: 0 success, 1 domain errors (no equilibrium, caps, invalid
 game), 2 usage or parse errors.
+
+Each command imports the modules it uses inside its function, so a process
+loads only what its command needs.  ``validate``, ``refine`` and
+``coeffs`` walk the game tree in exact arithmetic and never load numpy or
+``irgames.solvers``, whose import would be more than half of such a
+command's time.  ``solve``, ``vor``, ``smooth-check``, ``partial-best``,
+and ``bounds`` on a game without absentmindedness (its chance bound solves
+the refinement) load the solver stack, numpy and the compiled float table,
+when they run.  The parser reads its defaults from the numpy-free
+``irgames.config``.
 """
 
 from __future__ import annotations
@@ -16,43 +26,10 @@ import sys
 from fractions import Fraction
 
 from . import fileio
-from .dot import export_dot
-from .game import Game, validate_game
-from .generators import (
-    default_valid_utility,
-    gen_dory,
-    gen_fig1,
-    gen_fig2,
-    gen_fig3,
-    gen_fig5,
-    gen_fig5_split,
-    gen_lenny,
-    gen_random,
-    gen_sat_game,
-    gen_x3c_game,
-)
-from .partial import k_best_partial, enumerate_k_refinements
+from .config import CapExceededError, EquilibriumNotFoundError, SolverConfig
+from .game import Game, chance_nodes, has_absentmindedness, validate_game
 from .recall import perfect_recall_refinement, perfect_recall_refinement_all
 from .strategies import StrategyProfile, validate_profile
-from .solvers import (
-    CapExceededError,
-    EquilibriumNotFoundError,
-    SolverConfig,
-    best_worst,
-    optimal_strategy,
-)
-from .vor import (
-    VOR_CONCEPTS,
-    bound_am,
-    bound_am_entropy,
-    bound_chance,
-    bound_composed,
-    coefficient_table,
-    smoothness_check,
-    vor_compute,
-    _argmax_leaf,
-)
-from .game import chance_nodes, has_absentmindedness
 
 
 class DomainError(RuntimeError):
@@ -109,8 +86,10 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="random restarts for local search")
     p.add_argument("--eps-eq", type=float, default=defaults.eps_eq,
                    help="equilibrium residual tolerance")
+    # argparse converts a string default with ``type``, so a bad
+    # IRGAMES_SEED is a usage error of the commands that take --seed.
     p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("IRGAMES_SEED", defaults.seed)),
+                   default=os.environ.get("IRGAMES_SEED", defaults.seed),
                    help="solver RNG seed (env IRGAMES_SEED overrides the default)")
 
 
@@ -153,6 +132,8 @@ _SOLVE_CONCEPTS = ("opt", "edt", "cdt", "nash", "edt-nash", "cdt-nash")
 
 
 def cmd_solve(args) -> int:
+    from .solvers import best_worst, optimal_strategy
+
     game = _load_game(args.game)
     cfg = _config_from(args)
     which = "best" if args.best else "worst" if args.worst else "best"
@@ -168,6 +149,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_vor(args) -> int:
+    from .vor import VOR_CONCEPTS, vor_compute
+
     game = _load_game(args.game)
     cfg = _config_from(args)
     concept = args.concept
@@ -198,6 +181,8 @@ def cmd_vor(args) -> int:
 
 
 def cmd_coeffs(args) -> int:
+    from .vor import coefficient_table
+
     game = _load_game(args.game)
     table = coefficient_table(game)
     for z in sorted(table.am):
@@ -210,6 +195,14 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .vor import (
+        _argmax_leaf,
+        bound_am,
+        bound_am_entropy,
+        bound_chance,
+        bound_composed,
+    )
+
     game = _load_game(args.game)
     cfg = _config_from(args)
     if game.players != 1:
@@ -229,6 +222,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_smooth_check(args) -> int:
+    from .vor import smoothness_check
+
     game = _load_game(args.game)
     cfg = _config_from(args)
     pistar = _load_profile(args.pistar, game)
@@ -249,6 +244,9 @@ def cmd_smooth_check(args) -> int:
 
 
 def cmd_partial_best(args) -> int:
+    from .partial import enumerate_k_refinements, k_best_partial
+    from .solvers import optimal_strategy
+
     game = _load_game(args.game)
     cfg = _config_from(args)
     try:
@@ -272,6 +270,20 @@ def cmd_partial_best(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generators import (
+        default_valid_utility,
+        gen_dory,
+        gen_fig1,
+        gen_fig2,
+        gen_fig3,
+        gen_fig5,
+        gen_fig5_split,
+        gen_lenny,
+        gen_random,
+        gen_sat_game,
+        gen_x3c_game,
+    )
+
     name = args.name
     if name == "fig1":
         game = gen_fig1(Fraction(args.eps))
@@ -319,6 +331,8 @@ def _parse_int_groups(text: str) -> list[tuple[int, ...]]:
 
 
 def cmd_export_dot(args) -> int:
+    from .dot import export_dot
+
     game = _load_game(args.game)
     profile = _load_profile(args.strategy, game) if args.strategy else None
     _emit(export_dot(game, profile), args.out)
@@ -420,8 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chance-rate", type=float, default=0.2)
     p.add_argument("--players", type=int, default=1)
     p.add_argument("--absentminded", action="store_true")
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("IRGAMES_SEED", 0)))
+    p.add_argument("--seed", type=int, default=os.environ.get("IRGAMES_SEED", 0))
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 

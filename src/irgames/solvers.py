@@ -52,7 +52,9 @@ Computation policy, in one place:
   and would join every ``Game.memo`` key.  Functions read the constants
   when called, so a test can patch them; the memo keys do not carry them,
   so a patched run needs a fresh game.  ``SolverConfig`` holds only the
-  CLI's flags;
+  CLI's flags; it and the two solver errors live in the numpy-free
+  ``irgames.config``, so that the CLI can build its parser and handle
+  errors without loading this module, and are re-exported here;
 * enumeration certifies nothing: seeding every grid point bounds no
   extremum, so every enumeration report is ``heuristic``.  Optimal play
   on a full grid is ``grid-certified``, with a Lipschitz gap bound.
@@ -68,6 +70,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .config import (
+    DEFAULT_CONFIG,
+    CapExceededError,
+    EquilibriumNotFoundError,
+    SolverConfig,
+    _cfg,
+)
 from .game import Game, Num, has_absentmindedness
 from .numeric import (
     SUPP_TOL,
@@ -95,14 +104,6 @@ from .strategies import (
 CONCEPTS = ("OPT", "EDT", "CDT", "NASH", "EDT-NASH", "CDT-NASH")
 
 
-class CapExceededError(ValueError):
-    """Instance too large for the exhaustive path; shrink it."""
-
-
-class EquilibriumNotFoundError(RuntimeError):
-    """No profile passed the concept's residual test at this resolution."""
-
-
 # The fixed verification policy (see the module docstring).
 _ASCENT_ITERS = 10_000
 _POLISH_ITERS = 200
@@ -117,25 +118,6 @@ _GRID_CAP = 5_000
 _GRID_SAMPLES = 256
 _ENUM_DIM_CAP = 512
 _WITNESS_CAP = 256
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """The solver settings a caller can change: the CLI's
-    ``--grid-resolution``, ``--multistart``, ``--eps-eq`` and ``--seed``.
-    The caps on exhaustive work are module constants (see the module
-    docstring)."""
-
-    grid_resolution: int = 64
-    multistart: int = 32
-    eps_eq: float = 1e-6
-    seed: int = 0
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -154,10 +136,6 @@ class SolveReport:
     @property
     def u1(self) -> Num:
         return self.utilities[0]
-
-
-def _cfg(cfg: Optional[SolverConfig]) -> SolverConfig:
-    return cfg if cfg is not None else DEFAULT_CONFIG
 
 
 def _profile_utilities(game: Game, profile: StrategyProfile) -> tuple:
@@ -608,9 +586,13 @@ def _best_deviation(game: Game, profile: StrategyProfile, player: int,
     if not terms or infoset_id not in game.absentminded[player]:
         return best_val, best_sigma
 
+    # The float optimum must beat the exact vertex by more than rounding.
+    # Every value here is a sum of non-negative terms, so its rounding error
+    # is relative to the value: an absolute margin hides the gains of rows
+    # whose values are far below 1 (2^-200 on gen_lenny(200)).
     if n == 2:
         val, s = _maximize_two_action(const, terms)
-        if val > float(best_val) + 1e-15:
+        if val > float(best_val) * (1 + 1e-15):
             return val, (s, 1.0 - s)
         return best_val, best_sigma
 
@@ -637,7 +619,7 @@ def _best_deviation(game: Game, profile: StrategyProfile, player: int,
         for _ in range(200):
             f = value(s)
             cand = _project_simplex((s + stepsz * gradient(s))[None])[0]
-            if value(cand) > f + 1e-14:
+            if value(cand) > f * (1 + 1e-14):
                 s = cand
                 stepsz *= 1.3
             else:
@@ -799,7 +781,7 @@ def _max_row_ascent(C: np.ndarray, E: np.ndarray) -> np.ndarray:
                          np.prod(sk[:, None, None, :] ** lowered, axis=3))
         cand = _project_simplex(sk + step[k, None] * grad)
         fc = _row_values(c[k], E, cand)
-        up = fc > f[k] + 1e-14
+        up = fc > f[k] * (1 + 1e-14)  # relative, as in _best_deviation
         s[k[up]], f[k[up]] = cand[up], fc[up]
         step[k] *= np.where(up, 1.3, 0.5)
         active[k[~up & (step[k] < 1e-10)]] = False

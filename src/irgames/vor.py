@@ -14,33 +14,31 @@ leaf monomials:
   its path;
 * the branching factor of a chance node: a recursive count bounding how
   many leaves a pure strategy can reach with positive probability below it.
+
+The coefficients and the exact bounds are tree walks in exact arithmetic;
+only the functions that solve (``bound_chance``, ``vor_compute`` and
+``smoothness_check``) import numpy and ``irgames.solvers``, when called, so
+``irgames coeffs`` never loads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-import numpy as np
-
+from .config import SolverConfig, _cfg
 from .game import Game, Leaf, Num, chance_nodes, has_absentmindedness, subtree_nodes
 from .recall import perfect_recall_refinement
-from .solvers import (
-    SolveReport,
-    SolverConfig,
-    _cfg,
-    _pure_seed_vectors,
-    _random_mixed,
-    best_worst,
-    optimal_strategy,
-)
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
     profile_from,
     uniform_strategy,
 )
+
+if TYPE_CHECKING:
+    from .solvers import SolveReport
 
 VOR_CONCEPTS = (
     "OPT",
@@ -193,6 +191,8 @@ def bound_chance(game: Game, cfg: Optional[SolverConfig] = None) -> tuple[Num, N
     single-leaf chance value, and the max branching factor."""
     if has_absentmindedness(game, 1):
         raise ValueError("bound_chance requires a game without absentmindedness")
+    from .solvers import optimal_strategy
+
     cfg = _cfg(cfg)
     opt_refined = optimal_strategy(_refined(game), cfg).utilities[0]
     best_leaf_value = max(
@@ -245,6 +245,8 @@ def _refined(game: Game) -> Game:
 
 
 def _solve_concept(game: Game, concept: str, cfg: SolverConfig) -> SolveReport:
+    from .solvers import best_worst, optimal_strategy
+
     if concept == "OPT":
         return optimal_strategy(game, cfg)
     which = "best" if concept[0] == "b" else "worst"
@@ -351,6 +353,10 @@ def smoothness_check(
     mixed profiles; a passing verdict is a certificate only for the pure
     set ("pure-verified" vs "sampled-ok"), falsification is always one.
     """
+    import numpy as np
+
+    from .solvers import _pure_seed_vectors, _random_mixed, optimal_strategy
+
     cfg = _cfg(cfg)
     if game.players != 1:
         raise ValueError("smoothness_check expects a single-player game")

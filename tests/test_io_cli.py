@@ -1,10 +1,16 @@
 """File round-trips, DOT export, and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import irgames
 
 from conftest import single
 
@@ -242,6 +248,35 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
     run(["gen", "random", "--depth", "4", "--out", str(a)])
     run(["gen", "random", "--depth", "4", "--seed", "123", "--out", str(b)])
     assert a.read_text() == b.read_text()
+
+
+def test_cli_bad_env_seed_is_a_usage_error(tmp_path):
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+    env = dict(os.environ, IRGAMES_SEED="abc",
+               PYTHONPATH=str(Path(irgames.__file__).resolve().parent.parent))
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "irgames.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    solve = cli("solve", str(game), "--concept", "opt")
+    assert solve.returncode == 2
+    assert "invalid int value: 'abc'" in solve.stderr
+    assert "Traceback" not in solve.stderr
+    # validate takes no --seed, so the variable does not concern it.
+    validate = cli("validate", str(game))
+    assert (validate.returncode, validate.stdout, validate.stderr) == (0, "ok\n", "")
+
+
+def test_cli_help_shows_the_solver_config_defaults(capsys):
+    defaults = SolverConfig()
+    assert (defaults.grid_resolution, defaults.multistart, defaults.eps_eq) == (64, 32, 1e-06)
+    assert run(["solve", "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
+    assert "GRID_RESOLUTION mixed-seed grid resolution (delta = 1/this) (default: 64)" in out
+    assert "MULTISTART random restarts for local search (default: 32)" in out
+    assert "EPS_EQ equilibrium residual tolerance (default: 1e-06)" in out
 
 
 @pytest.mark.parametrize("problem", ["unknown infoset", "row sums to 2"])

@@ -458,6 +458,25 @@ def test_two_action_deviation_finds_an_interior_maximum_between_term_peaks():
     assert value > 1.01 * max(at_peaks)  # s = 0.45 gave 1.8% less
 
 
+def test_two_action_deviation_gain_far_below_one_is_found():
+    # lenny200 at (1/3, 2/3): every vertex is worth 0, the base utility is
+    # 3^-100 (2/3)^100 = 4.8e-66 and the maximum 2^-200 = 6.2e-61 is at
+    # s = 1/2.  An absolute acceptance margin of 1e-15 returned a vertex.
+    g = gen_lenny(200)
+    profile = single({"I": (Fraction(1, 3), Fraction(2, 3))})
+    value, sigma = solvers.best_deviation(g, profile, 1, "I")
+    # abs=0: approx's default absolute margin of 1e-12 would pass anything.
+    assert float(value) == pytest.approx(2.0 ** -200, rel=1e-9, abs=0)
+    assert sigma == pytest.approx((0.5, 0.5))
+    base = float(expected_utility(g, profile, 1))
+    gain = edt_incentive(g, profile, 1, "I")
+    assert gain == pytest.approx(2.0 ** -200 - base, rel=1e-9, abs=0)
+    num = g.numeric
+    x = num.index.vector(profile)[None]
+    (row,) = num.index.rows
+    assert solvers._row_gains(num, x, row)[0] == pytest.approx(gain, rel=1e-9, abs=0)
+
+
 def test_sampled_grid_is_noted_in_optimal_strategy(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(solvers, "_GRID_CAP", 10)
