@@ -34,8 +34,13 @@ Computation policy, in one place:
   rows, one batch holds the whole mixing schedule, and reach, visit
   frequency and the CDT and EDT gains are read from its kernels: an EDT
   gain from the gradient on rows without absentmindedness, and from the
-  maximum of the row polynomial on absentminded rows.  The scalar
-  ``best_deviation``/``edt_check`` path stays for single profiles;
+  maximum of the row polynomial on absentminded rows;
+* one maximiser of a row polynomial over the simplex, ``_max_row``
+  (bracketed Newton for two actions, a scale-free projected ascent for
+  three or more), serves the batched EDT gains, the mixed best-response
+  polish, which moves every stalled seed in one batch, and the scalar
+  ``best_deviation``/``edt_check``, which add an exact vertex scan and
+  read the float maximum on a batch of one;
 * the parts of the verification policy with one value in use are module
   constants, not options: the ascent and polish iteration caps
   (``_ASCENT_ITERS``, ``_POLISH_ITERS``), the rationality schedule and its
@@ -91,7 +96,6 @@ from .recall import has_perfect_recall, own_histories
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
-    deviate,
     expected_utility,
     fix_opponents,
     node_reach_map,
@@ -475,86 +479,12 @@ def _ascent(num: NumericGame, X: np.ndarray, player: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _maximize_two_action(const: Num, terms: list) -> tuple[float, float]:
-    """(max value, argmax) over s in [0, 1] of const + sum_k c_k s^p (1-s)^q,
-    a two-action infoset's deviation utility.
-
-    Every c_k >= 0 (utilities are non-negative), and each term rises up to
-    its maximizer p/(p+q) and falls after it, so the sum rises below the
-    smallest maximizer and falls above the largest: an interior maximum is
-    a + to - sign change of the derivative between the two.  The sign is
-    read on a grid through the term maximizers, and each change is refined
-    by Newton steps kept inside its bracket.  The derivative and the
-    candidates (the ends, the term maximizers, the refined changes) are
-    evaluated term by term, the derivative scaled by its largest term:
-    expanded coefficients cancel catastrophically at high degree.
-    """
-    C = np.array([float(c) for c, _ in terms])
-    P, Q = np.array([exps for _, exps in terms], dtype=float).T
-    peaks = P / (P + Q)
-    candidates = [0.0, 1.0, *peaks]
-    live = C > 0
-    lo, hi = peaks[live].min(initial=1.0), peaks[live].max(initial=0.0)
-    if lo < hi:
-        # phi(s) = s (1-s) f'(s) / (f(s) - const) has the sign of f'; with
-        # w_k the terms scaled by the largest, it is the w-weighted mean of
-        # p - (p+q) s.  The grid reads it in one vectorized call, Newton in
-        # plain floats, cheaper than a numpy call per step for a few terms.
-        logc, p, q = np.log(C[live]), P[live], Q[live]
-        t = np.sort(np.concatenate([np.linspace(lo, hi, 65)[1:-1],
-                                    peaks[(peaks > lo) & (peaks < hi)]]))[:, None]
-        logs = logc + p * np.log(t) + q * np.log1p(-t)
-        w = np.exp(logs - logs.max(axis=1, keepdims=True))
-        inner = (w * (p - (p + q) * t)).sum(axis=1) / w.sum(axis=1)
-        phis = np.concatenate([[1.0], inner, [-1.0]])
-        grid = np.concatenate([[lo], t[:, 0], [hi]])
-        live_terms = list(zip(logc.tolist(), p.tolist(), q.tolist()))
-
-        def slope(x: float) -> tuple[float, float]:
-            """phi(x) and phi'(x)."""
-            lx, l1x = math.log(x), math.log1p(-x)
-            logs = [lc + pk * lx + qk * l1x for lc, pk, qk in live_terms]
-            top = max(logs)
-            tot = mean = square = deg = 0.0
-            for lw, (_, pk, qk) in zip(logs, live_terms):
-                wk = math.exp(lw - top)
-                ak = pk - (pk + qk) * x
-                tot += wk
-                mean += wk * ak
-                square += wk * ak * ak
-                deg += wk * (pk + qk)
-            phi = mean / tot
-            return phi, (square / tot - phi * phi) / (x * (1.0 - x)) - deg / tot
-
-        for i in np.nonzero((phis[:-1] > 0) & (phis[1:] <= 0))[0]:
-            # Newton from the secant point; a step that would leave the
-            # bracket, or go uphill, halves it instead.  phi(a) > 0 >= phi(b).
-            a, b = float(grid[i]), float(grid[i + 1])
-            x = a + (b - a) * float(phis[i] / (phis[i] - phis[i + 1]))
-            for _ in range(100):
-                phi, dphi = slope(x)
-                a, b = (x, b) if phi > 0 else (a, x)
-                new = x - phi / dphi if dphi < 0 else 0.5 * (a + b)
-                if new == x:
-                    break
-                if not a < new < b:
-                    new = 0.5 * (a + b)
-                    if not a < new < b:
-                        break
-                x = new
-            # Newton stops within an ulp or two: let the values decide.
-            candidates.extend([x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)])
-    S = np.array(candidates)[:, None]
-    vals = float(const) + (C * S ** P * (1.0 - S) ** Q).sum(axis=1)
-    best = int(np.argmax(vals))
-    return float(vals[best]), candidates[best]
-
-
 def best_deviation(game: Game, profile: StrategyProfile, player: int,
                    infoset_id: str) -> tuple[Union[Num, float], tuple]:
     """Value and maximizer of sigma -> U(profile deviated to sigma at the
-    infoset).  Vertex scan without absentmindedness (exact); polynomial
-    root-finding (2 actions) or inner ascent otherwise."""
+    infoset).  An exact vertex scan; on an absentminded infoset, the float
+    maximum of the row polynomial (:func:`_max_row`) where it beats the
+    best vertex."""
     base = expected_utility(game, profile, player)
     return _best_deviation(game, profile, player, infoset_id, base)
 
@@ -590,49 +520,16 @@ def _best_deviation(game: Game, profile: StrategyProfile, player: int,
     # Every value here is a sum of non-negative terms, so its rounding error
     # is relative to the value: an absolute margin hides the gains of rows
     # whose values are far below 1 (2^-200 on gen_lenny(200)).
-    if n == 2:
-        val, s = _maximize_two_action(const, terms)
-        if val > float(best_val) * (1 + 1e-15):
-            return val, (s, 1.0 - s)
-        return best_val, best_sigma
-
-    # Small inner ascent over the deviation simplex.
-    C = np.array([float(c) for c, _ in terms])
+    C = np.array([[float(c) for c, _ in terms]])
     E = np.array([exps for _, exps in terms], dtype=float)
-    const_f = float(const)
-
-    def value(s: np.ndarray) -> float:
-        return const_f + float(C @ np.prod(s ** E, axis=1))
-
-    def gradient(s: np.ndarray) -> np.ndarray:
-        return np.array([
-            C @ (E[:, a] * np.prod(s ** np.maximum(E - np.eye(n)[a], 0.0), axis=1))
-            for a in range(n)
-        ])
-
-    start_vals = [np.full(n, 1.0 / n)]
-    start_vals.extend(np.eye(n))
-    best = (float(best_val), best_sigma)
-    for s0 in start_vals:
-        s = np.array(s0, dtype=float)
-        stepsz = 0.25
-        for _ in range(200):
-            f = value(s)
-            cand = _project_simplex((s + stepsz * gradient(s))[None])[0]
-            if value(cand) > f * (1 + 1e-14):
-                s = cand
-                stepsz *= 1.3
-            else:
-                stepsz *= 0.5
-                if stepsz < 1e-10:
-                    break
-        f = value(s)
-        if f > best[0]:
-            best = (f, tuple(float(v) for v in s))
-    return best
+    vals, sigmas = _max_row(C, E)
+    val = float(const) + float(vals[0])
+    if val > float(best_val) * (1 + 1e-15):
+        return val, tuple(sigmas[0].tolist())
+    return best_val, best_sigma
 
 
-# Profiles per block of a row-gain batch: the maximisers' largest
+# Profiles per block of a row-polynomial batch: the maximisers' largest
 # temporaries hold about K (K + 64) floats per profile for two actions
 # (phi on the grid) and K (n + 1) n^2 for n actions (the ascent's partials),
 # K the row's visiting leaves; a block keeps them near this many floats.
@@ -642,26 +539,19 @@ _ROW_BLOCK_FLOATS = 2 ** 20
 def _row_gains(num: NumericGame, X: np.ndarray, row: Row) -> np.ndarray:
     """(B,) best gain from replacing the absentminded ``row`` of every
     profile of the batch by a randomized action: the maximum of its row
-    polynomial on the simplex minus its value at the batch, the batched
-    form of ``_best_deviation`` at base 0, with the same candidates and
-    starts."""
+    polynomial on the simplex minus its value at the batch."""
     C, E = num.row_polynomial(X, row)
-    at_x = _row_values(C, E, X[:, row.offset : row.offset + row.size])
-    K, n = E.shape
-    if n == 2:
-        best = _max_two_action_rows(C, E[:, 0], E[:, 1])
-    else:
-        best = _blockwise(_max_row_ascent, C, K * (n + 1) * n * n, E)
-    return best - at_x
+    return _max_row(C, E)[0] - _row_values(C, E, X[:, row.offset : row.offset + row.size])
 
 
 def _blockwise(fn: Callable, C: np.ndarray, floats_per_profile: int,
-               *args) -> np.ndarray:
-    """``fn(C[block], *args)`` over blocks of the batch's profiles, so that
-    a block's temporaries hold about ``_ROW_BLOCK_FLOATS`` floats."""
+               *args) -> tuple[np.ndarray, ...]:
+    """The arrays ``fn(C[block], *args)`` returns, over blocks of the
+    batch's profiles, so that a block's temporaries hold about
+    ``_ROW_BLOCK_FLOATS`` floats."""
     block = max(1, _ROW_BLOCK_FLOATS // max(1, floats_per_profile))
-    return np.concatenate([fn(C[lo : lo + block], *args)
-                           for lo in range(0, len(C), block)] or [np.zeros(0)])
+    parts = [fn(C[lo : lo + block], *args) for lo in range(0, len(C), block)]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _row_values(C: np.ndarray, E: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -669,31 +559,50 @@ def _row_values(C: np.ndarray, E: np.ndarray, S: np.ndarray) -> np.ndarray:
     return (C * np.prod(S[:, None, :] ** E, axis=2)).sum(axis=1)
 
 
-def _max_two_action_rows(C: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(B,) max over s in [0, 1] of sum_k C[b, k] s^P_k (1-s)^Q_k: the
-    batched form of :func:`_maximize_two_action`, without its constant.
-    The candidates are the same: the ends and the term maximizers here,
-    and the interior maxima of :func:`_two_action_interior` where the live
-    maximizers differ."""
-    E = np.stack([P, Q], axis=1)
+def _max_row(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) maxima and (B, n) maximisers over the simplex of the row
+    polynomials sum_k C[b, k] prod_a s_a ** E[k, a], C >= 0: the one
+    maximiser behind ``best_deviation``, the batched EDT gains and the
+    mixed best-response polish.  Three or more actions take
+    :func:`_max_row_ascent`.
+
+    Two actions, s -> sum_k C_k s^P_k (1-s)^Q_k: each term rises up to its
+    maximizer P_k/(P_k+Q_k) and falls after it, so the sum rises below the
+    smallest live maximizer and falls above the largest.  The candidates
+    are the ends, the term maximizers and, where the live maximizers
+    differ, the interior maxima between them (:func:`_two_action_interior`).
+    """
+    K, n = E.shape
+    if n > 2:
+        return _blockwise(_max_row_ascent, C, K * (n + 1) * n * n, E)
+    P, Q = E.T
     peaks = P / (P + Q)
     ends = np.concatenate([[0.0, 1.0], peaks])
-    shared = np.prod(np.stack([ends, 1.0 - ends], axis=1)[:, None, :] ** E, axis=2)
-    best = (C @ shared.T).max(axis=1)
+    values = C @ np.prod(np.stack([ends, 1.0 - ends], axis=1)[:, None, :] ** E, axis=2).T
+    pick = values.argmax(axis=1)
+    best, s = values[np.arange(len(C)), pick], ends[pick]
     live = C > 0
-    spread = (np.where(live, peaks, 0.0).max(axis=1, initial=0.0)
-              > np.where(live, peaks, 1.0).min(axis=1, initial=1.0))
-    if spread.any():
-        best[spread] = np.maximum(best[spread], _blockwise(
-            _two_action_interior, C[spread], len(P) * (len(P) + 64), P, Q))
-    return best
+    spread = np.nonzero(np.where(live, peaks, 0.0).max(axis=1, initial=0.0)
+                        > np.where(live, peaks, 1.0).min(axis=1, initial=1.0))[0]
+    if len(spread):
+        inner, at = _blockwise(_two_action_interior, C[spread], K * (K + 64), P, Q)
+        better = inner > best[spread]
+        best[spread[better]], s[spread[better]] = inner[better], at[better]
+    return best, np.stack([s, 1.0 - s], axis=1)
 
 
-def _two_action_interior(C: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """(B,) largest value at an interior maximum, for profiles whose live
-    term maximizers differ: every + to - sign change of phi on the grid
-    through the live maximizers, refined by Newton inside its bracket, the
-    brackets of the whole batch at once (0 where there is none)."""
+def _two_action_interior(C: np.ndarray, P: np.ndarray, Q: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) largest value at an interior maximum and its s, for profiles
+    whose live term maximizers differ (0 and 1/2 where there is none).
+
+    phi(s) = s (1-s) f'(s) / f(s) has the sign of f'; with w_k the terms
+    scaled by the largest, it is the w-weighted mean of P_k - (P_k+Q_k) s,
+    which is read term by term: expanded coefficients cancel
+    catastrophically at high degree.  Every + to - sign change of phi on a
+    grid through the live maximizers is refined by Newton inside its
+    bracket, the brackets of the whole batch at once.
+    """
     E = np.stack([P, Q], axis=1)
     peaks = P / (P + Q)
     live = C > 0
@@ -713,23 +622,34 @@ def _two_action_interior(C: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndar
     ones = np.ones((len(C), 1))
     phis = np.concatenate([ones, phi, -ones], axis=1)
     grid = np.concatenate([lo, t, hi], axis=1)
-    m, i = np.nonzero((phis[:, :-1] > 0) & (phis[:, 1:] <= 0))
+    change = (phis[:, :-1] > 0) & (phis[:, 1:] <= 0)
+    # f rises at lo and falls at hi, but an end at 0 or 1 is a candidate
+    # already and phi is 0 there: its cell brackets a maximum only where f
+    # rises off 0 (f'(0) > 0) or falls into 1 (f'(1) < 0).  Otherwise
+    # Newton would spend its whole budget chasing the end.
+    change[:, 0] &= (lo[:, 0] > 0) | (C @ ((P == 1) - Q * (P == 0)) > 0)
+    change[:, -1] &= (hi[:, 0] < 1) | (C @ ((Q == 1) - P * (Q == 0)) > 0)
+    m, i = np.nonzero(change)
     a, b = grid[m, i], grid[m, i + 1]
     x = a + (b - a) * (phis[m, i] / (phis[m, i] - phis[m, i + 1]))
     x = _newton_in_brackets(logc[m], P, Q, a, b, x)
-    best = np.zeros(len(C))
     # Newton stops within an ulp or two: let the values decide.
-    for s in (x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)):
-        np.maximum.at(best, m, _row_values(C[m], E, np.stack([s, 1.0 - s], axis=1)))
-    return best
+    s = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, 1.0)])
+    m = np.tile(m, 3)
+    v = _row_values(C[m], E, np.stack([s, 1.0 - s], axis=1))
+    best, at = np.zeros(len(C)), np.full(len(C), 0.5)
+    np.maximum.at(best, m, v)
+    hit = v == best[m]
+    at[m[hit]] = s[hit]
+    return best, at
 
 
 def _newton_in_brackets(logc: np.ndarray, P: np.ndarray, Q: np.ndarray,
                         a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Roots of phi, one per bracket (phi(a) > 0 >= phi(b)), from the
-    starts ``x``: ``_maximize_two_action``'s Newton steps for all brackets
-    at once.  A step that would leave the bracket, or go uphill, halves it
-    instead; a bracket stops when its step no longer moves it."""
+    starts ``x``, all brackets at once.  A step that would leave the
+    bracket, or go uphill, halves it instead; a bracket stops when its
+    step no longer moves it."""
     a, b, x = a.copy(), b.copy(), x.copy()
     active = np.ones(len(x), dtype=bool)
     for _ in range(100):
@@ -759,10 +679,13 @@ def _newton_in_brackets(logc: np.ndarray, P: np.ndarray, Q: np.ndarray,
     return x
 
 
-def _max_row_ascent(C: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """(B,) max of sum_k C[b, k] prod_a s_a ** E[k, a] over the simplex:
-    the batched form of ``_best_deviation``'s inner ascent, from the
-    uniform point and every vertex, up to 200 projected steps each."""
+def _max_row_ascent(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B,) maxima and (B, n) maximisers of sum_k C[b, k] prod_a s_a ** E[k, a]
+    over the simplex, by projected ascent from the uniform point and every
+    vertex, up to 200 steps each.  Steps follow grad f / f, the gradient
+    of log f, where f > 0, and the raw gradient where f = 0, and a step is
+    kept when it gains relative to f: a row's scale (2^-120 on a chain of
+    80 visits) then moves neither the steps nor the acceptance."""
     n = E.shape[1]
     starts = np.vstack([np.full(n, 1.0 / n), np.eye(n)])
     s = np.tile(starts, (len(C), 1))
@@ -776,16 +699,18 @@ def _max_row_ascent(C: np.ndarray, E: np.ndarray) -> np.ndarray:
         k = np.nonzero(active)[0]
         if not len(k):
             break
-        sk = s[k]
+        sk, fk = s[k], f[k, None]
         grad = np.einsum("bk,ak,bak->ba", c[k], E.T,
                          np.prod(sk[:, None, None, :] ** lowered, axis=3))
+        np.divide(grad, fk, out=grad, where=fk > 0)
         cand = _project_simplex(sk + step[k, None] * grad)
         fc = _row_values(c[k], E, cand)
-        up = fc > f[k] * (1 + 1e-14)  # relative, as in _best_deviation
+        up = fc > f[k] * (1 + 1e-14)
         s[k[up]], f[k[up]] = cand[up], fc[up]
         step[k] *= np.where(up, 1.3, 0.5)
         active[k[~up & (step[k] < 1e-10)]] = False
-    return f.reshape(len(C), n + 1).max(axis=1)
+    top = f.reshape(len(C), n + 1).argmax(axis=1) + (n + 1) * np.arange(len(C))
+    return f[top], s[top]
 
 
 def edt_incentive(game: Game, profile: StrategyProfile, player: int,
@@ -1109,27 +1034,33 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _mixed_br_polish(game: Game, num: NumericGame, x: np.ndarray) -> np.ndarray:
-    """Mixed best-response sweeps for absentminded games: each step replaces
-    the most profitable row by its exact best randomized action."""
-    prof = num.index.profile(x)
+def _mixed_br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
+    """Mixed best-response sweeps for single-player absentminded games,
+    batched over seeds: each sweep replaces every seed's most profitable
+    row (:func:`_edt_gains`) by its best randomized action, the
+    top-gradient vertex on a row without absentmindedness and the row
+    polynomial's maximiser on an absentminded one.  A seed stops once no
+    row gains more than 1e-11."""
+    X = X.copy()
+    rows = num.index.rows
+    absentminded = num.game.absentminded[1]
+    idx = np.arange(len(X))
     for _ in range(_POLISH_ITERS):
-        best_gain, best_iid, best_sigma, best_player = 0.0, None, None, None
-        base = {
-            p: expected_utility(game, prof, p)
-            for p in range(1, game.players + 1)
-        }
-        for row in num.index.rows:
-            val, sigma = _best_deviation(
-                game, prof, row.player, row.infoset_id, base[row.player]
-            )
-            gain = float(val) - float(base[row.player])
-            if gain > best_gain + 1e-12:
-                best_gain, best_iid, best_sigma, best_player = gain, row.infoset_id, sigma, row.player
-        if best_iid is None or best_gain <= 1e-11:
+        if not len(idx):
             break
-        prof = deviate(prof, best_iid, best_sigma, best_player)
-    return num.index.vector(prof)
+        gains = _edt_gains(num, X[idx], 1, np.ones((len(idx), len(rows)), dtype=bool))
+        best = gains.argmax(axis=1)
+        moving = gains[np.arange(len(idx)), best] > 1e-11
+        idx, best = idx[moving], best[moving]
+        for j in np.unique(best):
+            row, at = rows[j], idx[best == j]
+            block = slice(row.offset, row.offset + row.size)
+            if row.infoset_id in absentminded:
+                X[at, block] = _max_row(*num.row_polynomial(X[at], row))[1]
+            else:
+                top = num.gradient(X[at], 1)[1][:, block].argmax(axis=1)
+                X[at, block] = np.eye(row.size)[top]
+    return X
 
 
 # Polish family of each enumeration concept.  A family's concepts share
@@ -1215,14 +1146,8 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
         X = _br_polish(num, X)
         if game.players == 1 and has_absentmindedness(game, 1):
             res = _residuals_for(game, num, X, family, cfg)
-            stalled = np.nonzero(res > cfg.eps_eq)[0]
-            seen = set()
-            for i in stalled[: 2 * _GRID_SAMPLES]:
-                key = tuple(np.round(X[i], 4))
-                if key in seen:
-                    continue
-                seen.add(key)
-                X[i] = _mixed_br_polish(game, num, X[i])
+            stalled = np.nonzero(res > cfg.eps_eq)[0][: 2 * _GRID_SAMPLES]
+            X[stalled] = _mixed_br_polish(num, X[stalled])
 
     res = _residuals_for(game, num, X, family, cfg)
     keep = np.nonzero(res <= cfg.eps_eq)[0]

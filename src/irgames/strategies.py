@@ -280,31 +280,6 @@ def utility_gradient(
     return infoset_gradient(game, profile, player, infoset_id)[aidx]
 
 
-def finite_difference_gradient(
-    game: Game,
-    profile: StrategyProfile,
-    player: int,
-    infoset_id: str,
-    action_index: int,
-    step: float = 1e-6,
-) -> float:
-    """Central finite-difference oracle for :func:`utility_gradient`.
-
-    Perturbs the single coordinate without renormalizing the row (the
-    analytic gradient is likewise coordinate-wise).
-    """
-    strategy = profile[player]
-    row = [float(p) for p in strategy.row(infoset_id)]
-
-    def value(delta: float) -> float:
-        bumped = list(row)
-        bumped[action_index] += delta
-        prof = profile.replace(strategy.replace_row(infoset_id, bumped))
-        return float(expected_utility(game, prof, player))
-
-    return (value(step) - value(-step)) / (2 * step)
-
-
 # ---------------------------------------------------------------------------
 # Deviations, lifting, equivalence, opponent folding
 # ---------------------------------------------------------------------------

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from irgames.game import Game, Infoset, Node, make_game
-from irgames.strategies import BehavioralStrategy, StrategyProfile, profile_from
+from irgames.strategies import (
+    BehavioralStrategy,
+    StrategyProfile,
+    expected_utility,
+    profile_from,
+)
 
 
 def strat(player: int, table: dict) -> BehavioralStrategy:
@@ -24,6 +29,26 @@ def _num(p):
 
 def single(table: dict) -> StrategyProfile:
     return profile_from(strat(1, table))
+
+
+def finite_difference_gradient(game: Game, profile: StrategyProfile, player: int,
+                               infoset_id: str, action_index: int,
+                               step: float = 1e-6) -> float:
+    """Central finite-difference oracle for ``utility_gradient``.
+
+    Perturbs the single coordinate without renormalizing the row (the
+    analytic gradient is likewise coordinate-wise).
+    """
+    strategy = profile[player]
+    row = [float(p) for p in strategy.row(infoset_id)]
+
+    def value(delta: float) -> float:
+        bumped = list(row)
+        bumped[action_index] += delta
+        prof = profile.replace(strategy.replace_row(infoset_id, bumped))
+        return float(expected_utility(game, prof, player))
+
+    return (value(step) - value(-step)) / (2 * step)
 
 
 @pytest.fixture

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import finite_difference_gradient
+
 from irgames.game import Infoset, Node, has_absentmindedness, make_game
 from irgames.generators import gen_lenny, gen_random
 from irgames.numeric import NumericGame, _project_simplex, project_rows
@@ -19,7 +21,6 @@ from irgames.strategies import (
     StrategyProfile,
     deviate,
     expected_utility,
-    finite_difference_gradient,
     infoset_terms,
     uniform_profile,
     utility_gradient,

@@ -1,8 +1,9 @@
 """The batched schedule check behind ``edt_rational_check`` and
 ``cdt_rational_check`` against a scalar reference: one profile per
 schedule step, infoset reach/frequency by tree walks, exact gradients and
-best deviations per infoset.  The batched EDT row gains are also checked
-row by row against the scalar ``best_deviation``."""
+best deviations per infoset.  The best deviations and the batched EDT row
+gains are also checked against whole-tree walks at the maximiser and on a
+simplex grid."""
 
 import numpy as np
 import pytest
@@ -16,12 +17,13 @@ from irgames.solvers import (
     SolverConfig,
     _cdt_gains,
     _edt_gains,
-    _best_deviation,
     _schedule_check,
     best_deviation,
 )
+from irgames.numeric import simplex_grid
 from irgames.strategies import (
     BehavioralStrategy,
+    deviate,
     expected_utility,
     infoset_frequency,
     infoset_gradient,
@@ -32,9 +34,9 @@ from irgames.strategies import (
 PROPERTY = settings(derandomize=True, max_examples=20, deadline=None)
 CFG = SolverConfig()
 
-# Absentminded rows with three actions take the scalar best_deviation's
-# inner ascent, about 20 ms a call on the reference side; random draws keep
-# two actions there, and one explicit example below covers three.
+# Absentminded rows with three actions take the row ascent, about 5 ms a
+# best_deviation call on the reference side; random draws keep two actions
+# there, and one explicit example below covers three.
 games = st.builds(
     lambda depth, branching, merge, chance, am, seed: gen_random(
         depth, 2 if am else branching, merge, chance, am, seed),
@@ -118,9 +120,9 @@ def test_schedule_check_matches_scalar_reference(concept, gains, first_visit,
     assert ok == reference_accepts(want)
 
 
-# Three-action absentminded rows take the scalar inner ascent, so those games
-# stay at depth 2; every row kind (no absentmindedness, absentminded with two
-# and with three actions) occurs among the draws and the examples.
+# Every row kind (no absentmindedness, absentminded with two and with three
+# actions) occurs among the draws and the examples; three-action games stay
+# at depth 2, where the simplex grid's whole-tree walks are cheap.
 row_games = st.builds(
     lambda branching, merge, chance, am, seed: gen_random(
         3 if branching == 2 else 2, branching, merge, chance, am, seed),
@@ -138,7 +140,7 @@ row_games = st.builds(
 @example(game=gen_random(3, 2, 0.9, 0.0, True, 1), seed=0)
 @example(game=gen_random(3, 3, 0.5, 0.3, False, 2), seed=0)
 @given(game=row_games, seed=st.integers(0, 10_000))
-def test_batched_row_gains_match_scalar_best_deviation(game, seed):
+def test_best_deviations_are_attained_and_beat_the_simplex_grid(game, seed):
     strategies = [make_strategy(game, kind, seed)
                   for kind in ("uniform", "pure", "dirichlet")]
     num = game.numeric
@@ -151,9 +153,18 @@ def test_batched_row_gains_match_scalar_best_deviation(game, seed):
         assert np.array_equal(_edt_gains(num, X, 1, live), got)
     for b, strategy in enumerate(strategies):
         prof = profile_from(strategy)
-        # The gain is read at base 0; the row's own utility, at most the
-        # whole utility, is what its rounding is relative to.
-        scale = float(expected_utility(game, prof, 1))
+        base = float(expected_utility(game, prof, 1))
         for j, row in enumerate(num.index.rows):
-            want = float(_best_deviation(game, prof, 1, row.infoset_id, 0.0)[0])
-            assert abs(got[b, j] - want) <= 1e-9 * (abs(want) + scale)
+            value, sigma = best_deviation(game, prof, 1, row.infoset_id)
+            value = float(value)
+            # Values are sums of non-negative terms: rounding is relative.
+            tol = 1e-9 * (value + base)
+            # The value is attained: a whole-tree walk at sigma gives it.
+            walked = float(expected_utility(game, deviate(prof, row.infoset_id, sigma), 1))
+            assert abs(walked - value) <= tol
+            # It is a maximum: no vertex and no grid point does better.
+            for point in simplex_grid(row.size, 16):
+                other = deviate(prof, row.infoset_id, tuple(point.tolist()))
+                assert float(expected_utility(game, other, 1)) <= value + tol
+            # The batched gain reads the same maximum.
+            assert abs(got[b, j] - (value - base)) <= tol

@@ -23,6 +23,7 @@ from irgames.generators import (
 )
 from irgames.recall import has_perfect_recall, perfect_recall_refinement
 from irgames.strategies import (
+    deviate,
     expected_utility,
     fix_opponents,
     profile_from,
@@ -166,8 +167,6 @@ def test_cdt_utility_reduces_to_exact_value_without_absentmindedness():
     g = gen_fig3(EPS3)
     prof = single({"I1": (Fraction(1, 2), Fraction(1, 2)),
                    "I2": (Fraction(1, 4), Fraction(3, 4))})
-    from irgames.strategies import deviate
-
     sigma = (Fraction(2, 3), Fraction(1, 3))
     assert cdt_utility(g, prof, 1, "I2", sigma) == \
         expected_utility(g, deviate(prof, "I2", sigma), 1)
@@ -444,11 +443,11 @@ def test_pure_enumeration_blocks_keep_the_first_optimum(monkeypatch, block):
 
 
 def test_two_action_deviation_finds_an_interior_maximum_between_term_peaks():
-    from irgames.solvers import _maximize_two_action
-
     # Neither term's own maximizer (0.45, 0.5) nor the ends is optimal.
-    terms = [(1, (90, 110)), (1, (100, 100))]
-    value, s = _maximize_two_action(0, terms)
+    values, sigmas = solvers._max_row(np.array([[1.0, 1.0]]),
+                                      np.array([[90.0, 110.0], [100.0, 100.0]]))
+    (value,), s = values, sigmas[0, 0]
+    assert sigmas[0, 1] == 1.0 - s
     grid = np.linspace(0.44, 0.47, 300_001)
     logs = np.logaddexp(90 * np.log(grid) + 110 * np.log1p(-grid),
                         100 * np.log(grid) + 100 * np.log1p(-grid))
@@ -475,6 +474,118 @@ def test_two_action_deviation_gain_far_below_one_is_found():
     x = num.index.vector(profile)[None]
     (row,) = num.index.rows
     assert solvers._row_gains(num, x, row)[0] == pytest.approx(gain, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("end", [0, 1])
+def test_two_action_maximum_inside_an_end_cell_is_found(end):
+    # 0.99 (1-s) + s (1-s) = (1-s) (0.99+s) peaks at s = 0.005, worth
+    # 0.995^2.  The live term maximizers are 0 and 1/2, so the grid's first
+    # cell is [0, 1/128] and holds the maximum; f rises off the end 0.
+    # Mirrored, the maximum lies in the last cell, at 0.995.
+    E = np.array([[0.0, 1.0], [1.0, 1.0]])
+    values, sigmas = solvers._max_row(np.array([[0.99, 1.0]]),
+                                      E[:, ::-1] if end else E)
+    assert values[0] == pytest.approx(0.995 ** 2, rel=1e-12, abs=0)
+    assert sigmas[0, end] == pytest.approx(0.005, abs=1e-9)
+
+
+def test_two_action_row_with_term_peaks_at_both_ends_opens_no_bracket(monkeypatch):
+    # fig5's row: 2 s^2 + (1-s)^2, whose term maximizers are the ends, and
+    # f falls into 0 and rises into 1.  Both ends are candidates already;
+    # a bracket at either would send Newton chasing that end.
+    brackets = []
+    newton = solvers._newton_in_brackets
+
+    def recorded(logc, P, Q, a, b, x):
+        brackets.append(len(x))
+        return newton(logc, P, Q, a, b, x)
+
+    monkeypatch.setattr(solvers, "_newton_in_brackets", recorded)
+    values, sigmas = solvers._max_row(np.array([[2.0, 1.0]]),
+                                      np.array([[2.0, 0.0], [0.0, 2.0]]))
+    assert values.tolist() == [2.0] and sigmas.tolist() == [[1.0, 0.0]]
+    assert sum(brackets) == 0
+    g = gen_fig5()
+    (row,) = g.numeric.index.rows
+    C, E = g.numeric.row_polynomial(g.numeric.index.uniform()[None], row)
+    assert C.tolist() == [[2.0, 1.0]] and E.tolist() == [[2.0, 0.0], [0.0, 2.0]]
+
+
+def stall_chain(visits: tuple[int, ...]):
+    """One infoset with an action per entry of ``visits``, entered
+    sum(visits) times: the one paying leaf (utility 1) follows the path
+    that plays the first action visits[0] times, then the second
+    visits[1] times, and so on; every other action stops at 0."""
+    actions = tuple("ABCDEFGH"[: len(visits)])
+    path = [a for a, k in zip(actions, visits) for _ in range(k)]
+    ids = [f"d{k}" for k in range(len(path))] + ["win"]
+    nodes, utilities = [], {"win": (Fraction(1),)}
+    for k, taken in enumerate(path):
+        children = tuple(ids[k + 1] if a == taken else f"z{k}{a}" for a in actions)
+        nodes.append(Node(id=ids[k], owner=1, actions=actions, children=children))
+        for a in actions:
+            if a != taken:
+                nodes.append(Node(id=f"z{k}{a}", owner="terminal"))
+                utilities[f"z{k}{a}"] = (Fraction(0),)
+    nodes.append(Node(id="win", owner="terminal"))
+    infosets = [Infoset(id="I", player=1, nodes=tuple(ids[:-1]), actions=actions)]
+    return make_game(1, ids[0], nodes, utilities, infosets, name="stall")
+
+
+def test_three_action_deviation_far_below_one_is_found():
+    # sA^20 sB^20 sC^40 peaks at (1/4, 1/4, 1/2), worth 2^-120; the uniform
+    # start is worth 3^-80 = 6.8e-39.  Steps of step * gradient, absolute
+    # in the value, never left that start.
+    g = stall_chain((20, 20, 40))
+    third = Fraction(1, 3)
+    profile = single({"I": (third, third, third)})
+    value, sigma = solvers.best_deviation(g, profile, 1, "I")
+    assert float(value) == pytest.approx(2.0 ** -120, rel=1e-9, abs=0)
+    assert sigma == pytest.approx((0.25, 0.25, 0.5), abs=1e-6)
+    num = g.numeric
+    (row,) = num.index.rows
+    gain = solvers._row_gains(num, num.index.vector(profile)[None], row)[0]
+    assert gain == pytest.approx(2.0 ** -120 - 3.0 ** -80, rel=1e-9, abs=0)
+
+
+def scalar_mixed_polish(game, num, x):
+    """Mixed best-response sweeps for one seed on exact whole-tree walks:
+    each step deviates the most profitable row to its ``best_deviation``."""
+    prof = num.index.profile(x)
+    for _ in range(solvers._POLISH_ITERS):
+        base = float(expected_utility(game, prof, 1))
+        gains = []
+        for row in num.index.rows:
+            val, sigma = solvers.best_deviation(game, prof, 1, row.infoset_id)
+            gains.append((float(val) - base, row.infoset_id, sigma))
+        gain, iid, sigma = max(gains, key=lambda t: t[0])
+        if gain <= 1e-11:
+            break
+        prof = deviate(prof, iid, sigma, 1)
+    return num.index.vector(prof)
+
+
+# The random games mix absentminded rows with rows that have none, and the
+# sweeps must pick the most profitable row: polishing the first row that
+# gains leaves residuals near 1 on both.
+@pytest.mark.parametrize("game", [gen_fig2(), gen_fig5(),
+                                  gen_random(3, 2, 0.7, 0.0, True, 1),
+                                  gen_random(2, 3, 0.7, 0.0, True, 13)],
+                         ids=["fig2", "fig5", "two-action rows", "three-action rows"])
+def test_batched_mixed_polish_equals_the_per_seed_polish(game):
+    num = game.numeric
+    rng = np.random.default_rng(0)
+    pure, _ = solvers._pure_seed_vectors(num.index, rng)
+    X = np.array(pure + solvers._random_mixed(num.index, rng, 6)
+                 + [num.index.uniform()])
+    got = solvers._mixed_br_polish(num, X)
+    one_by_one = np.vstack([solvers._mixed_br_polish(num, X[i : i + 1])
+                            for i in range(len(X))])
+    assert np.allclose(got, one_by_one, rtol=0, atol=1e-12)
+    want = np.vstack([scalar_mixed_polish(game, num, x) for x in X])
+    assert np.allclose(got, want, rtol=0, atol=1e-9)
+    # Every polished seed is an EDT equilibrium.
+    assert solvers._edt_residuals(num, got).max() <= 1e-9
 
 
 def test_sampled_grid_is_noted_in_optimal_strategy(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import single, strat
+from conftest import finite_difference_gradient, single, strat
 
 from irgames.game import validate_game
 from irgames.generators import gen_fig1, gen_fig2, gen_fig3, gen_lenny, gen_random
@@ -13,7 +13,6 @@ from irgames.recall import perfect_recall_refinement
 from irgames.strategies import (
     deviate,
     expected_utility,
-    finite_difference_gradient,
     fix_opponents,
     infoset_frequency,
     infoset_reach,
