@@ -16,8 +16,10 @@ one and the exponents from the row's visit counts.
 Every kernel builds the leaf products rank by rank (the r-th entry of every
 leaf's monomial in one vectorized step).  ``NumericGame.gradient`` is one
 fused pass: a forward sweep of running products gives the utilities, and a
-backward sweep of running suffixes gives every partial, so projected ascent
-values and differentiates its candidate points with one call per step.
+backward sweep of running suffixes gives every partial.  Projected ascent
+and the CDT gradient polish call it once per step, on their candidate
+points, and carry each point's value and gradient forward; ``kkt_gaps``
+reads the KKT residual from gradients a caller already holds.
 """
 
 from __future__ import annotations
@@ -104,6 +106,19 @@ def project_rows(index: FlatIndex, X: np.ndarray) -> np.ndarray:
     out = np.array(X, dtype=float, copy=True)
     for coords in index.rows_by_size:
         out[..., coords] = _project_simplex(out[..., coords])
+    return out
+
+
+def kkt_gaps(index: FlatIndex, X: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """(B,) max over infoset rows of the simplex-KKT gap at the points
+    ``X``: the row's best partial minus its worst on-support partial, read
+    from ``G``, which holds each row's partials in its own player's
+    utility.  One batched step per row size."""
+    out = np.zeros(X.shape[0])
+    for coords in index.rows_by_size:
+        v = G[:, coords]
+        vmin_supp = np.where(X[:, coords] > SUPP_TOL, v, np.inf).min(axis=-1)
+        out = np.maximum(out, (v.max(axis=-1) - vmin_supp).max(axis=-1))
     return out
 
 
@@ -322,17 +337,12 @@ class NumericGame:
     def kkt_residuals(self, X: np.ndarray) -> np.ndarray:
         """(B,) max over players and infosets of the simplex-KKT gap: best
         gradient entry minus the worst on-support gradient entry."""
-        B = X.shape[0]
-        out = np.zeros(B)
-        grads = {p: self.gradient(X, p)[1] for p in range(1, self.game.players + 1)}
-        for row in self.index.rows:
-            block = slice(row.offset, row.offset + row.size)
-            v = grads[row.player][:, block]
-            supp = X[:, block] > SUPP_TOL
-            vmax = v.max(axis=1)
-            vmin_supp = np.where(supp, v, np.inf).min(axis=1)
-            out = np.maximum(out, np.maximum(vmax - vmin_supp, 0.0))
-        return out
+        G = np.empty_like(X, dtype=float)
+        for player in range(1, self.game.players + 1):
+            block = self.index.block[player][1]
+            if block.start < block.stop:
+                G[:, block] = self.gradient(X, player)[1][:, block]
+        return kkt_gaps(self.index, X, G)
 
 
 def compositions(total: int, parts: int):

@@ -89,6 +89,7 @@ from .numeric import (
     NumericGame,
     Row,
     _project_simplex,
+    kkt_gaps,
     project_rows,
     simplex_grid,
 )
@@ -321,19 +322,18 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
     """Grid scan + multistart ascent for absentminded games."""
     num = game.numeric
     rng = cfg.rng()
-    seeds = [num.index.uniform()]
-    seeds.extend(_random_vertices(num.index, rng, min(cfg.multistart, 16)))
-    seeds.extend(_random_mixed(num.index, rng, cfg.multistart))
+    seeds = [num.index.uniform()[None],
+             _random_vertices(num.index, rng, min(cfg.multistart, 16)),
+             _random_mixed(num.index, rng, cfg.multistart)]
 
     grid_full, notes = False, ()
     if grid:
         grid_pts, grid_full = _grid_points(num.index, cfg, rng)
-        seeds.extend(grid_pts)
+        seeds.append(grid_pts)
         if not grid_full:
             notes = (_sampled_note("grid_cap", _GRID_CAP, len(grid_pts), "grid points"),)
 
-    X = np.array(seeds)
-    X = _ascent(num, X, player=1)
+    X = _ascent(num, np.concatenate(seeds), player=1)
     vals = num.utility(X, 1)
     order = np.argsort(-vals)
 
@@ -380,48 +380,61 @@ def _sampled_note(cap: str, value: int, count: int, what: str) -> str:
     return f"{cap}={value} exceeded: sampled {count} {what}"
 
 
-def _random_vertices(index: FlatIndex, rng, count: int) -> list[np.ndarray]:
-    out = []
-    for _ in range(count):
-        x = np.zeros(index.dim)
-        for row in index.rows:
-            x[row.offset + int(rng.integers(row.size))] = 1.0
-        out.append(x)
-    return out
+def _one_hot(index: FlatIndex, actions: np.ndarray) -> np.ndarray:
+    """(T, R) pure profiles from their (T, rows) action indices."""
+    X = np.zeros((len(actions), index.dim))
+    offsets = np.array([r.offset for r in index.rows], dtype=np.intp)
+    X[np.arange(len(actions))[:, None], offsets + actions] = 1.0
+    return X
 
 
-def _random_mixed(index: FlatIndex, rng, count: int) -> list[np.ndarray]:
-    out = []
-    for _ in range(count):
-        x = np.empty(index.dim)
-        for row in index.rows:
-            x[row.offset : row.offset + row.size] = rng.dirichlet(np.ones(row.size))
-        out.append(x)
-    return out
+def _random_vertices(index: FlatIndex, rng, count: int) -> np.ndarray:
+    """(count, R) uniformly random pure profiles, one draw per row in
+    flattened order."""
+    sizes = [r.size for r in index.rows]
+    return _one_hot(index, rng.integers(sizes, size=(count, len(sizes))))
 
 
-def _grid_points(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[list[np.ndarray], bool]:
+def _random_mixed(index: FlatIndex, rng, count: int) -> np.ndarray:
+    """(count, R) uniformly random mixed profiles, every row a flat
+    Dirichlet draw.  Per row, ``rng.dirichlet(ones)`` draws standard
+    exponentials and multiplies each by one over their sum, added left to
+    right; this draws every row at once and normalises the same way (a
+    ``cumsum`` adds in that order, a pairwise ``sum`` need not)."""
+    X = rng.standard_exponential((count, index.dim))
+    for coords in index.rows_by_size:
+        V = X[:, coords]
+        X[:, coords] = V * (1.0 / V.cumsum(axis=-1)[..., -1:])
+    return X
+
+
+def _grid_points(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[np.ndarray, bool]:
     """Full product simplex grid when affordable, else a seeded sample.
     The full grid lists its points in ``itertools.product`` order over the
     rows' grids."""
     m = cfg.grid_resolution
-    counts = [
-        math.comb(m + row.size - 1, row.size - 1) for row in index.rows
-    ]
+    sizes = np.array([row.size for row in index.rows], dtype=np.intp)
+    counts = [math.comb(m + size - 1, size - 1) for size in sizes]
     total = math.prod(counts) if counts else 1
     if total <= _GRID_CAP:
         combos = np.indices(counts).reshape(len(counts), total)
         pts = np.empty((total, index.dim))
         for row, i in zip(index.rows, combos):
             pts[:, row.offset : row.offset + row.size] = simplex_grid(row.size, m)[i]
-        return list(pts), True
-    pts = []
-    for _ in range(_GRID_SAMPLES):
-        x = np.empty(index.dim)
-        for row in index.rows:
-            comp = rng.multinomial(m, np.full(row.size, 1.0 / row.size))
-            x[row.offset : row.offset + row.size] = comp / m
-        pts.append(x)
+        return pts, True
+    # One multinomial draw per sample and row, in flattened order.  Each
+    # row's uniform probabilities end a zero-padded row of P: a part of
+    # probability zero draws no random number, so the draws are those of a
+    # multinomial over the row alone.
+    width = int(sizes.max())
+    P = np.zeros((len(sizes), width))
+    for j, size in enumerate(sizes):
+        P[j, width - size :] = 1.0 / size
+    comps = rng.multinomial(m, P, size=(_GRID_SAMPLES, len(sizes)))
+    pts = np.empty((_GRID_SAMPLES, index.dim))
+    for coords in index.rows_by_size:
+        size = coords.shape[1]
+        pts[:, coords] = comps[:, sizes == size, width - size :] / m
     return pts, False
 
 
@@ -961,17 +974,12 @@ def nash_check(game: Game, profile: StrategyProfile,
 # ---------------------------------------------------------------------------
 
 
-def _pure_seed_vectors(index: FlatIndex, rng) -> tuple[list[np.ndarray], bool]:
-    sizes = [r.size for r in index.rows]
-    total = math.prod(sizes) if sizes else 1
+def _pure_seed_vectors(index: FlatIndex, rng) -> tuple[np.ndarray, bool]:
+    """Every pure profile, in ``itertools.product`` order over the rows, or
+    a random sample of them above ``_ENUM_PURE_CAP``."""
+    total = math.prod(r.size for r in index.rows)
     if total <= _ENUM_PURE_CAP:
-        out = []
-        for combo in itertools.product(*[range(s) for s in sizes]):
-            x = np.zeros(index.dim)
-            for row, a in zip(index.rows, combo):
-                x[row.offset + a] = 1.0
-            out.append(x)
-        return out, True
+        return _one_hot(index, _pure_assignments(index, np.arange(total))), True
     return _random_vertices(index, rng, _ENUM_PURE_SAMPLES), False
 
 
@@ -999,18 +1007,37 @@ def _br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
 
 
 def _gradient_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
-    """Per-player projected gradient dynamics toward KKT points."""
+    """Per-player projected gradient dynamics toward KKT points.
+
+    Each seed carries every player's value and own-block partials, as
+    ``_ascent`` does, so a player-step makes one kernel call, on its
+    candidate points: an accepted seed takes the candidate's value and
+    partials and a rejected one keeps its own.  A move changes the other
+    players' values too, so theirs are recomputed for the seeds that
+    moved.  The settle test reads the KKT gap from the carried partials.
+    """
     X = project_rows(num.index, X)
     B = X.shape[0]
     players = range(1, num.game.players + 1)
+    movers = [p for p in players
+              if num.index.block[p][1].start < num.index.block[p][1].stop]
+    F = np.zeros((B, num.game.players))
+    G = np.zeros_like(X)
+
+    def carry(at, p):
+        F[at, p - 1], grad = num.gradient(X[at], p)
+        block = num.index.block[p][1]
+        G[at, block] = grad[:, block]
+
+    for p in movers:
+        carry(np.arange(B), p)
     step = {p: np.full(B, 0.25) for p in players}
     active = np.ones(B, dtype=bool)
     for _ in range(_POLISH_ITERS):
         idx = np.nonzero(active)[0]
         if len(idx) == 0:
             break
-        sub = X[idx]
-        settled = num.kkt_residuals(sub) < 1e-11
+        settled = kkt_gaps(num.index, X[idx], G[idx]) < 1e-11
         stuck = np.ones(len(idx), dtype=bool)
         for p in players:
             stuck &= step[p][idx] < 1e-12
@@ -1018,18 +1045,20 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
         idx = idx[~(settled | stuck)]
         if len(idx) == 0:
             continue
-        for p in players:
+        for p in movers:
             block = num.index.block[p][1]
-            if block.start == block.stop:
-                continue
-            A = X[idx]
-            f, G = num.gradient(A, p)
-            D = np.zeros_like(A)
-            D[:, block] = G[:, block]
-            Y = project_rows(num.index, A + step[p][idx, None] * D)
-            improved = num.utility(Y, p) > f + 1e-14
-            X[idx[improved]] = Y[improved]
-            step[p][idx[improved]] *= 1.2
+            Y = X[idx]
+            Y[:, block] += step[p][idx, None] * G[idx, block]
+            Y = project_rows(num.index, Y)
+            fY, GY = num.gradient(Y, p)
+            improved = fY > F[idx, p - 1] + 1e-14
+            moved = idx[improved]
+            X[moved], F[moved, p - 1] = Y[improved], fY[improved]
+            G[moved, block] = GY[improved][:, block]
+            for q in movers:
+                if q != p and len(moved):
+                    carry(moved, q)
+            step[p][moved] *= 1.2
             step[p][idx[~improved]] *= 0.5
     return X
 
@@ -1131,14 +1160,14 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     if not grid_full:
         notes.append(_sampled_note("grid_cap", _GRID_CAP, len(grid_seeds),
                                    "grid points"))
-    seeds = pure_seeds + grid_seeds + _random_mixed(num.index, rng, cfg.multistart)
-    seeds.append(num.index.uniform())
+    seeds = [pure_seeds, grid_seeds, _random_mixed(num.index, rng, cfg.multistart),
+             num.index.uniform()[None]]
     if game.players == 1:
         try:
-            seeds.append(num.index.vector(optimal_strategy(game, cfg).profile))
+            seeds.append(num.index.vector(optimal_strategy(game, cfg).profile)[None])
         except (ValueError, CapExceededError):
             pass
-    X = np.array(seeds)
+    X = np.concatenate(seeds)
 
     if family == "CDT":
         X = _gradient_polish(num, X)

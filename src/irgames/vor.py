@@ -375,7 +375,7 @@ def smoothness_check(
 
     pure, pure_full = _pure_seed_vectors(num.index, rng)
     samples = _random_mixed(num.index, rng, _SMOOTHNESS_SAMPLES)
-    X = np.array(pure + samples)
+    X = np.concatenate([pure, samples])
 
     lhs = np.zeros(len(X))
     for row in rows:

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from irgames.game import Game, Infoset, Node, make_game
+from irgames.numeric import SUPP_TOL, NumericGame
 from irgames.strategies import (
     BehavioralStrategy,
     StrategyProfile,
@@ -49,6 +51,20 @@ def finite_difference_gradient(game: Game, profile: StrategyProfile, player: int
         return float(expected_utility(game, prof, player))
 
     return (value(step) - value(-step)) / (2 * step)
+
+
+def per_row_kkt_residuals(num: NumericGame, X: np.ndarray) -> np.ndarray:
+    """The simplex-KKT residual row by row, each row's owner differentiated
+    afresh: the reference for the batched ``NumericGame.kkt_residuals``."""
+    out = np.zeros(X.shape[0])
+    grads = {p: num.gradient(X, p)[1] for p in range(1, num.game.players + 1)}
+    for row in num.index.rows:
+        block = slice(row.offset, row.offset + row.size)
+        v = grads[row.player][:, block]
+        supp = X[:, block] > SUPP_TOL
+        gap = v.max(axis=1) - np.where(supp, v, np.inf).min(axis=1)
+        out = np.maximum(out, np.maximum(gap, 0.0))
+    return out
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import single
+from conftest import per_row_kkt_residuals, single
 
 import irgames.solvers as solvers
 from irgames.generators import (
@@ -23,7 +23,7 @@ from irgames.generators import (
     gen_lenny,
     gen_random,
 )
-from irgames.numeric import simplex_grid
+from irgames.numeric import project_rows, simplex_grid
 from irgames.solvers import SolverConfig, best_worst, enumerate_equilibria
 from irgames.strategies import node_reach_map
 from irgames.vor import VOR_CONCEPTS, _refined, vor_compute
@@ -164,6 +164,106 @@ def test_full_grid_is_the_product_of_the_row_grids(make):
         want = product_grid(index, m)
         assert full and len(pts) == len(want)
         assert all(np.array_equal(a, b) for a, b in zip(pts, want))
+
+
+def per_draw_seeds(index, rng, count: int, m: int) -> tuple:
+    """Random vertices, flat Dirichlet profiles and sampled grid points of
+    resolution ``m``, one draw per sample and row in flattened order: the
+    reference for the array draws of ``_random_vertices``,
+    ``_random_mixed`` and ``_grid_points``."""
+    vertices = np.zeros((count, index.dim))
+    mixed = np.empty((count, index.dim))
+    grid = np.empty((count, index.dim))
+    for x in vertices:
+        for row in index.rows:
+            x[row.offset + int(rng.integers(row.size))] = 1.0
+    for x in mixed:
+        for row in index.rows:
+            x[row.offset : row.offset + row.size] = rng.dirichlet(np.ones(row.size))
+    for x in grid:
+        for row in index.rows:
+            comp = rng.multinomial(m, np.full(row.size, 1.0 / row.size))
+            x[row.offset : row.offset + row.size] = comp / m
+    return vertices, mixed, grid
+
+
+# bluff_game(1) has a three-action row before its two-action ones, so rows
+# drawn grouped by size leave the stream's order.
+@pytest.mark.parametrize("make", [
+    lambda: _refined(gen_fig2()), lambda: bluff_game(1),
+    lambda: gen_random(3, 3, 0.5, 0.0, False, 7, players=2),
+], ids=["refined fig2", "bluff", "two-player random"])
+def test_array_seeds_draw_the_per_draw_stream(monkeypatch, make):
+    index = make().numeric.index
+    monkeypatch.setattr(solvers, "_GRID_CAP", 1)
+    monkeypatch.setattr(solvers, "_GRID_SAMPLES", 12)
+    for seed in (0, 7):
+        cfg = SolverConfig(grid_resolution=4, seed=seed)
+        rng, ref = cfg.rng(), cfg.rng()
+        vertices = solvers._random_vertices(index, rng, 12)
+        mixed = solvers._random_mixed(index, rng, 12)
+        grid, full = solvers._grid_points(index, cfg, rng)
+        assert not full
+        for got, want in zip((vertices, mixed, grid), per_draw_seeds(index, ref, 12, 4)):
+            assert np.array_equal(got, want)
+        assert rng.random() == ref.random()
+
+
+def test_full_pure_seeds_are_the_product_of_the_row_vertices():
+    index = bluff_game(1).numeric.index
+    pure, full = solvers._pure_seed_vectors(index, None)
+    per_row = [np.eye(row.size) for row in index.rows]
+    want = [np.concatenate(combo) for combo in itertools.product(*per_row)]
+    assert full and np.array_equal(pure, want)
+
+
+def per_step_polish(num, X: np.ndarray) -> np.ndarray:
+    """The gradient polish differentiating every player afresh at every
+    step: the reference for the carried ``_gradient_polish``."""
+    X = project_rows(num.index, X)
+    B = X.shape[0]
+    players = range(1, num.game.players + 1)
+    step = {p: np.full(B, 0.25) for p in players}
+    active = np.ones(B, dtype=bool)
+    for _ in range(solvers._POLISH_ITERS):
+        idx = np.nonzero(active)[0]
+        if len(idx) == 0:
+            break
+        settled = per_row_kkt_residuals(num, X[idx]) < 1e-11
+        stuck = np.ones(len(idx), dtype=bool)
+        for p in players:
+            stuck &= step[p][idx] < 1e-12
+        active[idx[settled | stuck]] = False
+        idx = idx[~(settled | stuck)]
+        if len(idx) == 0:
+            continue
+        for p in players:
+            block = num.index.block[p][1]
+            if block.start == block.stop:
+                continue
+            A = X[idx]
+            f, G = num.gradient(A, p)
+            D = np.zeros_like(A)
+            D[:, block] = G[:, block]
+            Y = project_rows(num.index, A + step[p][idx, None] * D)
+            improved = num.utility(Y, p) > f + 1e-14
+            X[idx[improved]] = Y[improved]
+            step[p][idx[improved]] *= 1.2
+            step[p][idx[~improved]] *= 0.5
+    return X
+
+
+@pytest.mark.parametrize("make", [
+    PAPER_GAMES["fig1"], PAPER_GAMES["dory2"], lambda: _refined(gen_lenny(6)),
+], ids=["fig1", "dory2", "refined lenny6"])
+def test_carried_polish_takes_the_per_step_iterates(make):
+    num = make().numeric
+    rng = np.random.default_rng(0)
+    pure, _ = solvers._pure_seed_vectors(num.index, rng)
+    X = np.concatenate([pure[:64], solvers._random_mixed(num.index, rng, 16),
+                        num.index.uniform()[None]])
+    got = solvers._gradient_polish(num, X)
+    assert np.allclose(got, per_step_polish(num, X), rtol=0, atol=1e-12)
 
 
 def test_class_representatives_differ_in_some_node_reach():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import finite_difference_gradient
+from conftest import finite_difference_gradient, per_row_kkt_residuals
 
 from irgames.game import Infoset, Node, has_absentmindedness, make_game
 from irgames.generators import gen_lenny, gen_random
@@ -178,6 +178,39 @@ def test_project_rows_matches_per_row_projection(seed, rows):
         block = slice(row.offset, row.offset + row.size)
         want[:, block] = _project_simplex(X[:, block])
     assert np.array_equal(project_rows(index, X), want)
+
+
+def two_player_mixed_rows_game():
+    """Player 1 picks one of three actions; player 2 then picks one of two
+    or one of three, and player 1 once more one of two."""
+    nodes = [Node("r", 1, ("a", "b", "c"), ("s", "t", "m")),
+             Node("s", 2, ("x", "y"), ("zsx", "zsy")),
+             Node("t", 2, ("x", "y", "w"), ("ztx", "zty", "ztw")),
+             Node("m", 1, ("u", "v"), ("zmu", "zmv"))]
+    pays = {"zsx": (3, 0), "zsy": (0, 2), "ztx": (1, 1), "zty": (2, 0),
+            "ztw": (0, 3), "zmu": (2, 2), "zmv": (1, 0)}
+    nodes += [Node(z, "terminal") for z in pays]
+    utilities = {z: tuple(map(Fraction, u)) for z, u in pays.items()}
+    infosets = [Infoset("R", 1, ("r",), ("a", "b", "c")),
+                Infoset("M", 1, ("m",), ("u", "v")),
+                Infoset("S", 2, ("s",), ("x", "y")),
+                Infoset("T", 2, ("t",), ("x", "y", "w"))]
+    return make_game(2, "r", nodes, utilities, infosets, name="two-player-mixed-rows")
+
+
+@PROPERTY
+@given(seed=st.integers(0, 10_000))
+def test_kkt_residuals_match_the_per_row_gaps(seed):
+    num = NumericGame(two_player_mixed_rows_game())
+    assert sorted((r.player, r.size) for r in num.index.rows) == [
+        (1, 2), (1, 3), (2, 2), (2, 3)]
+    # Mixed points, and the same points with entries cut off the support.
+    rng = np.random.default_rng(seed)
+    X = project_rows(num.index, rng.random((6, num.index.dim)))
+    cut = X.copy()
+    cut[rng.random(cut.shape) < 0.4] = 0.0
+    X = np.concatenate([X, cut])
+    assert np.array_equal(num.kkt_residuals(X), per_row_kkt_residuals(num, X))
 
 
 @PROPERTY

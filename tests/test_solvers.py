@@ -576,8 +576,8 @@ def test_batched_mixed_polish_equals_the_per_seed_polish(game):
     num = game.numeric
     rng = np.random.default_rng(0)
     pure, _ = solvers._pure_seed_vectors(num.index, rng)
-    X = np.array(pure + solvers._random_mixed(num.index, rng, 6)
-                 + [num.index.uniform()])
+    X = np.concatenate([pure, solvers._random_mixed(num.index, rng, 6),
+                        num.index.uniform()[None]])
     got = solvers._mixed_br_polish(num, X)
     one_by_one = np.vstack([solvers._mixed_br_polish(num, X[i : i + 1])
                             for i in range(len(X))])
