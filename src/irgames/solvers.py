@@ -28,19 +28,21 @@ Computation policy, in one place:
   for best/worst selection, which walks the classes from the requested
   end of Player 1's utility order and stops at the first that passes.
   Flags on every report say how much certainty was earned;
-* every solver reads the game's one compiled float table, ``Game.numeric``.
-  The Nash-refinement filters check each player in place on it: the other
-  players' rows stay fixed, each witness overwrites the player's unreached
-  rows, one batch holds the whole mixing schedule, and reach, visit
-  frequency and the CDT and EDT gains are read from its kernels: an EDT
-  gain from the gradient on rows without absentmindedness, and from the
-  maximum of the row polynomial on absentminded rows;
+* every solver and every EDT and KKT check reads the game's one compiled
+  float table, ``Game.numeric``, through the batched residual kernels
+  (``_edt_residuals``, ``numeric.kkt_gaps``); only ``best_deviation``
+  keeps an exact vertex scan.  The Nash-refinement filters check each
+  player in place on it: the other players' rows stay fixed, each witness
+  overwrites the player's unreached rows, one batch holds the whole mixing
+  schedule, and reach, visit frequency and the CDT and EDT gains are read
+  from its kernels: an EDT gain from the gradient on rows without
+  absentmindedness, and from the maximum of the row polynomial on
+  absentminded rows;
 * one maximiser of a row polynomial over the simplex, ``_max_row``
   (bracketed Newton for two actions, a scale-free projected ascent for
   three or more), serves the batched EDT gains, the mixed best-response
-  polish, which moves every stalled seed in one batch, and the scalar
-  ``best_deviation``/``edt_check``, which add an exact vertex scan and
-  read the float maximum on a batch of one;
+  polish, which moves every stalled seed in one batch, and, on a batch of
+  one, ``best_deviation``;
 * the parts of the verification policy with one value in use are module
   constants, not options: the ascent and polish iteration caps
   (``_ASCENT_ITERS``, ``_POLISH_ITERS``), the rationality schedule and its
@@ -498,20 +500,11 @@ def best_deviation(game: Game, profile: StrategyProfile, player: int,
     infoset).  An exact vertex scan; on an absentminded infoset, the float
     maximum of the row polynomial (:func:`_max_row`) where it beats the
     best vertex."""
-    base = expected_utility(game, profile, player)
-    return _best_deviation(game, profile, player, infoset_id, base)
-
-
-def _best_deviation(game: Game, profile: StrategyProfile, player: int,
-                    infoset_id: str, base: Num
-                    ) -> tuple[Union[Num, float], tuple]:
-    """:func:`best_deviation` given ``base``, the player's utility under
-    ``profile``."""
     # U(sigma) = const + sum_k c_k prod_a sigma_a ** e_k[a]: ``const`` is
-    # what the leaves that do not visit the infoset contribute to ``base``.
+    # what the leaves that do not visit the infoset contribute.
     terms = infoset_terms(game, profile, player, infoset_id)
     row = profile[player].row(infoset_id)
-    const = base
+    const = expected_utility(game, profile, player)
     for c, exps in terms:
         for q, e in zip(row, exps):
             c = c * q ** e
@@ -729,21 +722,21 @@ def _max_row_ascent(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def edt_incentive(game: Game, profile: StrategyProfile, player: int,
                   infoset_id: str) -> float:
     """Best gain from replacing the whole randomized action at one infoset
-    (applied at every visit), holding everything else fixed."""
-    base = expected_utility(game, profile, player)
-    val, _ = _best_deviation(game, profile, player, infoset_id, base)
-    return float(val) - float(base)
+    (applied at every visit), holding everything else fixed: the row's
+    gain in :func:`_edt_gains`."""
+    num = game.numeric
+    rows = num.index.block[player][0]
+    j = num.index.rows.index(num.index.row_of[(player, infoset_id)]) - rows.start
+    live = np.arange(rows.stop - rows.start)[None] == j
+    x = num.index.vector(profile)[None]
+    return float(_edt_gains(num, x, player, live)[0, j])
 
 
 def edt_check(game: Game, profile: StrategyProfile,
               cfg: Optional[SolverConfig] = None) -> tuple[bool, float]:
     """No single-infoset deviation may gain more than ``cfg.eps_eq``."""
-    residual = 0.0
-    for player in range(1, game.players + 1):
-        base = expected_utility(game, profile, player)
-        for iid in game.infosets.get(player, {}):
-            val, _ = _best_deviation(game, profile, player, iid, base)
-            residual = max(residual, float(val) - float(base))
+    num = game.numeric
+    residual = float(_edt_residuals(num, num.index.vector(profile)[None])[0])
     return residual <= _cfg(cfg).eps_eq, residual
 
 
@@ -763,26 +756,22 @@ def kkt_check(game: Game, profile: StrategyProfile, player: int,
               cfg: Optional[SolverConfig] = None) -> tuple[bool, float]:
     """Stationarity over the product of simplices: at every infoset the
     largest gradient entry must be attained on the support, up to
-    ``cfg.eps_eq``."""
-    residual = 0.0
-    for iid in game.infosets.get(player, {}):
-        v = [float(g) for g in infoset_gradient(game, profile, player, iid)]
-        row = profile[player].row(iid)
-        supp = [float(p) > SUPP_TOL for p in row]
-        if not any(supp):
-            supp = [True] * len(v)
-        gap = max(v) - min(x for x, s in zip(v, supp) if s)
-        residual = max(residual, gap, 0.0)
+    ``cfg.eps_eq``.  Read by ``kkt_gaps`` from the player's partials; the
+    other players' rows get zero partials, so gap zero."""
+    num = game.numeric
+    x = num.index.vector(profile)[None]
+    block = num.index.block[player][1]
+    G = np.zeros_like(x)
+    G[:, block] = num.gradient(x, player)[1][:, block]
+    residual = float(kkt_gaps(num.index, x, G)[0])
     return residual <= _cfg(cfg).eps_eq, residual
 
 
 def kkt_check_profile(game: Game, profile: StrategyProfile,
                       cfg: Optional[SolverConfig] = None) -> tuple[bool, float]:
     """:func:`kkt_check` for every player."""
-    residual = max(
-        (kkt_check(game, profile, p, cfg)[1] for p in range(1, game.players + 1)),
-        default=0.0,
-    )
+    num = game.numeric
+    residual = float(num.kkt_residuals(num.index.vector(profile)[None])[0])
     return residual <= _cfg(cfg).eps_eq, residual
 
 
@@ -1006,15 +995,19 @@ def _br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _gradient_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
-    """Per-player projected gradient dynamics toward KKT points.
+def _gradient_polish(num: NumericGame, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-player projected gradient dynamics toward KKT points: the
+    polished seeds and their (B,) KKT residuals.
 
     Each seed carries every player's value and own-block partials, as
     ``_ascent`` does, so a player-step makes one kernel call, on its
     candidate points: an accepted seed takes the candidate's value and
     partials and a rejected one keeps its own.  A move changes the other
     players' values too, so theirs are recomputed for the seeds that
-    moved.  The settle test reads the KKT gap from the carried partials.
+    moved.  The settle test and the residuals read the KKT gap from the
+    carried partials.  The step grows by 1.2 per accepted move, up to 1e6:
+    uncapped, it outgrew the projection's rounding and seeds left the
+    simplex.
     """
     X = project_rows(num.index, X)
     B = X.shape[0]
@@ -1058,9 +1051,9 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
             for q in movers:
                 if q != p and len(moved):
                     carry(moved, q)
-            step[p][moved] *= 1.2
+            step[p][moved] = np.minimum(1.2 * step[p][moved], 1e6)
             step[p][idx[~improved]] *= 0.5
-    return X
+    return X, kkt_gaps(num.index, X, G)
 
 
 def _mixed_br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
@@ -1111,10 +1104,9 @@ class _Classes:
     notes: tuple[str, ...]
 
 
-def _residuals_for(game: Game, num: NumericGame, X: np.ndarray, family: str,
+def _residuals_for(game: Game, num: NumericGame, X: np.ndarray,
                    cfg: SolverConfig) -> np.ndarray:
-    if family == "CDT":
-        return num.kkt_residuals(X)
+    """EDT residuals of polished seeds (the CDT polish returns its own)."""
     res = num.edt_pure_residuals(X)
     if any(game.absentminded.values()):
         # Pure deviations underestimate mixed ones; redo the survivors with
@@ -1170,15 +1162,15 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     X = np.concatenate(seeds)
 
     if family == "CDT":
-        X = _gradient_polish(num, X)
+        X, res = _gradient_polish(num, X)
     else:
         X = _br_polish(num, X)
         if game.players == 1 and has_absentmindedness(game, 1):
-            res = _residuals_for(game, num, X, family, cfg)
+            res = _residuals_for(game, num, X, cfg)
             stalled = np.nonzero(res > cfg.eps_eq)[0][: 2 * _GRID_SAMPLES]
             X[stalled] = _mixed_br_polish(num, X[stalled])
+        res = _residuals_for(game, num, X, cfg)
 
-    res = _residuals_for(game, num, X, family, cfg)
     keep = np.nonzero(res <= cfg.eps_eq)[0]
     if len(keep):
         # Drop candidates that polished to numerically identical vectors.

@@ -5,6 +5,7 @@ requested end of Player 1's utility order.  Optimal play, which seeds the
 single-player enumerations, is likewise solved once per game and config."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from irgames.generators import (
 )
 from irgames.numeric import project_rows, simplex_grid
 from irgames.solvers import SolverConfig, best_worst, enumerate_equilibria
-from irgames.strategies import node_reach_map
+from irgames.strategies import node_reach_map, validate_profile
 from irgames.vor import VOR_CONCEPTS, _refined, vor_compute
 
 from test_rationality import LEAN, NOTE, bluff_game, lean
@@ -262,8 +263,23 @@ def test_carried_polish_takes_the_per_step_iterates(make):
     pure, _ = solvers._pure_seed_vectors(num.index, rng)
     X = np.concatenate([pure[:64], solvers._random_mixed(num.index, rng, 16),
                         num.index.uniform()[None]])
-    got = solvers._gradient_polish(num, X)
+    got, _ = solvers._gradient_polish(num, X)
     assert np.allclose(got, per_step_polish(num, X), rtol=0, atol=1e-12)
+
+
+def test_gradient_polish_keeps_every_seed_on_the_simplex():
+    # An uncapped step grew until the projection lost rows to rounding:
+    # seeds ran off the simplex to entries of 8.6e124, and the best CDT
+    # class had utilities (inf, inf) with residual 0.
+    game = gen_random(3, 3, 0.5, 0.0, False, 13, players=2)
+    top = [max(u[p] for u in game.utilities.values()) for p in range(game.players)]
+    with np.errstate(over="raise", invalid="raise"):
+        reports = [best_worst(game, "CDT", which) for which in ("best", "worst")]
+    for report in reports:
+        assert validate_profile(game, report.profile) == []
+        for u, most in zip(report.utilities, top):
+            assert math.isfinite(u) and u <= most
+    assert [r.utilities for r in reports] == [(10, 7), (3, 4)]
 
 
 def test_class_representatives_differ_in_some_node_reach():

@@ -14,13 +14,20 @@ from conftest import finite_difference_gradient, per_row_kkt_residuals
 
 from irgames.game import Infoset, Node, has_absentmindedness, make_game
 from irgames.generators import gen_lenny, gen_random
-from irgames.numeric import NumericGame, _project_simplex, project_rows
-from irgames.solvers import best_deviation, edt_check
+from irgames.numeric import SUPP_TOL, NumericGame, _project_simplex, project_rows
+from irgames.solvers import (
+    best_deviation,
+    edt_check,
+    edt_incentive,
+    kkt_check,
+    kkt_check_profile,
+)
 from irgames.strategies import (
     BehavioralStrategy,
     StrategyProfile,
     deviate,
     expected_utility,
+    infoset_gradient,
     infoset_terms,
     uniform_profile,
     utility_gradient,
@@ -154,6 +161,59 @@ def test_fused_gradient_matches_exact_utility_and_gradient(game, seed):
                     exact = utility_gradient(game, prof, p, row.infoset_id, a)
                     assert grads[b, row.offset + a] == pytest.approx(
                         float(exact), rel=1e-9, abs=0)
+
+
+def exact_edt_gains(game, profile) -> dict:
+    """{(player, infoset): (gain, tolerance)} by the exact vertex scan of
+    ``best_deviation``, one infoset at a time; the tolerance is 1e-9 times
+    |value| + |base|."""
+    out = {}
+    for p in range(1, game.players + 1):
+        base = expected_utility(game, profile, p)
+        for iid in game.infosets.get(p, {}):
+            value, _ = best_deviation(game, profile, p, iid)
+            out[p, iid] = (float(value) - float(base),
+                           1e-9 * (abs(float(value)) + abs(float(base))))
+    return out
+
+
+def exact_kkt_gaps(game, profile, player) -> list:
+    """(gap, tolerance) of every infoset of the player from the exact
+    ``infoset_gradient``, one infoset at a time; the tolerance is 1e-9
+    times the row's largest |partial|."""
+    out = []
+    for iid in game.infosets.get(player, {}):
+        v = [float(g) for g in infoset_gradient(game, profile, player, iid)]
+        supp = [float(q) > SUPP_TOL for q in profile[player].row(iid)]
+        gap = max(v) - min(g for g, s in zip(v, supp) if s)
+        out.append((max(gap, 0.0), 1e-9 * max(abs(g) for g in v)))
+    return out
+
+
+def worst(entries) -> tuple[float, float]:
+    """The largest value, clamped at 0, and the largest tolerance."""
+    return max([0.0, *(v for v, _ in entries)]), max([0.0, *(t for _, t in entries)])
+
+
+@PROPERTY
+@given(game=games, seed=st.integers(0, 10_000), pure=st.booleans())
+def test_public_checks_match_the_exact_per_infoset_walks(game, seed, pure):
+    profile = pure_profile(game, seed) if pure else random_profile(game, seed, exact=True)
+    gains = exact_edt_gains(game, profile)
+    for (p, iid), (gain, tol) in gains.items():
+        assert abs(edt_incentive(game, profile, p, iid) - gain) <= tol
+    want, tol = worst(gains.values())
+    assert abs(edt_check(game, profile)[1] - want) <= tol
+    with pytest.raises(KeyError):
+        edt_incentive(game, profile, 1, "not an infoset")
+
+    per_player = []
+    for p in range(1, game.players + 1):
+        want, tol = worst(exact_kkt_gaps(game, profile, p))
+        assert abs(kkt_check(game, profile, p)[1] - want) <= tol
+        per_player.append((want, tol))
+    want, tol = worst(per_player)
+    assert abs(kkt_check_profile(game, profile)[1] - want) <= tol
 
 
 def mixed_rows_game():

@@ -127,6 +127,18 @@ def test_perfect_recall_dp_is_fast_on_a_deep_chain():
 # -- incentives and equilibrium checks --------------------------------------
 
 
+def test_checks_read_the_compiled_table_fast():
+    # The benchmark's r7 (841 nodes): an exact walk per infoset took over
+    # 0.06 s per check; the batched kernels take about a millisecond.
+    g = gen_random(7, 3, 0.6, 0.2, False, seed=1)
+    profile = uniform_profile(g)
+    g.numeric
+    for check in (lambda: edt_check(g, profile), lambda: kkt_check(g, profile, 1)):
+        start = time.perf_counter()
+        check()
+        assert time.perf_counter() - start < 0.05
+
+
 def test_edt_incentive_at_optimum_is_nonpositive():
     g = gen_fig2()
     prof = single({"I": (Fraction(1, 3), Fraction(2, 3))})
