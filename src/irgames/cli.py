@@ -5,7 +5,10 @@ numeric output is printed with 12 significant digits, plus the exact
 rational in parentheses when one is available.
 
 Exit codes: 0 success, 1 domain errors (no equilibrium, caps, invalid
-game), 2 usage or parse errors.
+game) and a standard output closed by its reader (``irgames ... | head``,
+without a traceback), 2 usage or parse errors, among them solver flags out
+of range (a grid resolution below 1, a negative multistart or seed, an
+``--eps-eq`` that is negative or not finite).
 
 Each command imports the modules it uses inside its function, so a process
 loads only what its command needs.  ``validate``, ``refine`` and
@@ -21,6 +24,7 @@ when they run.  The parser reads its defaults from the numpy-free
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -78,17 +82,37 @@ def _config_from(args) -> SolverConfig:
     )
 
 
+def _checked(convert, ok, need: str):
+    """An argparse ``type``: ``convert`` the text, then require ``ok`` of
+    the value, so a bad flag is a usage error, not a solver failure."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return value
+    return parse
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     defaults = SolverConfig()
-    p.add_argument("--grid-resolution", type=int, default=defaults.grid_resolution,
+    p.add_argument("--grid-resolution", type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
+                   default=defaults.grid_resolution,
                    help="mixed-seed grid resolution (delta = 1/this)")
-    p.add_argument("--multistart", type=int, default=defaults.multistart,
+    p.add_argument("--multistart", type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+                   default=defaults.multistart,
                    help="random restarts for local search")
-    p.add_argument("--eps-eq", type=float, default=defaults.eps_eq,
+    p.add_argument("--eps-eq",
+                   type=_checked(float, lambda v: math.isfinite(v) and v >= 0,
+                                 "a finite number >= 0"),
+                   default=defaults.eps_eq,
                    help="equilibrium residual tolerance")
     # argparse converts a string default with ``type``, so a bad
     # IRGAMES_SEED is a usage error of the commands that take --seed.
-    p.add_argument("--seed", type=int,
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
                    default=os.environ.get("IRGAMES_SEED", defaults.seed),
                    help="solver RNG seed (env IRGAMES_SEED overrides the default)")
 
@@ -468,7 +492,15 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``irgames ... | head``).  Point stdout
+        # at devnull, so that the flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

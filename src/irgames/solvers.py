@@ -9,8 +9,11 @@ equilibrium enumeration with best/worst selection.
 Computation policy, in one place:
 
 * games without absentmindedness admit pure optima, so optimal play is
-  found by exhaustive pure enumeration (exact, vectorized), or by infoset
-  DP when the player has perfect recall;
+  found by infoset DP when the player has perfect recall, and otherwise
+  by exhaustive pure enumeration: every pure value at once, as one matrix
+  product of a front and a back half-table of the compiled leaf table
+  (each half's pure assignments against the leaves), then an exact
+  re-evaluation of the near-optimal strategies;
 * with absentmindedness the utility is a polynomial over a product of
   simplices, so optimal play falls back to a seeded grid scan plus
   multistart projected gradient ascent, then snaps near-rational optima to
@@ -256,22 +259,29 @@ def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
     return value(game.root), strategy
 
 
-# Pure strategies decoded, masked and valued at a time by the exhaustive
-# scan, so it holds (block, leaves) arrays, never a (strategies, leaves) mask.
+# Slab members whose reached-leaf masks are built at a time, so the exact
+# re-evaluation holds (block, leaves) arrays, never a (slab, leaves) mask.
 _PURE_BLOCK = 4096
 
 
 def _pure_enumeration_opt(game: Game) -> tuple[Num, BehavioralStrategy]:
-    """Exhaustive exact maximum over pure strategies: a vectorized scan in
-    blocks of strategy indices, then exact re-evaluation of the near-optimal
-    slab."""
+    """Exhaustive exact maximum over pure strategies.
+
+    The rows, in flattened order, are cut into a front and a back part
+    (``_front_rows``), so the ``itertools.product`` index of a strategy is
+    ``i_front * n_back + i_back``.  A leaf is reached iff both halves take
+    its entries' actions, so every pure value, in index order, is one
+    product of the front's (T_front, Z) leaf weights and the back's
+    (T_back, Z) reach mask.  The near-optimal slab is then re-evaluated
+    exactly.  A leaf whose chance coefficient is 0 is left out of the
+    reach masks; it carries no value, so the answer does not change.
+    """
     num = game.numeric
-    total = math.prod(r.size for r in num.index.rows)
-    w = num.coef * num.utils[:, 0]
-    values = np.concatenate([
-        _reached_leaves(num, np.arange(lo, min(lo + _PURE_BLOCK, total))) @ w
-        for lo in range(0, total, _PURE_BLOCK)
-    ])
+    rows = num.index.rows
+    k = _front_rows([r.size for r in rows])
+    front = _part_table(num, rows[:k])
+    back = _part_table(num, rows[k:]) > 0
+    values = ((front * num.utils[:, 0]) @ back.T).ravel()
     best = values.max()
     slab = np.nonzero(values >= best - 1e-9 - 1e-9 * abs(best))[0]
 
@@ -279,19 +289,40 @@ def _pure_enumeration_opt(game: Game) -> tuple[Num, BehavioralStrategy]:
     # so each reached set is valued once, at its first index.  Indices are
     # in lexicographic order: the first exact maximum wins ties.
     first: dict[bytes, int] = {}
+    front_reach = front > 0
     for lo in range(0, len(slab), _PURE_BLOCK):
         ids = slab[lo : lo + _PURE_BLOCK]
-        for i, mask in zip(ids, _reached_leaves(num, ids)):
+        masks = front_reach[ids // len(back)] & back[ids % len(back)]
+        for i, mask in zip(ids, masks):
             first.setdefault(mask.tobytes(), i)
     best_val, best = None, None
     for i in first.values():
         actions = _pure_assignments(num.index, [i])[0]
-        choice = {r.infoset_id: int(a) for r, a in zip(num.index.rows, actions)}
+        choice = {r.infoset_id: int(a) for r, a in zip(rows, actions)}
         strategy = pure_strategy(game, 1, choice)
         v = expected_utility(game, profile_from(strategy), 1)
         if best_val is None or v > best_val:
             best_val, best = v, strategy
     return best_val, best
+
+
+def _front_rows(sizes: Sequence[int]) -> int:
+    """The number of leading rows in the front part: the cut that keeps
+    the larger part's strategy count smallest."""
+    return min(range(len(sizes) + 1),
+               key=lambda k: max(math.prod(sizes[:k]), math.prod(sizes[k:])))
+
+
+def _part_table(num: NumericGame, rows: Sequence[Row]) -> np.ndarray:
+    """(T, Z) leaf weights of the T pure assignments of ``rows``, in
+    ``itertools.product`` order, with every other coordinate at 1.  Since
+    1^n = 1 and 0^n = 0, a leaf keeps its chance coefficient iff each of its
+    entries on these rows takes the assignment's action, and is 0 else."""
+    X = np.ones((1, num.index.dim))
+    for r in rows:
+        X = np.repeat(X, r.size, axis=0)
+        X[:, r.offset : r.offset + r.size] = np.tile(np.eye(r.size), (len(X) // r.size, 1))
+    return num.leaf_probs(X)
 
 
 def _pure_assignments(index: FlatIndex, ids) -> np.ndarray:
@@ -301,23 +332,6 @@ def _pure_assignments(index: FlatIndex, ids) -> np.ndarray:
     if not sizes:
         return np.zeros((len(ids), 0), dtype=np.intp)
     return np.stack(np.unravel_index(ids, sizes), axis=1)
-
-
-def _reached_leaves(num: NumericGame, ids) -> np.ndarray:
-    """(T, Z) mask of the leaves the pure strategies with the given indices
-    reach: those whose every entry takes the strategy's action."""
-    assign = _pure_assignments(num.index, ids)
-    coord_row = np.empty(num.index.dim, dtype=np.intp)
-    coord_act = np.empty(num.index.dim, dtype=np.intp)
-    for j, r in enumerate(num.index.rows):
-        coord_row[r.offset : r.offset + r.size] = j
-        coord_act[r.offset : r.offset + r.size] = np.arange(r.size)
-    taken = assign[:, coord_row[num.ent_coord]] == coord_act[num.ent_coord]
-    reached = np.ones((len(assign), num.n_leaves), dtype=bool)
-    leaves, starts = np.unique(num.ent_leaf, return_index=True)
-    if len(leaves):
-        reached[:, leaves] = np.logical_and.reduceat(taken, starts, axis=1)
-    return reached
 
 
 def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers for the test suite."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,23 @@ def finite_difference_gradient(game: Game, profile: StrategyProfile, player: int
         return float(expected_utility(game, prof, player))
 
     return (value(step) - value(-step)) / (2 * step)
+
+
+def random_profile(game: Game, seed: int, exact: bool) -> StrategyProfile:
+    """Every player's rows drawn with weights 1-9 from ``seed``: exact
+    fractions or floats."""
+    rng = random.Random(seed)
+    strategies = []
+    for p in range(1, game.players + 1):
+        table = {}
+        for iid, iset in game.infosets.get(p, {}).items():
+            weights = [rng.randint(1, 9) for _ in iset.actions]
+            total = sum(weights)
+            table[iid] = tuple(
+                Fraction(w, total) if exact else w / total for w in weights
+            )
+        strategies.append(BehavioralStrategy(p, table))
+    return StrategyProfile(tuple(strategies))
 
 
 def per_row_kkt_residuals(num: NumericGame, X: np.ndarray) -> np.ndarray:

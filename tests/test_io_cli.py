@@ -269,6 +269,40 @@ def test_cli_bad_env_seed_is_a_usage_error(tmp_path):
     assert (validate.returncode, validate.stdout, validate.stderr) == (0, "ok\n", "")
 
 
+@pytest.mark.parametrize("flags, env, message", [
+    (["--grid-resolution", "0"], None, "argument --grid-resolution: need an integer >= 1, got '0'"),
+    (["--multistart", "-1"], None, "argument --multistart: need an integer >= 0, got '-1'"),
+    (["--eps-eq", "-1"], None, "argument --eps-eq: need a finite number >= 0, got '-1'"),
+    (["--eps-eq", "nan"], None, "argument --eps-eq: need a finite number >= 0, got 'nan'"),
+    (["--seed", "-5"], None, "argument --seed: need an integer >= 0, got '-5'"),
+    ([], "-1", "argument --seed: need an integer >= 0, got '-1'"),
+], ids=["grid-resolution", "multistart", "eps-eq", "eps-eq-nan", "seed", "env-seed"])
+def test_cli_bad_solver_flags_are_usage_errors(tmp_path, capsys, monkeypatch, flags, env, message):
+    # Each once ended in a traceback, a numpy error (exit 1) or, for nan,
+    # a solve reported as passed.
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+    if env is not None:
+        monkeypatch.setenv("IRGAMES_SEED", env)
+    assert run(["solve", str(game), "--concept", "edt", *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    game = tmp_path / "lenny300.json"
+    write_game(gen_lenny(300), str(game))  # about 200 kB of coefficients
+    env = dict(os.environ, PYTHONPATH=str(Path(irgames.__file__).resolve().parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "irgames.cli", "coeffs", str(game)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"am ")
+    proc.stdout.close()  # as `| head -1` does
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_cli_help_shows_the_solver_config_defaults(capsys):
     defaults = SolverConfig()
     assert (defaults.grid_resolution, defaults.multistart, defaults.eps_eq) == (64, 32, 1e-06)

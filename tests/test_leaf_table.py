@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import finite_difference_gradient, per_row_kkt_residuals
+from conftest import finite_difference_gradient, per_row_kkt_residuals, random_profile
 
 from irgames.game import Infoset, Node, has_absentmindedness, make_game
 from irgames.generators import gen_lenny, gen_random
@@ -48,21 +48,6 @@ games = st.builds(
     players=st.sampled_from([1, 2]),
     seed=st.integers(0, 10_000),
 )
-
-
-def random_profile(game, seed: int, exact: bool) -> StrategyProfile:
-    rng = random.Random(seed)
-    strategies = []
-    for p in range(1, game.players + 1):
-        table = {}
-        for iid, iset in game.infosets.get(p, {}).items():
-            weights = [rng.randint(1, 9) for _ in iset.actions]
-            total = sum(weights)
-            table[iid] = tuple(
-                Fraction(w, total) if exact else w / total for w in weights
-            )
-        strategies.append(BehavioralStrategy(p, table))
-    return StrategyProfile(tuple(strategies))
 
 
 def terms_value(terms, sigma):

@@ -5,6 +5,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import random_profile
 
 from irgames.game import has_absentmindedness, obs_i, validate_game
 from irgames.generators import gen_fig1, gen_fig2, gen_fig3, gen_lenny, gen_random
@@ -20,6 +23,27 @@ from irgames.recall import (
     refines,
 )
 from irgames.solvers import optimal_strategy
+from irgames.strategies import expected_utility, lift_strategy
+
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+
+# Small gen_random games: absentminded or not, one or two players.
+games = st.builds(
+    lambda depth, branching, merge, chance, am, players, seed: gen_random(
+        depth, branching, merge, chance, am, seed, players=players),
+    depth=st.integers(2, 4),
+    branching=st.integers(2, 3),
+    merge=st.sampled_from([0.5, 0.9]),
+    chance=st.sampled_from([0.0, 0.3]),
+    am=st.booleans(),
+    players=st.sampled_from([1, 2]),
+    seed=st.integers(0, 10_000),
+)
+
+
+def partitions(game):
+    return {p: {frozenset(i.nodes) for i in isets.values()}
+            for p, isets in game.infosets.items()}
 
 
 def test_refines_is_reflexive():
@@ -122,6 +146,27 @@ def test_pr_is_idempotent_on_partitions():
         part1 = {frozenset(i.nodes) for i in pr.infosets[1].values()}
         part2 = {frozenset(i.nodes) for i in pr2.infosets[1].values()}
         assert part1 == part2
+
+
+@PROPERTY
+@given(game=games, player=st.sampled_from([1, 2]), seed=st.integers(0, 10_000))
+def test_lifting_along_the_refinement_keeps_every_utility(game, player, seed):
+    player = min(player, game.players)
+    refined, plan = perfect_recall_refinement(game, player)
+    profile = random_profile(game, seed, exact=True)
+    lifted = lift_strategy(game, refined, plan, profile)
+    for p in range(1, game.players + 1):
+        assert expected_utility(refined, lifted, p) == expected_utility(game, profile, p)
+
+
+@PROPERTY
+@given(game=games)
+def test_refinement_is_idempotent_and_coarsest(game):
+    refined, _ = perfect_recall_refinement(game, 1)
+    again, plan = perfect_recall_refinement(refined, 1)
+    assert partitions(again) == partitions(refined)
+    assert all(fine == (coarse,) for coarse, fine in plan.mapping.items())
+    assert check_coarsest(game, 1, refined)
 
 
 def test_all_player_refinement_on_fig1_touches_only_player1():

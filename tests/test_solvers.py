@@ -1,11 +1,14 @@
 """Solution concepts: optimal strategies, equilibrium checks, rationality
 refinements, best-response verification, and enumeration."""
 
+import itertools
+import math
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import single, strat
 
@@ -27,6 +30,7 @@ from irgames.strategies import (
     expected_utility,
     fix_opponents,
     profile_from,
+    pure_strategy,
     uniform_profile,
 )
 from irgames.solvers import (
@@ -434,24 +438,51 @@ def test_pure_enumeration_values_tied_optima_once(monkeypatch):
     assert len(calls) < 27  # one evaluation per reached-leaf set, not per tie
 
 
-@pytest.mark.parametrize("block", [1, 2, 4, 5, 7, 81])
-def test_pure_enumeration_blocks_keep_the_first_optimum(monkeypatch, block):
-    # The 27 tied optima are every third strategy index, so small blocks
-    # split the scan and the slab at every possible place.
-    shapes = []
-    reached = solvers._reached_leaves
-
-    def recorded(num, ids):
-        shapes.append(len(ids))
-        return reached(num, ids)
-
+@pytest.mark.parametrize("block", [1, 2, 5])
+@pytest.mark.parametrize("cut", range(5))
+def test_pure_enumeration_keeps_the_first_optimum_at_every_cut(monkeypatch, cut, block):
+    # The 27 tied optima are every third strategy index, so every cut of the
+    # four rows into a front and a back part, and small slab blocks, split
+    # the ties at every possible place.
+    g = forgetful_stop_game()
+    assert [r.size for r in g.numeric.index.rows] == [3, 3, 3, 3]
+    monkeypatch.setattr(solvers, "_front_rows", lambda sizes: cut)
     monkeypatch.setattr(solvers, "_PURE_BLOCK", block)
-    monkeypatch.setattr(solvers, "_reached_leaves", recorded)
-    report = optimal_strategy(forgetful_stop_game())
-    assert report.utilities == (Fraction(10),)
+    value, strategy = solvers._pure_enumeration_opt(g)
+    assert value == Fraction(10)
     first = {"A": (1, 0, 0), "B": (1, 0, 0), "C": (1, 0, 0), "R": (0, 0, 1)}
-    assert report.profile[1].table == {k: tuple(map(Fraction, v)) for k, v in first.items()}
-    assert max(shapes) <= block
+    assert strategy.table == {k: tuple(map(Fraction, v)) for k, v in first.items()}
+
+
+def brute_force_opt(game):
+    """The first exact maximum of ``expected_utility`` over the pure
+    strategies, in ``itertools.product`` order over the sorted infosets."""
+    isets = game.infosets.get(1, {})
+    ids = sorted(isets)
+    best_val, best = None, None
+    for actions in itertools.product(*(range(len(isets[i].actions)) for i in ids)):
+        strategy = pure_strategy(game, 1, dict(zip(ids, actions)))
+        v = expected_utility(game, profile_from(strategy), 1)
+        if best_val is None or v > best_val:
+            best_val, best = v, strategy
+    return best_val, best
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(depth=st.integers(2, 4), branching=st.integers(2, 3),
+       merge=st.sampled_from([0.6, 0.9]), chance=st.sampled_from([0.0, 0.3]),
+       players=st.sampled_from([1, 2]), seed=st.integers(0, 10_000),
+       mover=st.sampled_from([1, 2]))
+def test_pure_enumeration_matches_a_brute_force_scan(depth, branching, merge, chance,
+                                                     players, seed, mover):
+    g = gen_random(depth, branching, merge, chance, False, seed, players=players)
+    if players == 2:
+        g = fix_opponents(g, uniform_profile(g), mover)
+    sizes = [len(i.actions) for i in g.infosets.get(1, {}).values()]
+    assume(not has_perfect_recall(g, 1) and math.prod(sizes) <= 243)
+    value, strategy = solvers._pure_enumeration_opt(g)
+    ref_value, ref_strategy = brute_force_opt(g)
+    assert value == ref_value and strategy.table == ref_strategy.table
 
 
 def test_two_action_deviation_finds_an_interior_maximum_between_term_peaks():
