@@ -16,10 +16,11 @@ one and the exponents from the row's visit counts.
 Every kernel builds the leaf products rank by rank (the r-th entry of every
 leaf's monomial in one vectorized step).  ``NumericGame.gradient`` is one
 fused pass: a forward sweep of running products gives the utilities, and a
-backward sweep of running suffixes gives every partial.  Projected ascent
-and the CDT gradient polish call it once per step, on their candidate
-points, and carry each point's value and gradient forward; ``kkt_gaps``
-reads the KKT residual from gradients a caller already holds.
+backward sweep of running suffixes gives every partial.  The one
+projected-gradient polish, which both optimal play and the CDT candidate
+stage run, calls it once per step, on its candidate points, and carries
+each point's value and gradient forward; ``kkt_gaps`` reads the KKT
+residual from gradients a caller already holds.
 """
 
 from __future__ import annotations

@@ -15,9 +15,12 @@ Computation policy, in one place:
   (each half's pure assignments against the leaves), then an exact
   re-evaluation of the near-optimal strategies;
 * with absentmindedness the utility is a polynomial over a product of
-  simplices, so optimal play falls back to a seeded grid scan plus
-  multistart projected gradient ascent, then snaps near-rational optima to
-  exact fractions when that does not lose value;
+  simplices, whose maximiser is a KKT point, so optimal play seeds the
+  uniform profile, random vertices and mixed profiles, a grid and, where
+  they are few, every pure profile, polishes them all by the projected
+  gradient dynamics of the CDT candidate stage (``_gradient_polish``, one
+  moving player), then snaps near-rational optima to exact fractions when
+  that does not lose value;
 * equilibrium enumeration runs in two stages.  The candidate stage seeds
   pure/grid/random profiles, polishes them, keeps the profiles whose
   residual clears the tolerance, and dedups them by realization
@@ -47,14 +50,14 @@ Computation policy, in one place:
   polish, which moves every stalled seed in one batch, and, on a batch of
   one, ``best_deviation``;
 * the parts of the verification policy with one value in use are module
-  constants, not options: the ascent and polish iteration caps
-  (``_ASCENT_ITERS``, ``_POLISH_ITERS``), the rationality schedule and its
-  slope safety factor (``_SCHEDULE``, ``_SCHEDULE_SAFETY``), the
-  realization-dedup tolerance (``_DEDUP_TOL``), the pure-enumeration cap
-  of optimal play (``_PURE_CAP``), the snapping denominator
-  (``_SNAP_DENOMINATOR``), the support tolerance ``numeric.SUPP_TOL``, and
-  the caps on exhaustive work: the pure and grid seeds of enumeration and
-  optimal play (``_ENUM_PURE_CAP``/``_ENUM_PURE_SAMPLES``,
+  constants, not options: the polish iteration cap (``_POLISH_ITERS``),
+  the rationality schedule and its slope safety factor (``_SCHEDULE``,
+  ``_SCHEDULE_SAFETY``), the realization-dedup tolerance (``_DEDUP_TOL``),
+  the pure-enumeration cap of optimal play (``_PURE_CAP``), the snapping
+  denominator (``_SNAP_DENOMINATOR``), the support tolerance
+  ``numeric.SUPP_TOL``, and the caps on exhaustive work: the pure and grid
+  seeds of enumeration and optimal play
+  (``_ENUM_PURE_CAP``/``_ENUM_PURE_SAMPLES``,
   ``_GRID_CAP``/``_GRID_SAMPLES``), the enumerable strategy dimension
   (``_ENUM_DIM_CAP``) and the rationality witness search
   (``_WITNESS_CAP``); every report a cap cut says so.  No caller but a
@@ -115,7 +118,6 @@ CONCEPTS = ("OPT", "EDT", "CDT", "NASH", "EDT-NASH", "CDT-NASH")
 
 
 # The fixed verification policy (see the module docstring).
-_ASCENT_ITERS = 10_000
 _POLISH_ITERS = 200
 _SCHEDULE = tuple(2.0 ** -k for k in range(1, 21))
 _SCHEDULE_SAFETY = 2.0
@@ -335,7 +337,8 @@ def _pure_assignments(index: FlatIndex, ids) -> np.ndarray:
 
 
 def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
-    """Grid scan + multistart ascent for absentminded games."""
+    """Multistart gradient polish for absentminded games, and for games
+    with too many pure strategies to enumerate."""
     num = game.numeric
     rng = cfg.rng()
     seeds = [num.index.uniform()[None],
@@ -349,11 +352,17 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
         if not grid_full:
             notes = (_sampled_note("grid_cap", _GRID_CAP, len(grid_pts), "grid points"),)
 
-    X = _ascent(num, np.concatenate(seeds), player=1)
+    # Every pure profile, where they are few: the random vertices can miss a
+    # pure optimum.  Drawn last, so that no earlier draw moves.
+    pure, pure_full = _pure_seed_vectors(num.index, rng)
+    if pure_full:
+        seeds.append(pure)
+
+    X, gaps = _gradient_polish(num, np.concatenate(seeds))
     vals = num.utility(X, 1)
     order = np.argsort(-vals)
 
-    # Candidate pool: best ascent results plus their rational snaps.
+    # Candidate pool: best polished seeds plus their rational snaps.
     best_float = float(vals[order[0]])
     best_vec = X[order[0]]
     best_exact: Optional[tuple[Num, StrategyProfile]] = None
@@ -373,7 +382,7 @@ def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
     else:
         value = best_float
         profile = num.index.profile(best_vec)
-        residual = float(num.kkt_residuals(best_vec[None])[0])
+        residual = float(gaps[order[0]])
 
     certified = f"grid-certified(delta=1/{cfg.grid_resolution})" if grid_full else "heuristic"
     if grid_full:
@@ -472,35 +481,6 @@ def _snap_vector(index: FlatIndex, x: np.ndarray) -> Optional[StrategyProfile]:
             for p in range(1, index.game.players + 1)
         )
     )
-
-
-def _ascent(num: NumericGame, X: np.ndarray, player: int) -> np.ndarray:
-    """Batched projected gradient ascent with multiplicative step control.
-
-    One kernel call per step values and differentiates the candidate
-    points; an accepted row carries their value and gradient forward, a
-    rejected row keeps its own, since its point did not move.  Seeds drop
-    out of the batch once their step has collapsed, so the hard iteration
-    cap only matters for pathological landscapes.
-    """
-    X = project_rows(num.index, X)
-    B = X.shape[0]
-    f, G = num.gradient(X, player)
-    step = np.full(B, 0.25)
-    active = np.ones(B, dtype=bool)
-    for _ in range(_ASCENT_ITERS):
-        idx = np.nonzero(active)[0]
-        if len(idx) == 0:
-            break
-        Y = project_rows(num.index, X[idx] + step[idx, None] * G[idx])
-        fY, GY = num.gradient(Y, player)
-        improved = fY > f[idx] + 1e-14
-        moved = idx[improved]
-        X[moved], f[moved], G[moved] = Y[improved], fY[improved], GY[improved]
-        step[moved] *= 1.3
-        step[idx[~improved]] *= 0.5
-        active[idx[step[idx] < 1e-12]] = False
-    return X
 
 
 # ---------------------------------------------------------------------------
@@ -989,23 +969,27 @@ def _pure_seed_vectors(index: FlatIndex, rng) -> tuple[np.ndarray, bool]:
 def _br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
     """Improving-deviation dynamics, batched over seeds: sweep the infoset
     rows, replacing a row by its best pure deviation whenever that strictly
-    gains.  Monotone in single-player games; capped sweeps otherwise."""
+    gains.  Monotone in single-player games; capped sweeps otherwise.  A
+    seed's sweep reads that seed alone, so a seed that made no move in a
+    whole sweep never moves again and leaves the batch."""
     X = project_rows(num.index, X)
+    idx = np.arange(len(X))
     for _ in range(_POLISH_ITERS):
-        changed = False
-        for row in num.index.rows:
-            vals = num.deviation_values_pure(X, row)
-            base = num.utility(X, row.player)
-            best = vals.argmax(axis=1)
-            gain = vals[np.arange(len(X)), best] - base
-            upd = gain > 1e-11
-            if np.any(upd):
-                changed = True
-                block = slice(row.offset, row.offset + row.size)
-                X[upd, block] = 0.0
-                X[upd, row.offset + best[upd]] = 1.0
-        if not changed:
+        if not len(idx):
             break
+        Y = X[idx]
+        moved = np.zeros(len(idx), dtype=bool)
+        for row in num.index.rows:
+            vals = num.deviation_values_pure(Y, row)
+            base = num.utility(Y, row.player)
+            best = vals.argmax(axis=1)
+            upd = vals[np.arange(len(Y)), best] - base > 1e-11
+            block = slice(row.offset, row.offset + row.size)
+            Y[upd, block] = 0.0
+            Y[upd, row.offset + best[upd]] = 1.0
+            moved |= upd
+        X[idx] = Y
+        idx = idx[moved]
     return X
 
 
@@ -1013,15 +997,16 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> tuple[np.ndarray, np.nd
     """Per-player projected gradient dynamics toward KKT points: the
     polished seeds and their (B,) KKT residuals.
 
-    Each seed carries every player's value and own-block partials, as
-    ``_ascent`` does, so a player-step makes one kernel call, on its
-    candidate points: an accepted seed takes the candidate's value and
-    partials and a rejected one keeps its own.  A move changes the other
-    players' values too, so theirs are recomputed for the seeds that
-    moved.  The settle test and the residuals read the KKT gap from the
-    carried partials.  The step grows by 1.2 per accepted move, up to 1e6:
-    uncapped, it outgrew the projection's rounding and seeds left the
-    simplex.
+    On a single-player game this is optimal play's multistart ascent, the
+    KKT conditions being necessary for a maximum.  Each seed carries every
+    player's value and own-block partials, so a player-step makes one
+    kernel call, on its candidate points: an accepted seed takes the
+    candidate's value and partials and a rejected one keeps its own.  A
+    move changes the other players' values too, so theirs are recomputed
+    for the seeds that moved.  The settle test and the residuals read the
+    KKT gap from the carried partials.  The step grows by 1.2 per accepted
+    move, up to 1e6: uncapped, it outgrew the projection's rounding and
+    seeds left the simplex.
     """
     X = project_rows(num.index, X)
     B = X.shape[0]

@@ -57,20 +57,28 @@ def count_calls(monkeypatch, name: str) -> list:
 
 @pytest.mark.parametrize("make", [gen_fig2, lambda: gen_dory(2)])
 def test_one_candidate_stage_per_game_family_and_config(monkeypatch, make):
-    br = count_calls(monkeypatch, "_br_polish")
-    grad = count_calls(monkeypatch, "_gradient_polish")
+    # Optimal play polishes too, so the stages are counted, not the polishes.
+    stages = []
+    find = solvers._find_classes
+
+    def counted(game, family, cfg):
+        stages.append((id(game), family))
+        return find(game, family, cfg)
+
+    monkeypatch.setattr(solvers, "_find_classes", counted)
     game = make()
     for concept in VOR_CONCEPTS[1:]:
         vor_compute(game, concept)
     # Once per family in the game and once in its refinement.
-    assert len(br) == 2 and len(grad) == 2
-    assert {id(num.game) for num in br} == {id(game), id(_refined(game))}
+    once = sorted((id(g), family) for g in (game, _refined(game))
+                  for family in ("CDT", "EDT"))
+    assert sorted(stages) == once
 
     enumerate_equilibria(game, "EDT-NASH")
     best_worst(game, "CDT", "worst")
-    assert len(br) == 2 and len(grad) == 2
+    assert sorted(stages) == once
     best_worst(game, "NASH", "best", SolverConfig(seed=1))
-    assert len(br) == 3 and len(grad) == 2
+    assert sorted(stages) == sorted(once + [(id(game), "EDT")])
 
 
 @pytest.mark.parametrize("make", [gen_fig5, default_valid_utility])

@@ -485,6 +485,28 @@ def test_pure_enumeration_matches_a_brute_force_scan(depth, branching, merge, ch
     assert value == ref_value and strategy.table == ref_strategy.table
 
 
+@pytest.mark.parametrize("seed", [0, 2])
+def test_optimal_play_seeds_every_pure_profile(seed):
+    # 81 pure strategies and two absentminded rows: the 16 random vertices
+    # of these seeds miss the pure optimum 10, and OPT read 48/5.
+    g = gen_random(4, 3, 0.7, 0.3, True, 0)
+    assert has_absentmindedness(g, 1)
+    assert optimal_strategy(g, SolverConfig(seed=seed)).utilities[0] == 10
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(depth=st.integers(2, 4), branching=st.integers(2, 3),
+       merge=st.sampled_from([0.7, 0.9]), chance=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 10_000))
+def test_optimal_play_is_at_least_every_pure_profile(depth, branching, merge, chance, seed):
+    g = gen_random(depth, branching, merge, chance, True, seed)
+    sizes = [len(i.actions) for i in g.infosets.get(1, {}).values()]
+    assume(has_absentmindedness(g, 1) and math.prod(sizes) <= 81)
+    best_pure, _ = brute_force_opt(g)
+    value = optimal_strategy(g).utilities[0]
+    assert float(value) >= float(best_pure) - 1e-12 * max(1.0, abs(float(best_pure)))
+
+
 def test_two_action_deviation_finds_an_interior_maximum_between_term_peaks():
     # Neither term's own maximizer (0.45, 0.5) nor the ends is optimal.
     values, sigmas = solvers._max_row(np.array([[1.0, 1.0]]),
@@ -629,6 +651,34 @@ def test_batched_mixed_polish_equals_the_per_seed_polish(game):
     assert np.allclose(got, want, rtol=0, atol=1e-9)
     # Every polished seed is an EDT equilibrium.
     assert solvers._edt_residuals(num, got).max() <= 1e-9
+
+
+@pytest.mark.parametrize("game", [gen_fig2(), gen_random(3, 2, 0.6, 0.0, False, 1, players=2)],
+                         ids=["fig2", "two-player random"])
+def test_improving_deviation_sweeps_drop_settled_seeds(monkeypatch, game):
+    num = game.numeric
+    rng = np.random.default_rng(0)
+    pure, _ = solvers._pure_seed_vectors(num.index, rng)
+    X = np.concatenate([pure, solvers._random_mixed(num.index, rng, 6),
+                        num.index.uniform()[None]])
+    one_by_one = np.vstack([solvers._br_polish(num, X[i : i + 1]) for i in range(len(X))])
+    batches = []
+    values = num.deviation_values_pure
+
+    def counted(Y, row):
+        batches.append(len(Y))
+        return values(Y, row)
+
+    monkeypatch.setattr(num, "deviation_values_pure", counted)
+    got = solvers._br_polish(num, X)
+    assert np.array_equal(got, one_by_one)
+    # A sweep values every row on the same batch; a seed that made no move
+    # in a sweep is not valued again.
+    rows = len(num.index.rows)
+    sweeps = batches[::rows]
+    assert batches == [b for b in sweeps for _ in range(rows)]
+    assert sweeps[0] == len(X) and sweeps == sorted(sweeps, reverse=True)
+    assert sweeps[-1] < len(X)
 
 
 def test_sampled_grid_is_noted_in_optimal_strategy(monkeypatch):
