@@ -449,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sat: semicolon-separated literal triples")
     p.add_argument("--eta", default="1", help="sat: base utility")
     p.add_argument("--M", type=int, default=1, help="sat: separation factor")
-    p.add_argument("--universe", type=int, default=6, help="x3c: universe size")
+    p.add_argument("--universe", type=int, default=6, help="x3c: universe size, a multiple of 3")
     p.add_argument("--family", default="1,2,3;4,5,6",
                    help="x3c: semicolon-separated element triples")
     p.add_argument("--depth", type=int, default=4)

@@ -323,10 +323,16 @@ def gen_x3c_game(universe_size: int, family: Sequence[Iterable[int]]) -> tuple[G
     """Exact-cover game: chance draws an element, the player observes it,
     forgets it, and then commits to one family set; utility 1 iff the set
     contains the drawn element.  Returns the game and the split budget
-    ``k = len(family) - 1`` used by the reduction."""
+    ``k = |U|/3 - 1`` of the reduction.
+
+    With k splits the forgetful infoset falls into k + 1 blocks of
+    elements, and value 1 needs every block inside one family set, so
+    k + 1 sets covering U.  That is an exact cover iff k + 1 = |U|/3.  A
+    universe size that is not a multiple of 3 has no exact cover and is
+    rejected."""
     n = universe_size
-    if n < 1:
-        raise ValueError("universe must be nonempty")
+    if n < 3 or n % 3:
+        raise ValueError(f"universe size {n} is not a positive multiple of 3")
     sets = [tuple(sorted(set(f))) for f in family]
     for f in sets:
         if len(f) != 3 or any(not (1 <= u <= n) for u in f):
@@ -363,7 +369,7 @@ def gen_x3c_game(universe_size: int, family: Sequence[Iterable[int]]) -> tuple[G
         Infoset(id="IF", player=1, nodes=tuple(pick_nodes), actions=set_actions)
     )
     game = make_game(1, "c", nodes, utilities, infosets, name=f"x3c{n}")
-    return game, len(sets) - 1
+    return game, n // 3 - 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ rows one contiguous block, in a fixed order), so batches of profiles are
 plain (B, R) arrays.  Leaf reach probabilities are monomials in the
 coordinates, compiled here from ``Game.leaves`` once per game, as
 ``Game.numeric``, which every solver reads; the kernels evaluate utilities,
-exact polynomial gradients, and pure single-row deviation values for whole
-batches at once, which is what makes grid scans and multistart ascent
-affordable in pure Python.  ``NumericGame.row_polynomial`` is the kernel
-behind mixed single-row deviations: for a batch and one row it gives the
-row player's utility as a polynomial in that row's entries, the
+exact polynomial gradients, and single-row deviations for whole batches at
+once, which is what makes grid scans and multistart ascent affordable in
+pure Python.  ``NumericGame.row_polynomial`` is the kernel behind every
+single-row deviation the solvers make: for a batch and one row it gives
+the row player's utility as a polynomial in that row's entries, the
 coefficients read from the leaf products with the row's factors set to
-one and the exponents from the row's visit counts.
+one and the exponents from the row's visit counts.  The pure-deviation
+kernels (``deviation_values_pure``, ``edt_pure_residuals``) have no caller
+in the package; the benchmark's workloads and tracer read them.
 
 Every kernel builds the leaf products rank by rank (the r-th entry of every
 leaf's monomial in one vectorized step).  ``NumericGame.gradient`` is one

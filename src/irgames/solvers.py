@@ -25,15 +25,16 @@ Computation policy, in one place:
   pure/grid/random profiles, polishes them, keeps the profiles whose
   residual clears the tolerance, and dedups them by realization
   equivalence, comparing leaf reaches.  It depends only on the concept's
-  polish family: EDT, NASH and EDT-NASH polish by improving deviations
-  and keep EDT residuals, CDT and CDT-NASH polish by gradient dynamics and
-  keep KKT residuals.  Its classes are kept in ``Game.memo`` under the key
-  (family, ``SolverConfig``), so every concept of a family in one game
-  shares one run.  The filter stage applies the concept's filter and
-  computes exact utilities: for every class when enumerating, and lazily
-  for best/worst selection, which walks the classes from the requested
-  end of Player 1's utility order and stops at the first that passes.
-  Flags on every report say how much certainty was earned;
+  polish family: EDT, NASH and EDT-NASH polish by best-response dynamics
+  (``_br_polish``) and keep EDT residuals, CDT and CDT-NASH polish by
+  gradient dynamics and keep KKT residuals.  Its classes are kept in
+  ``Game.memo`` under the key (family, ``SolverConfig``), so every
+  concept of a family in one game shares one run.  The filter stage
+  applies the concept's filter and computes exact utilities: for every
+  class when enumerating, and lazily for best/worst selection, which walks
+  the classes from the requested end of Player 1's utility order and
+  stops at the first that passes.  Flags on every report say how much
+  certainty was earned;
 * every solver and every EDT and KKT check reads the game's one compiled
   float table, ``Game.numeric``, through the batched residual kernels
   (``_edt_residuals``, ``numeric.kkt_gaps``); only ``best_deviation``
@@ -44,11 +45,12 @@ Computation policy, in one place:
   from its kernels: an EDT gain from the gradient on rows without
   absentmindedness, and from the maximum of the row polynomial on
   absentminded rows;
-* one maximiser of a row polynomial over the simplex, ``_max_row``
-  (bracketed Newton for two actions, a scale-free projected ascent for
-  three or more), serves the batched EDT gains, the mixed best-response
-  polish, which moves every stalled seed in one batch, and, on a batch of
-  one, ``best_deviation``;
+* one maximiser of a row polynomial over the simplex, ``_max_row`` (the
+  best vertex on an affine row, bracketed Newton for two actions, a
+  scale-free projected ascent for three or more), serves the batched EDT
+  gains, the best-response polish, which moves every row of every seed to
+  its maximiser, pure or mixed, for any number of players, and, on a batch
+  of one, ``best_deviation``;
 * the parts of the verification policy with one value in use are module
   constants, not options: the polish iteration cap (``_POLISH_ITERS``),
   the rationality schedule and its slope safety factor (``_SCHEDULE``,
@@ -563,8 +565,13 @@ def _max_row(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B,) maxima and (B, n) maximisers over the simplex of the row
     polynomials sum_k C[b, k] prod_a s_a ** E[k, a], C >= 0: the one
     maximiser behind ``best_deviation``, the batched EDT gains and the
-    mixed best-response polish.  Three or more actions take
-    :func:`_max_row_ascent`.
+    best-response polish.
+
+    A row every term visits once is affine, so its maximum is the best
+    vertex of C @ E (the first, on ties); so is a one-action row's, its
+    one point, where every term is worth C_k.  Otherwise each distinct row
+    of C is maximised once, since the polish's seeds share few row
+    polynomials; three or more actions take :func:`_max_row_ascent`.
 
     Two actions, s -> sum_k C_k s^P_k (1-s)^Q_k: each term rises up to its
     maximizer P_k/(P_k+Q_k) and falls after it, so the sum rises below the
@@ -573,8 +580,15 @@ def _max_row(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     differ, the interior maxima between them (:func:`_two_action_interior`).
     """
     K, n = E.shape
+    if n == 1 or (E.sum(axis=1) == 1).all():
+        values = C @ np.minimum(E, 1.0)
+        pick = values.argmax(axis=1)
+        return values[np.arange(len(C)), pick], np.eye(n)[pick]
+    C, inverse = np.unique(C, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
     if n > 2:
-        return _blockwise(_max_row_ascent, C, K * (n + 1) * n * n, E)
+        best, s = _blockwise(_max_row_ascent, C, K * (n + 1) * n * n, E)
+        return best[inverse], s[inverse]
     P, Q = E.T
     peaks = P / (P + Q)
     ends = np.concatenate([[0.0, 1.0], peaks])
@@ -588,7 +602,7 @@ def _max_row(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inner, at = _blockwise(_two_action_interior, C[spread], K * (K + 64), P, Q)
         better = inner > best[spread]
         best[spread[better]], s[spread[better]] = inner[better], at[better]
-    return best, np.stack([s, 1.0 - s], axis=1)
+    return best[inverse], np.stack([s, 1.0 - s], axis=1)[inverse]
 
 
 def _two_action_interior(C: np.ndarray, P: np.ndarray, Q: np.ndarray
@@ -967,29 +981,38 @@ def _pure_seed_vectors(index: FlatIndex, rng) -> tuple[np.ndarray, bool]:
 
 
 def _br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
-    """Improving-deviation dynamics, batched over seeds: sweep the infoset
-    rows, replacing a row by its best pure deviation whenever that strictly
-    gains.  Monotone in single-player games; capped sweeps otherwise.  A
-    seed's sweep reads that seed alone, so a seed that made no move in a
-    whole sweep never moves again and leaves the batch."""
+    """Best-response dynamics of the EDT family, batched over seeds: sweep
+    the infoset rows, replacing a row by the maximiser of its row
+    polynomial (:func:`_max_row`) whenever that gains more than 1e-11.
+    The best action is pure on a row no paying leaf visits twice, and can
+    be mixed on an absentminded row (a deviation replaces the row at every
+    visit).  Monotone in single-player games; capped sweeps otherwise.
+
+    A seed's sweep reads that seed alone, so a seed that made no move in a
+    whole sweep never moves again and leaves the batch.  So does a seed
+    that ends a sweep, from the third on, at a profile it held at the end
+    of an earlier one: it is on a cycle, which later sweeps only repeat."""
     X = project_rows(num.index, X)
     idx = np.arange(len(X))
-    for _ in range(_POLISH_ITERS):
+    held: set[tuple[int, bytes]] = set()
+    for sweep in range(_POLISH_ITERS):
         if not len(idx):
             break
         Y = X[idx]
         moved = np.zeros(len(idx), dtype=bool)
         for row in num.index.rows:
-            vals = num.deviation_values_pure(Y, row)
-            base = num.utility(Y, row.player)
-            best = vals.argmax(axis=1)
-            upd = vals[np.arange(len(Y)), best] - base > 1e-11
+            C, E = num.row_polynomial(Y, row)
             block = slice(row.offset, row.offset + row.size)
-            Y[upd, block] = 0.0
-            Y[upd, row.offset + best[upd]] = 1.0
+            best, s = _max_row(C, E)
+            upd = best - _row_values(C, E, Y[:, block]) > 1e-11
+            Y[upd, block] = s[upd]
             moved |= upd
         X[idx] = Y
         idx = idx[moved]
+        if sweep >= 2:
+            keys = [(i, X[i].tobytes()) for i in idx.tolist()]
+            idx = idx[np.array([k not in held for k in keys], dtype=bool)]
+            held.update(keys)
     return X
 
 
@@ -1055,35 +1078,6 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> tuple[np.ndarray, np.nd
     return X, kkt_gaps(num.index, X, G)
 
 
-def _mixed_br_polish(num: NumericGame, X: np.ndarray) -> np.ndarray:
-    """Mixed best-response sweeps for single-player absentminded games,
-    batched over seeds: each sweep replaces every seed's most profitable
-    row (:func:`_edt_gains`) by its best randomized action, the
-    top-gradient vertex on a row without absentmindedness and the row
-    polynomial's maximiser on an absentminded one.  A seed stops once no
-    row gains more than 1e-11."""
-    X = X.copy()
-    rows = num.index.rows
-    absentminded = num.game.absentminded[1]
-    idx = np.arange(len(X))
-    for _ in range(_POLISH_ITERS):
-        if not len(idx):
-            break
-        gains = _edt_gains(num, X[idx], 1, np.ones((len(idx), len(rows)), dtype=bool))
-        best = gains.argmax(axis=1)
-        moving = gains[np.arange(len(idx)), best] > 1e-11
-        idx, best = idx[moving], best[moving]
-        for j in np.unique(best):
-            row, at = rows[j], idx[best == j]
-            block = slice(row.offset, row.offset + row.size)
-            if row.infoset_id in absentminded:
-                X[at, block] = _max_row(*num.row_polynomial(X[at], row))[1]
-            else:
-                top = num.gradient(X[at], 1)[1][:, block].argmax(axis=1)
-                X[at, block] = np.eye(row.size)[top]
-    return X
-
-
 # Polish family of each enumeration concept.  A family's concepts share
 # their seeds, polish and residuals, and so their equilibrium classes; only
 # the filter that follows differs.
@@ -1101,21 +1095,6 @@ class _Classes:
     residual: np.ndarray  # (K,) their residuals, read-only
     order: np.ndarray     # X's rows by Player 1's kernel utility, then residual
     notes: tuple[str, ...]
-
-
-def _residuals_for(game: Game, num: NumericGame, X: np.ndarray,
-                   cfg: SolverConfig) -> np.ndarray:
-    """EDT residuals of polished seeds (the CDT polish returns its own)."""
-    res = num.edt_pure_residuals(X)
-    if any(game.absentminded.values()):
-        # Pure deviations underestimate mixed ones; redo the survivors with
-        # mixed ones, once per distinct vector (many seeds polish to the
-        # same one).
-        survivors = np.nonzero(res <= cfg.eps_eq)[0]
-        if len(survivors):
-            distinct, inverse = np.unique(X[survivors], axis=0, return_inverse=True)
-            res[survivors] = _edt_residuals(num, distinct)[inverse.ravel()]
-    return res
 
 
 def _equilibrium_classes(game: Game, concept: str, cfg: SolverConfig) -> _Classes:
@@ -1164,11 +1143,7 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
         X, res = _gradient_polish(num, X)
     else:
         X = _br_polish(num, X)
-        if game.players == 1 and has_absentmindedness(game, 1):
-            res = _residuals_for(game, num, X, cfg)
-            stalled = np.nonzero(res > cfg.eps_eq)[0][: 2 * _GRID_SAMPLES]
-            X[stalled] = _mixed_br_polish(num, X[stalled])
-        res = _residuals_for(game, num, X, cfg)
+        res = _edt_residuals(num, X)
 
     keep = np.nonzero(res <= cfg.eps_eq)[0]
     if len(keep):

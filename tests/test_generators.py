@@ -119,6 +119,10 @@ def test_x3c_game_shape():
         gen_x3c_game(6, [(1, 2)])
     with pytest.raises(ValueError, match="malformed family"):
         gen_x3c_game(6, [(1, 2, 9)])
+    assert gen_x3c_game(9, [(1, 2, 3), (4, 5, 6), (7, 8, 9), (1, 4, 7)])[1] == 2
+    for size in (0, 5, 7):
+        with pytest.raises(ValueError, match="multiple of 3"):
+            gen_x3c_game(size, [(1, 2, 3)])
 
 
 def test_valid_utility_rejects_non_submodular():

@@ -1,9 +1,11 @@
 """Partial recall: splits, bounded-split enumeration, and the exhaustive
 best-refinement search."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import irgames.partial as partial
 from irgames.game import validate_game
@@ -119,6 +121,29 @@ def test_k_best_partial_x3c_no_instance():
     _, value = k_best_partial(g, k)
     assert value < 1
     assert value == Fraction(5, 6)
+
+
+def has_exact_cover(universe, family):
+    """Brute force: some |U|/3 of the sets are disjoint and cover U."""
+    return any(set().union(*sets) == set(universe)
+               for sets in itertools.combinations(family, len(universe) // 3))
+
+
+TRIPLES = list(itertools.combinations(range(1, 7), 3))
+
+
+# The reduction: with budget |U|/3 - 1 the best partial recall reaches
+# value 1 exactly when the family holds an exact cover.  {246, 345, 146}
+# has none, though some two of its sets cover all but one element.
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(TRIPLES), min_size=2, max_size=4, unique=True))
+@example([(2, 4, 6), (3, 4, 5), (1, 4, 6)])
+@example([(1, 2, 3), (4, 5, 6), (1, 4, 5), (2, 3, 6)])
+def test_k_best_partial_is_one_exactly_on_x3c_yes_instances(family):
+    g, k = gen_x3c_game(6, family)
+    assert k == 1
+    _, value = k_best_partial(g, k)
+    assert (value == 1) == has_exact_cover(range(1, 7), family)
 
 
 def test_k_best_partial_k0_equals_optimal():

@@ -381,19 +381,25 @@ def test_enumeration_cap_errors(monkeypatch):
         enumerate_equilibria(g, "EDT")
 
 
-def test_enumeration_rechecks_each_distinct_edt_survivor_once(monkeypatch):
-    checked = []
-    original = solvers._edt_residuals
+@pytest.mark.parametrize("game", [gen_fig1(Fraction(1, 100)),
+                                  gen_random(3, 3, 0.9, 0.0, True, 0)],
+                         ids=["fig1", "three-action row"])
+def test_enumeration_maximises_each_distinct_row_polynomial_once(monkeypatch, game):
+    # fig1's 4,262 seeds share about 100 row polynomials: _max_row
+    # maximises each distinct row of C once.
+    batches = []
+    for name in ("_two_action_interior", "_max_row_ascent"):
+        original = getattr(solvers, name)
 
-    def counted(num, X):
-        checked.extend(map(tuple, X))
-        return original(num, X)
+        def counted(C, *args, original=original):
+            batches.append(C)
+            return original(C, *args)
 
-    monkeypatch.setattr(solvers, "_edt_residuals", counted)
-    g = gen_fig1(Fraction(1, 100))
-    assert has_absentmindedness(g, 1) or has_absentmindedness(g, 2)
-    assert enumerate_equilibria(g, "EDT")
-    assert checked and len(checked) == len(set(checked))
+        monkeypatch.setattr(solvers, name, counted)
+    assert any(game.absentminded.values())
+    assert enumerate_equilibria(game, "EDT")
+    assert batches
+    assert all(len(np.unique(C, axis=0)) == len(C) for C in batches)
 
 
 def forgetful_stop_game():
@@ -613,72 +619,127 @@ def test_three_action_deviation_far_below_one_is_found():
     assert gain == pytest.approx(2.0 ** -120 - 3.0 ** -80, rel=1e-9, abs=0)
 
 
-def scalar_mixed_polish(game, num, x):
-    """Mixed best-response sweeps for one seed on exact whole-tree walks:
-    each step deviates the most profitable row to its ``best_deviation``."""
+def test_one_action_absentminded_row_is_its_one_point():
+    # I's one action is taken twice on the way to S: its row polynomial
+    # C s^2 lives on the one point s = 1.
+    nodes = [Node("r", 1, ("go",), ("m",)), Node("m", 1, ("go",), ("s",)),
+             Node("s", 1, ("a", "b"), ("za", "zb")),
+             Node("za", "terminal"), Node("zb", "terminal")]
+    g = make_game(1, "r", nodes, {"za": (Fraction(1),), "zb": (Fraction(2),)},
+                  [Infoset("I", 1, ("r", "m"), ("go",)),
+                   Infoset("S", 1, ("s",), ("a", "b"))], name="one-action")
+    assert g.absentminded[1] == {"I"}
+    assert edt_check(g, uniform_profile(g)) == (False, 0.5)
+    (report,) = enumerate_equilibria(g, "EDT")
+    assert report.utilities == (2,)
+
+
+def scalar_br_polish(game, num, x):
+    """Best-response sweeps for one seed on exact whole-tree walks: each
+    sweep visits the rows in order and moves a row to its
+    ``best_deviation`` where that gains more than 1e-11."""
     prof = num.index.profile(x)
     for _ in range(solvers._POLISH_ITERS):
-        base = float(expected_utility(game, prof, 1))
-        gains = []
+        moved = False
         for row in num.index.rows:
-            val, sigma = solvers.best_deviation(game, prof, 1, row.infoset_id)
-            gains.append((float(val) - base, row.infoset_id, sigma))
-        gain, iid, sigma = max(gains, key=lambda t: t[0])
-        if gain <= 1e-11:
+            base = float(expected_utility(game, prof, row.player))
+            val, sigma = solvers.best_deviation(game, prof, row.player, row.infoset_id)
+            if float(val) - base > 1e-11:
+                prof = deviate(prof, row.infoset_id, sigma, row.player)
+                moved = True
+        if not moved:
             break
-        prof = deviate(prof, iid, sigma, 1)
     return num.index.vector(prof)
 
 
-# The random games mix absentminded rows with rows that have none, and the
-# sweeps must pick the most profitable row: polishing the first row that
-# gains leaves residuals near 1 on both.
-@pytest.mark.parametrize("game", [gen_fig2(), gen_fig5(),
-                                  gen_random(3, 2, 0.7, 0.0, True, 1),
-                                  gen_random(2, 3, 0.7, 0.0, True, 13)],
-                         ids=["fig2", "fig5", "two-action rows", "three-action rows"])
-def test_batched_mixed_polish_equals_the_per_seed_polish(game):
-    num = game.numeric
-    rng = np.random.default_rng(0)
-    pure, _ = solvers._pure_seed_vectors(num.index, rng)
-    X = np.concatenate([pure, solvers._random_mixed(num.index, rng, 6),
-                        num.index.uniform()[None]])
-    got = solvers._mixed_br_polish(num, X)
-    one_by_one = np.vstack([solvers._mixed_br_polish(num, X[i : i + 1])
-                            for i in range(len(X))])
-    assert np.allclose(got, one_by_one, rtol=0, atol=1e-12)
-    want = np.vstack([scalar_mixed_polish(game, num, x) for x in X])
-    assert np.allclose(got, want, rtol=0, atol=1e-9)
-    # Every polished seed is an EDT equilibrium.
-    assert solvers._edt_residuals(num, got).max() <= 1e-9
-
-
-@pytest.mark.parametrize("game", [gen_fig2(), gen_random(3, 2, 0.6, 0.0, False, 1, players=2)],
-                         ids=["fig2", "two-player random"])
-def test_improving_deviation_sweeps_drop_settled_seeds(monkeypatch, game):
-    num = game.numeric
-    rng = np.random.default_rng(0)
-    pure, _ = solvers._pure_seed_vectors(num.index, rng)
-    X = np.concatenate([pure, solvers._random_mixed(num.index, rng, 6),
-                        num.index.uniform()[None]])
-    one_by_one = np.vstack([solvers._br_polish(num, X[i : i + 1]) for i in range(len(X))])
-    batches = []
-    values = num.deviation_values_pure
+def row_reads(monkeypatch, num):
+    """The batch size of every later ``num.row_polynomial`` call."""
+    reads = []
+    polynomial = num.row_polynomial
 
     def counted(Y, row):
-        batches.append(len(Y))
-        return values(Y, row)
+        reads.append(len(Y))
+        return polynomial(Y, row)
 
-    monkeypatch.setattr(num, "deviation_values_pure", counted)
+    monkeypatch.setattr(num, "row_polynomial", counted)
+    return reads
+
+
+def polish_seeds(num):
+    """Every pure profile, six random mixed ones and the uniform profile."""
+    rng = np.random.default_rng(0)
+    pure, _ = solvers._pure_seed_vectors(num.index, rng)
+    return np.concatenate([pure, solvers._random_mixed(num.index, rng, 6),
+                           num.index.uniform()[None]])
+
+
+# The random games mix absentminded rows, whose best deviation can be
+# mixed, with rows that have none; the last one has two players.
+@pytest.mark.parametrize("game", [gen_fig2(), gen_fig5(),
+                                  gen_random(3, 2, 0.7, 0.0, True, 1),
+                                  gen_random(2, 3, 0.7, 0.0, True, 13),
+                                  gen_random(3, 2, 0.6, 0.0, True, 26, players=2)],
+                         ids=["fig2", "fig5", "two-action rows", "three-action rows",
+                              "two players"])
+def test_batched_mixed_polish_equals_the_per_seed_polish(game):
+    num = game.numeric
+    X = polish_seeds(num)
+    got = solvers._br_polish(num, X)
+    one_by_one = np.vstack([solvers._br_polish(num, X[i : i + 1])
+                            for i in range(len(X))])
+    assert np.array_equal(got, one_by_one)
+    want = np.vstack([scalar_br_polish(game, num, x) for x in X])
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # Every polished seed is an EDT equilibrium.
+    assert solvers._edt_residuals(num, got).max() <= 1e-12
+
+
+@pytest.mark.parametrize("game", [gen_random(2, 3, 0.7, 0.0, True, 13),
+                                  gen_random(3, 2, 0.6, 0.0, False, 1, players=2)],
+                         ids=["absentminded random", "two-player random"])
+def test_improving_deviation_sweeps_drop_settled_seeds(monkeypatch, game):
+    num = game.numeric
+    X = polish_seeds(num)
+    one_by_one = np.vstack([solvers._br_polish(num, X[i : i + 1]) for i in range(len(X))])
+    batches = row_reads(monkeypatch, num)
     got = solvers._br_polish(num, X)
     assert np.array_equal(got, one_by_one)
-    # A sweep values every row on the same batch; a seed that made no move
-    # in a sweep is not valued again.
+    # A sweep reads every row's polynomial on the same batch; a seed that
+    # made no move in a sweep is not read again.
     rows = len(num.index.rows)
     sweeps = batches[::rows]
     assert batches == [b for b in sweeps for _ in range(rows)]
     assert sweeps[0] == len(X) and sweeps == sorted(sweeps, reverse=True)
     assert sweeps[-1] < len(X)
+
+
+def test_best_response_cycles_leave_the_polish(monkeypatch):
+    # The CI seed-13 game: about 1,300 of its seeds cycle between two
+    # profiles; swept to the 200-sweep cap, they cost 1,407 row reads here.
+    g = gen_random(3, 3, 0.5, 0.0, False, 13, players=2)
+    num = g.numeric
+    reads = row_reads(monkeypatch, num)
+    report = best_worst(g, "NASH", "best")
+    assert report.utilities == (8, 9)
+    assert len(reads) <= 6 * len(num.index.rows)
+
+
+def test_two_player_absentminded_edt_equilibrium_is_found():
+    # Player 1's P1G0 is absentminded, and the equilibrium mixes on it:
+    # pure moves alone stall every seed short of it.
+    g = gen_random(3, 2, 0.6, 0.0, True, 26, players=2)
+    assert g.absentminded[1] and not g.absentminded[2]
+    reports = enumerate_equilibria(g, "EDT")
+    assert reports
+    for r in reports:
+        assert edt_check(g, r.profile)[0]
+        for p in (1, 2):
+            base = float(expected_utility(g, r.profile, p))
+            for iid in g.infosets[p]:
+                value, _ = solvers.best_deviation(g, r.profile, p, iid)
+                assert float(value) - base <= CFG.eps_eq
+    best = best_worst(g, "EDT", "best")
+    assert [float(u) for u in best.utilities] == pytest.approx([3.39220245868, 6.96181258162])
 
 
 def test_sampled_grid_is_noted_in_optimal_strategy(monkeypatch):
