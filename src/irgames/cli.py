@@ -6,9 +6,10 @@ rational in parentheses when one is available.
 
 Exit codes: 0 success, 1 domain errors (no equilibrium, caps, invalid
 game) and a standard output closed by its reader (``irgames ... | head``,
-without a traceback), 2 usage or parse errors, among them solver flags out
-of range (a grid resolution below 1, a negative multistart or seed, an
-``--eps-eq`` that is negative or not finite).
+without a traceback), 2 usage or parse errors, among them flags out of
+range (a grid resolution below 1, a negative multistart, seed,
+``partial-best --k`` or ``--table-cap``, an ``--eps-eq`` that is negative
+or not finite).
 
 Each command imports the modules it uses inside its function, so a process
 loads only what its command needs.  ``validate``, ``refine`` and
@@ -31,7 +32,7 @@ from fractions import Fraction
 
 from . import fileio
 from .config import CapExceededError, EquilibriumNotFoundError, SolverConfig
-from .game import Game, chance_nodes, has_absentmindedness, validate_game
+from .game import Game, validate_game
 from .recall import perfect_recall_refinement, perfect_recall_refinement_all
 from .strategies import StrategyProfile, validate_profile
 
@@ -219,29 +220,17 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from .vor import (
-        _argmax_leaf,
-        bound_am,
-        bound_am_entropy,
-        bound_chance,
-        bound_composed,
-    )
+    from .vor import structural_bounds
 
     game = _load_game(args.game)
     cfg = _config_from(args)
     if game.players != 1:
         raise DomainError("bounds apply to single-player games")
-    if not chance_nodes(game):
-        b1, b2 = bound_am(game)
-        print(f"am utility bound: {fmt(b1)}")
-        print(f"am zstar bound: {fmt(b2)}")
-        zstar = _argmax_leaf(game, lambda z: game.utilities[z][0])
-        print(f"am entropy bound: {fmt(bound_am_entropy(game, zstar))}")
-    if not has_absentmindedness(game, 1):
-        c1, c2 = bound_chance(game, cfg)
-        print(f"chance utility bound: {fmt(c1)}")
-        print(f"chance beta bound: {fmt(c2)}")
-    print(f"composed bound: {fmt(bound_composed(game))}")
+    bounds = structural_bounds(game, cfg)
+    if None in bounds.values():
+        raise DomainError("all utilities are zero; the bound is undefined")
+    for name, value in bounds.items():
+        print(f"{name.replace('_', ' ')} bound: {fmt(value)}")
     return 0
 
 
@@ -268,25 +257,18 @@ def cmd_smooth_check(args) -> int:
 
 
 def cmd_partial_best(args) -> int:
-    from .partial import enumerate_k_refinements, k_best_partial
-    from .solvers import optimal_strategy
+    from .partial import _scored_refinements
 
     game = _load_game(args.game)
     cfg = _config_from(args)
     try:
-        candidates = enumerate_k_refinements(game, 1, args.k)
-        best_game, value = k_best_partial(game, args.k, cfg)
+        scored, (best_game, value) = _scored_refinements(game, args.k, cfg)
     except (CapExceededError, ValueError) as exc:
         raise DomainError(str(exc)) from exc
-    shown = 0
-    for cand in candidates:
-        score = optimal_strategy(cand, cfg).utilities[0]
-        isets = len(cand.infosets.get(1, {}))
-        print(f"candidate infosets={isets}: {fmt(score)}")
-        shown += 1
-        if shown >= args.table_cap:
-            print(f"... ({len(candidates) - shown} more)")
-            break
+    for cand, score in scored[:args.table_cap]:
+        print(f"candidate infosets={len(cand.infosets.get(1, {}))}: {fmt(score)}")
+    if len(scored) > args.table_cap:
+        print(f"... ({len(scored) - args.table_cap} more)")
     print(f"best: {fmt(value)}")
     if args.out:
         fileio.write_game(best_game, args.out)
@@ -429,9 +411,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partial-best", help="best k-split partial refinement",
                        formatter_class=fmt_cls)
     p.add_argument("game")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+                   required=True)
     p.add_argument("--out", help="write the winning game here")
-    p.add_argument("--table-cap", type=int, default=50,
+    p.add_argument("--table-cap", type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
+                   default=50,
                    help="max candidate scores to print")
     _add_solver_flags(p)
     p.set_defaults(func=cmd_partial_best)

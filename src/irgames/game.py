@@ -9,10 +9,17 @@ end to end ("rational mode").
 Every expected utility here is a sum over leaves of the player's utility
 times the leaf's reach monomial: its chance coefficient times each strategy
 entry on its path, raised to the number of times the path takes it.
-``Game.leaves`` compiles these monomials once per game, and every
-evaluator, gradient, deviation, compiled array and coefficient reads them
-from there; ``Game.numeric`` is their float table, also built once, and
-``Game.memo`` keeps what solvers derive from the game once per input.
+``Game.leaves`` compiles these monomials once per game; gradients,
+deviations, the compiled arrays and the coefficients read them from there,
+and ``Game.numeric`` is their float table, also built once.  The exact
+reach and value evaluators (``expected_utility``, ``infoset_reach``,
+``infoset_frequency``, ``realization_equivalent``, and the perfect-recall
+DP of optimal play) walk the tree instead: one top-down pass of
+``node_reach_map``, plus the DP's recursion over subtrees.  They stay walks
+because the leaf table holds quadratically many visits on a chain of
+distinct infosets (about n**2 / 2 on lenny(n)'s perfect-recall refinement),
+where a walk is linear.  ``Game.memo`` keeps what solvers derive from the
+game once per input.
 
 Nothing here mutates: refinements and transforms build new ``Game`` objects.
 """

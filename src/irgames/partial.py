@@ -10,7 +10,7 @@ that would grant new information, not recall.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .game import Game, Infoset, Num
@@ -54,12 +54,7 @@ def _with_partition(game: Game, player: int, infoset_id: str,
             break
         bid = _block_id(infoset_id, block)
         per[bid] = Infoset(id=bid, player=player, nodes=block, actions=old.actions)
-    infosets = {p: dict(v) for p, v in game.infosets.items()}
-    infosets[player] = per
-    return Game(
-        players=game.players, root=game.root, nodes=game.nodes,
-        utilities=game.utilities, infosets=infosets, name=game.name,
-    )
+    return replace(game, infosets={**game.infosets, player: per})
 
 
 def apply_split(game: Game, step: SplitStep, root_game: Optional[Game] = None) -> Game:
@@ -167,6 +162,22 @@ def enumerate_k_refinements(game: Game, player: int, k: int) -> list[Game]:
     return [results[key] for key in sorted(results)]
 
 
+def _scored_refinements(game: Game, k: int, cfg: SolverConfig
+                        ) -> tuple[list[tuple[Game, Num]], tuple[Game, Num]]:
+    """Every at-most-k-split refinement of the single player, in
+    ``enumerate_k_refinements`` order, with its ``optimal_strategy``
+    utility, and the best of them: ties prefer fewer splits, then the
+    smallest canonical partition."""
+    if game.players != 1:
+        raise ValueError("k_best_partial expects a single-player game")
+    scored = [(cand, optimal_strategy(cand, cfg).utilities[0])
+              for cand in enumerate_k_refinements(game, 1, k)]
+    base = len(game.infosets.get(1, {}))
+    best = min(scored, key=lambda cs: (
+        -float(cs[1]), len(cs[0].infosets.get(1, {})) - base, _partition_key(cs[0], 1)))
+    return scored, best
+
+
 def k_best_partial(
     game: Game,
     k: int,
@@ -175,15 +186,4 @@ def k_best_partial(
     """Exhaustively score every at-most-k-split refinement by its
     ``optimal_strategy`` utility; ties prefer fewer splits, then the
     smallest canonical partition."""
-    cfg = _cfg(cfg)
-    if game.players != 1:
-        raise ValueError("k_best_partial expects a single-player game")
-    candidates = enumerate_k_refinements(game, 1, k)
-    best = None
-    for cand in candidates:
-        value = optimal_strategy(cand, cfg).utilities[0]
-        splits = len(cand.infosets.get(1, {})) - len(game.infosets.get(1, {}))
-        key = (-float(value), splits, _partition_key(cand, 1))
-        if best is None or key < best[0]:
-            best = (key, cand, value)
-    return best[1], best[2]
+    return _scored_refinements(game, k, _cfg(cfg))[1]

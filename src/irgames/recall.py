@@ -9,10 +9,10 @@ how one player's decision nodes are grouped into infosets.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .game import Game, Infoset
+from .game import Game, Infoset, Node
 
 
 @dataclass(frozen=True)
@@ -143,15 +143,10 @@ def _history_names(steps: list[tuple[int, str, str]]
     return rank, digest
 
 
-def perfect_recall_refinement(game: Game, player: int) -> tuple[Game, RefinementPlan]:
-    """Split each infoset of ``player`` by observed-history equivalence.
-
-    Nodes stay together exactly when their obs_i sequences agree; every
-    other player's partition is untouched.  New infoset ids are derived
-    from the old id and a content hash of the shared observation, so
-    repeated runs are bit-identical.  Infosets that do not split keep
-    their id.
-    """
+def _perfect_recall_partition(game: Game, player: int
+                              ) -> tuple[dict[str, Infoset], dict[str, tuple[str, ...]]]:
+    """The player's infosets split by observed-history equivalence, and
+    the map from each old infoset id to its parts' ids."""
     game._check_player(player)
     history, steps = own_histories(game, player)
     rank, digest = _history_names(steps)
@@ -176,17 +171,21 @@ def perfect_recall_refinement(game: Game, player: int) -> tuple[Game, Refinement
             )
             ids.append(cid)
         mapping[iset.id] = tuple(ids)
+    return new_isets, mapping
 
-    infosets = {p: dict(per) for p, per in game.infosets.items()}
-    infosets[player] = new_isets
-    refined = Game(
-        players=game.players,
-        root=game.root,
-        nodes=game.nodes,
-        utilities=game.utilities,
-        infosets=infosets,
-        name=f"pr_{player}({game.name})" if game.name else "",
-    )
+
+def perfect_recall_refinement(game: Game, player: int) -> tuple[Game, RefinementPlan]:
+    """Split each infoset of ``player`` by observed-history equivalence.
+
+    Nodes stay together exactly when their obs_i sequences agree; every
+    other player's partition is untouched.  New infoset ids are derived
+    from the old id and a content hash of the shared observation, so
+    repeated runs are bit-identical.  Infosets that do not split keep
+    their id.
+    """
+    new_isets, mapping = _perfect_recall_partition(game, player)
+    refined = replace(game, infosets={**game.infosets, player: new_isets},
+                      name=f"pr_{player}({game.name})" if game.name else "")
     return refined, RefinementPlan(player=player, mapping=mapping)
 
 
@@ -196,27 +195,12 @@ def perfect_recall_refinement_all(game: Game) -> Game:
     Each player's split uses the original game's observations, mirroring
     the simultaneous all-player definition.
     """
-    out = game
-    for player in range(1, game.players + 1):
-        refined, _ = perfect_recall_refinement(game, player)
-        infosets = {p: dict(per) for p, per in out.infosets.items()}
-        infosets[player] = dict(refined.infosets[player])
-        out = Game(
-            players=out.players,
-            root=out.root,
-            nodes=out.nodes,
-            utilities=out.utilities,
-            infosets=infosets,
-            name=out.name,
-        )
-    return Game(
-        players=out.players,
-        root=out.root,
-        nodes=out.nodes,
-        utilities=out.utilities,
-        infosets=out.infosets,
-        name=f"pr({game.name})" if game.name else "",
-    )
+    infosets = {**game.infosets, **{
+        player: _perfect_recall_partition(game, player)[0]
+        for player in range(1, game.players + 1)
+    }}
+    return replace(game, infosets=infosets,
+                   name=f"pr({game.name})" if game.name else "")
 
 
 def check_coarsest(game: Game, player: int, candidate: Game) -> bool:
@@ -251,16 +235,8 @@ def full_information_refinement(game: Game, player: int) -> Game:
             new_isets[cid] = Infoset(
                 id=cid, player=player, nodes=(nid,), actions=iset.actions
             )
-    infosets = {p: dict(per) for p, per in game.infosets.items()}
-    infosets[player] = new_isets
-    return Game(
-        players=game.players,
-        root=game.root,
-        nodes=game.nodes,
-        utilities=game.utilities,
-        infosets=infosets,
-        name=f"perfect_info_{player}({game.name})" if game.name else "",
-    )
+    return replace(game, infosets={**game.infosets, player: new_isets},
+                   name=f"perfect_info_{player}({game.name})" if game.name else "")
 
 
 def dummy_node_transform(game: Game, player: int) -> Game:
@@ -277,36 +253,17 @@ def dummy_node_transform(game: Game, player: int) -> Game:
         return game
 
     dummy_of = {nid: f"d:{nid}" for nid in targets}
-    nodes = {}
-    for nid, node in game.nodes.items():
-        children = tuple(dummy_of.get(c, c) for c in node.children)
-        nodes[nid] = type(node)(
-            id=nid,
-            owner=node.owner,
-            actions=node.actions,
-            children=children,
-            chance_dist=node.chance_dist,
-        )
+    nodes = {nid: replace(node, children=tuple(dummy_of.get(c, c) for c in node.children))
+             for nid, node in game.nodes.items()}
     for nid, did in dummy_of.items():
-        nodes[did] = type(game.nodes[nid])(
-            id=did, owner=player, actions=("pass",), children=(nid,)
-        )
+        nodes[did] = Node(id=did, owner=player, actions=("pass",), children=(nid,))
 
-    infosets = {p: dict(per) for p, per in game.infosets.items()}
-    per = dict(infosets.get(player, {}))
+    per = dict(game.infosets.get(player, {}))
     for nid, did in sorted(dummy_of.items()):
         iset_id = f"Id:{nid}"
         per[iset_id] = Infoset(
             id=iset_id, player=player, nodes=(did,), actions=("pass",)
         )
-    infosets[player] = per
-
-    root = dummy_of.get(game.root, game.root)
-    return Game(
-        players=game.players,
-        root=root,
-        nodes=nodes,
-        utilities=game.utilities,
-        infosets=infosets,
-        name=f"dummy_{player}({game.name})" if game.name else "",
-    )
+    return replace(game, root=dummy_of.get(game.root, game.root), nodes=nodes,
+                   infosets={**game.infosets, player: per},
+                   name=f"dummy_{player}({game.name})" if game.name else "")

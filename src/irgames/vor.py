@@ -16,9 +16,10 @@ leaf monomials:
   many leaves a pure strategy can reach with positive probability below it.
 
 The coefficients and the exact bounds are tree walks in exact arithmetic;
-only the functions that solve (``bound_chance``, ``vor_compute`` and
-``smoothness_check``) import numpy and ``irgames.solvers``, when called, so
-``irgames coeffs`` never loads them.
+only the functions that solve (``bound_chance``, and so
+``structural_bounds`` on a game without absentmindedness, ``vor_compute``
+and ``smoothness_check``) import numpy and ``irgames.solvers``, when
+called, so ``irgames coeffs`` never loads them.
 """
 
 from __future__ import annotations
@@ -216,6 +217,29 @@ def bound_composed(game: Game) -> Num:
     return Fraction(beta) / min_am
 
 
+def structural_bounds(game: Game, cfg: Optional[SolverConfig] = None) -> dict[str, Optional[Num]]:
+    """Every bound that applies to this single-player game, exact, by name,
+    in report order: the absentmindedness bounds on a game without chance
+    nodes, the chance bounds on a game without absentmindedness, and the
+    composed bound always.  An applicable bound that the utilities leave
+    undefined (all zero) is None."""
+    bounds: dict[str, Optional[Num]] = {}
+    if not chance_nodes(game):
+        try:
+            bounds["am_utility"], bounds["am_zstar"] = bound_am(game)
+        except ValueError:
+            bounds["am_utility"] = bounds["am_zstar"] = None
+        zstar = _argmax_leaf(game, lambda z: game.utilities[z][0])
+        bounds["am_entropy"] = bound_am_entropy(game, zstar)
+    if not has_absentmindedness(game, 1):
+        try:
+            bounds["chance_utility"], bounds["chance_beta"] = bound_chance(game, cfg)
+        except ValueError:
+            bounds["chance_utility"] = bounds["chance_beta"] = None
+    bounds["composed"] = bound_composed(game)
+    return bounds
+
+
 # ---------------------------------------------------------------------------
 # VoR computation
 # ---------------------------------------------------------------------------
@@ -276,32 +300,11 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
     else:
         ratio, kind = None, "undefined"
 
-    bounds: dict[str, Optional[float]] = {
-        "am_utility": None,
-        "am_zstar": None,
-        "am_entropy": None,
-        "chance_utility": None,
-        "chance_beta": None,
-        "composed": None,
-    }
+    bounds: dict[str, Optional[float]] = dict.fromkeys(
+        ("am_utility", "am_zstar", "am_entropy", "chance_utility", "chance_beta", "composed"))
     if game.players == 1:
-        if not chance_nodes(game):
-            try:
-                b1, b2 = bound_am(game)
-                bounds["am_utility"] = float(b1)
-                bounds["am_zstar"] = float(b2)
-            except ValueError:
-                pass  # degenerate utilities; leave the entries empty
-            zstar = _argmax_leaf(game, lambda z: game.utilities[z][0])
-            bounds["am_entropy"] = float(bound_am_entropy(game, zstar))
-        if not has_absentmindedness(game, 1):
-            try:
-                c1, c2 = bound_chance(game, cfg)
-                bounds["chance_utility"] = float(c1)
-                bounds["chance_beta"] = float(c2)
-            except ValueError:
-                pass
-        bounds["composed"] = float(bound_composed(game))
+        bounds.update((name, None if b is None else float(b))
+                      for name, b in structural_bounds(game, cfg).items())
 
     satisfied = {
         name: (None if b is None or ratio is None or concept != "OPT"
@@ -393,15 +396,3 @@ def smoothness_check(
         )
     kind = "pure-verified" if pure_full else "sampled-ok"
     return SmoothnessVerdict(kind, None, float(margin[worst]), opt)
-
-
-def smooth_bounds(lam: float, mu: float, opt_utility: float,
-                  composed_bound: float) -> tuple[float, float]:
-    """Robust efficiency ratio lam/(1+mu) for single-infoset-deviation
-    equilibria, and the induced recall bound (1+mu)/lam times the composed
-    structural bound.  Every such equilibrium earns at least
-    ratio * opt_utility."""
-    if lam <= 0:
-        raise ValueError("require lam > 0")
-    rho = lam / (1.0 + mu)
-    return rho, (1.0 + mu) / lam * float(composed_bound)

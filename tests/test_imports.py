@@ -43,7 +43,7 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
                           text=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("command", ["validate", "refine", "coeffs"])
+@pytest.mark.parametrize("command", ["validate", "refine", "coeffs", "bounds"])
 def test_exact_commands_load_neither_numpy_nor_the_solvers(tmp_path, command):
     game = tmp_path / "fig2.json"
     write_game(gen_fig2(), str(game))

@@ -14,6 +14,7 @@ import irgames
 
 from conftest import single
 
+from irgames import solvers
 from irgames.cli import _config_from, build_parser, cli_main, fmt
 from irgames.dot import export_dot
 from irgames.fileio import (
@@ -30,6 +31,7 @@ from irgames.fileio import (
 )
 from irgames.game import validate_game
 from irgames.generators import gen_dory, gen_fig1, gen_fig2, gen_lenny, gen_random
+from irgames.partial import enumerate_k_refinements
 from irgames.recall import same_tree
 from irgames.solvers import SolverConfig
 from irgames.strategies import profile_from, pure_strategy
@@ -166,6 +168,42 @@ def test_cli_partial_best(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "best: 1" in stdout
     assert validate_game(read_game(str(out))) == []
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--k", "-1"], "argument --k: need an integer >= 0, got '-1'"),
+    (["--k", "1", "--table-cap", "-3"], "argument --table-cap: need an integer >= 0, got '-3'"),
+], ids=["k", "table-cap"])
+def test_cli_partial_best_negative_flags_are_usage_errors(tmp_path, capsys, flags, message):
+    # A negative --k once exited 1, a negative --table-cap printed a row.
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+    assert run(["partial-best", str(game), *flags]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
+def test_cli_partial_best_table_cap_zero_prints_no_candidate(tmp_path, capsys):
+    game = tmp_path / "x3c.json"
+    run(["gen", "x3c", "--universe", "6", "--family", "1,2,3;4,5,6",
+         "--out", str(game)])
+    capsys.readouterr()
+    n = len(enumerate_k_refinements(read_game(str(game)), 1, 1))
+    assert run(["partial-best", str(game), "--k", "1", "--table-cap", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"... ({n} more)", "best: 1"]
+
+
+def test_cli_partial_best_solves_each_candidate_once(tmp_path, monkeypatch, capsys):
+    # The listing once solved every printed candidate a second time.
+    game = tmp_path / "lenny6.json"
+    write_game(gen_lenny(6), str(game))
+    calls = []
+    solve = solvers._solve_opt
+    monkeypatch.setattr(solvers, "_solve_opt", lambda g, cfg: calls.append(g) or solve(g, cfg))
+    # The count does not depend on the solver flags; these keep it fast.
+    assert run(["partial-best", str(game), "--k", "1",
+                "--grid-resolution", "2", "--multistart", "0"]) == 0
+    assert len(calls) == len(enumerate_k_refinements(gen_lenny(6), 1, 1)) == 32
 
 
 def test_cli_smooth_check(tmp_path, capsys):

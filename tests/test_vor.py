@@ -1,9 +1,11 @@
 """Value-of-recall coefficients, bounds, ratio computation, pure-strategy
 identities, and the smoothness framework."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import single, strat
 
@@ -17,6 +19,7 @@ from irgames.generators import (
     gen_fig3,
     gen_lenny,
     gen_random,
+    gen_sat_game,
 )
 from irgames.recall import perfect_recall_refinement
 from irgames.solvers import enumerate_equilibria, optimal_strategy
@@ -37,7 +40,6 @@ from irgames.vor import (
     branching_factor,
     chance_coefficient,
     coefficient_table,
-    smooth_bounds,
     smoothness_check,
     vor_compute,
 )
@@ -238,6 +240,46 @@ def test_vor_opt_is_one_without_chance_and_absentmindedness():
             assert report.ratio == pytest.approx(1.0, abs=1e-9)
 
 
+# -- the paper's reductions as properties -------------------------------------
+
+
+@st.composite
+def formulas(draw):
+    """1-4 clauses, each of three distinct variables out of 3 or 4, signed."""
+    n_vars = draw(st.integers(3, 4))
+    clause = st.tuples(st.permutations(range(1, n_vars + 1)),
+                       st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    clauses = draw(st.lists(clause, min_size=1, max_size=4))
+    return n_vars, [tuple(v if pos else -v for v, pos in zip(order, signs))
+                    for order, signs in clauses]
+
+
+# The SAT reduction: the refinement recalls the clause and violates it, for
+# eta + M' whatever the clause; the game's best assignment violates v of the
+# n clauses, for eta + M' v / n.
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(formula=formulas(), a=st.sampled_from([1, 2, 3]), b=st.sampled_from([1, 2]),
+       M=st.sampled_from([1, 2]))
+def test_sat_game_opt_vor_is_the_closed_form(formula, a, b, M):
+    n_vars, clauses = formula
+    eta, n = Fraction(a, b), len(clauses)
+    v = max(sum(all((lit > 0) != bits[abs(lit) - 1] for lit in clause) for clause in clauses)
+            for bits in itertools.product((True, False), repeat=n_vars))
+    mprime = 8 * M * eta * n
+    report = vor_compute(gen_sat_game(clauses, eta, M), "OPT")
+    assert report.numerator / report.denominator == (eta + mprime) / (eta + mprime * v / n)
+
+
+# Lifting a strategy to the refinement keeps its utility, so optimal play
+# there is never worse.
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(seed=st.integers(0, 39), am=st.booleans())
+def test_opt_vor_is_at_least_one(seed, am):
+    report = vor_compute(gen_random(3, 2, 0.6, 0.3, am, seed), "OPT")
+    assert report.ratio_kind == "finite"
+    assert report.ratio >= 1
+
+
 # -- pure-strategy identities --------------------------------------------------
 
 
@@ -349,22 +391,13 @@ def test_smoothness_valid_utility_instance(monkeypatch):
     assert falsified.counterexample is not None
 
 
-def test_smooth_bounds_values():
-    rho, vor_bound = smooth_bounds(1.0, 1.0, 8.0, 1.0)
-    assert rho == pytest.approx(0.5)
-    assert vor_bound == pytest.approx(2.0)
-    rho0, _ = smooth_bounds(1.0, 0.0, 8.0, 1.0)
-    assert rho0 == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        smooth_bounds(0.0, 1.0, 8.0, 1.0)
-
-
 def test_every_edt_equilibrium_clears_the_smooth_floor():
+    # The game is (1, 1)-smooth (the test above), so every EDT equilibrium
+    # earns at least rho = lam/(1+mu) = 1/2 of optimal play.
     g = default_valid_utility()
     opt = float(optimal_strategy(g).utilities[0])
-    rho, _ = smooth_bounds(1.0, 1.0, opt, float(bound_composed(g)))
     for report in enumerate_equilibria(g, "EDT"):
-        assert float(report.utilities[0]) >= rho * opt - 1e-9
+        assert float(report.utilities[0]) >= 0.5 * opt - 1e-9
 
 
 # -- coefficients against root-path walks -------------------------------------
