@@ -67,12 +67,11 @@ class FlatIndex:
                                   slice(first_coord, offset))
         self.dim = offset
         self.row_of = {(r.player, r.infoset_id): r for r in self.rows}
-        # One (rows, size) coordinate array per row size.
-        self.rows_by_size = [
-            np.array([np.arange(r.offset, r.offset + size)
-                      for r in self.rows if r.size == size], dtype=np.intp)
-            for size in sorted({r.size for r in self.rows})
-        ]
+        # One (rows, size) coordinate array per row size, of all rows and of
+        # each player's.
+        self.rows_by_size = _coords_by_size(self.rows)
+        self.player_rows_by_size = {
+            p: _coords_by_size(self.rows[self.block[p][0]]) for p in self.block}
 
     def vector(self, profile: StrategyProfile) -> np.ndarray:
         x = np.empty(self.dim)
@@ -103,11 +102,21 @@ class FlatIndex:
         return x
 
 
-def project_rows(index: FlatIndex, X: np.ndarray) -> np.ndarray:
-    """Euclidean projection of every infoset row onto its simplex, one
-    batched projection per row size."""
+def _coords_by_size(rows: list[Row]) -> list[np.ndarray]:
+    return [
+        np.array([np.arange(r.offset, r.offset + size)
+                  for r in rows if r.size == size], dtype=np.intp)
+        for size in sorted({r.size for r in rows})
+    ]
+
+
+def project_rows(index: FlatIndex, X: np.ndarray,
+                 player: int | None = None) -> np.ndarray:
+    """Euclidean projection of every infoset row, or of the given player's
+    rows alone, onto its simplex, one batched projection per row size."""
     out = np.array(X, dtype=float, copy=True)
-    for coords in index.rows_by_size:
+    groups = index.rows_by_size if player is None else index.player_rows_by_size[player]
+    for coords in groups:
         out[..., coords] = _project_simplex(out[..., coords])
     return out
 
@@ -127,8 +136,19 @@ def kkt_gaps(index: FlatIndex, X: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def _project_simplex(V: np.ndarray) -> np.ndarray:
     """Sort-based Euclidean projection onto the probability simplex,
-    batched over leading axes."""
+    batched over leading axes.  Two-action rows take a closed form that
+    writes out the sort path's own arithmetic, so it gives the same bits:
+    the sorted pair is (hi, lo), the threshold is (hi + lo - 1) / 2 when
+    both entries stay on the support and hi - 1 otherwise, and the second
+    test repeats the sort path's first-entry test, hi - (hi - 1) > 0,
+    which fails only above 2**53."""
     n = V.shape[-1]
+    if n == 2:
+        hi = np.maximum(V[..., 0], V[..., 1])
+        lo = np.minimum(V[..., 0], V[..., 1])
+        both, top = (hi + lo - 1.0) / 2.0, hi - 1.0
+        theta = np.where((lo - both > 0) | ~(hi - top > 0), both, top)
+        return np.maximum(V - theta[..., None], 0.0)
     U = np.sort(V, axis=-1)[..., ::-1]
     css = np.cumsum(U, axis=-1) - 1.0
     ks = np.arange(1, n + 1, dtype=float)
@@ -222,7 +242,8 @@ class NumericGame:
         """(B, Z) leaf products of chance coefficient and entry factors,
         multiplied in rank order.  With a list ``prefixes``, also appends
         each step's (n, B) product before the step and its factors."""
-        probs = np.tile(self.coef[self._order, None], (1, XT.shape[1]))
+        probs = np.empty((self.n_leaves, XT.shape[1]))
+        probs[:] = self.coef[self._order, None]
         for n, *entries in self._steps:
             factors = self._entry_factors(XT, *entries)
             if prefixes is not None:
@@ -260,7 +281,8 @@ class NumericGame:
         prefixes: list = []
         values = self._products(XT, prefixes) @ self.utils[:, player - 1]
 
-        suffix = np.tile(self.utils[self._order, player - 1, None], (1, B))
+        suffix = np.empty((self.n_leaves, B))
+        suffix[:] = self.utils[self._order, player - 1, None]
         grad = np.zeros(R * B)
         columns = np.arange(B)
         for (n, coords, many, count), (prefix, factors) in zip(

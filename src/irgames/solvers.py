@@ -1027,9 +1027,11 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> tuple[np.ndarray, np.nd
     candidate's value and partials and a rejected one keeps its own.  A
     move changes the other players' values too, so theirs are recomputed
     for the seeds that moved.  The settle test and the residuals read the
-    KKT gap from the carried partials.  The step grows by 1.2 per accepted
-    move, up to 1e6: uncapped, it outgrew the projection's rounding and
-    seeds left the simplex.
+    KKT gap from the carried partials.  A player-step moves only that
+    player's block, so it projects only that player's rows: the others are
+    on the simplex already.  The step grows by 1.2 per accepted move, up
+    to 1e6: uncapped, it outgrew the projection's rounding and seeds left
+    the simplex.
     """
     X = project_rows(num.index, X)
     B = X.shape[0]
@@ -1064,7 +1066,7 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> tuple[np.ndarray, np.nd
             block = num.index.block[p][1]
             Y = X[idx]
             Y[:, block] += step[p][idx, None] * G[idx, block]
-            Y = project_rows(num.index, Y)
+            Y = project_rows(num.index, Y, p)
             fY, GY = num.gradient(Y, p)
             improved = fY > F[idx, p - 1] + 1e-14
             moved = idx[improved]

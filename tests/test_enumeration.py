@@ -275,6 +275,23 @@ def test_carried_polish_takes_the_per_step_iterates(make):
     assert np.allclose(got, per_step_polish(num, X), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("make", [
+    PAPER_GAMES["fig2"], PAPER_GAMES["lenny6"], PAPER_GAMES["fig3"],
+    lambda: _refined(gen_dory(2)),
+], ids=["fig2", "lenny6", "fig3", "refined dory2"])
+def test_one_player_polish_takes_the_per_step_bits(make):
+    # With one player every step moves the whole vector, so projecting the
+    # mover's rows alone projects what the reference projects.
+    num = make().numeric
+    assert num.game.players == 1
+    rng = np.random.default_rng(0)
+    pure, _ = solvers._pure_seed_vectors(num.index, rng)
+    X = np.concatenate([pure[:64], solvers._random_mixed(num.index, rng, 16),
+                        num.index.uniform()[None]])
+    got, _ = solvers._gradient_polish(num, X)
+    assert np.array_equal(got, per_step_polish(num, X))
+
+
 def test_gradient_polish_keeps_every_seed_on_the_simplex():
     # An uncapped step grew until the projection lost rows to rounding:
     # seeds ran off the simplex to entries of 8.6e124, and the best CDT

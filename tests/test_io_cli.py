@@ -30,7 +30,7 @@ from irgames.fileio import (
     write_profile,
 )
 from irgames.game import validate_game
-from irgames.generators import gen_dory, gen_fig1, gen_fig2, gen_lenny, gen_random
+from irgames.generators import gen_fig1, gen_fig2, gen_lenny, gen_random
 from irgames.partial import enumerate_k_refinements
 from irgames.recall import same_tree
 from irgames.solvers import SolverConfig

@@ -225,6 +225,37 @@ def test_project_rows_matches_per_row_projection(seed, rows):
     assert np.array_equal(project_rows(index, X), want)
 
 
+def sorted_projection(V: np.ndarray) -> np.ndarray:
+    """The sort-based simplex projection, the reference for the closed
+    form of two-action rows."""
+    n = V.shape[-1]
+    U = np.sort(V, axis=-1)[..., ::-1]
+    css = np.cumsum(U, axis=-1) - 1.0
+    cond = U - css / np.arange(1, n + 1, dtype=float) > 0
+    rho = n - 1 - np.argmax(cond[..., ::-1], axis=-1)
+    theta = np.take_along_axis(css, rho[..., None], axis=-1) / (rho[..., None] + 1.0)
+    return np.maximum(V - theta, 0.0)
+
+
+@PROPERTY
+@given(seed=st.integers(0, 10_000), top=st.integers(-3, 300),
+       lead=st.sampled_from([(256,), (16, 16)]))
+@example(seed=0, top=300, lead=(256,))
+def test_two_action_projection_takes_the_sort_paths_bits(seed, top, lead):
+    # Magnitudes 1e-3 to 10**top; the second entry ties the first, is one
+    # away, is one ulp from the first or from one away, or is drawn freely.
+    # Above 2**53, a - (a - 1) > 0 fails and the sort path keeps both.
+    rng = np.random.default_rng(seed)
+    a = rng.choice([-1.0, 1.0], lead) * 10.0 ** rng.uniform(-3, top, lead)
+    one = rng.choice([-1.0, 1.0], lead)
+    ulp = rng.choice([-np.inf, np.inf], lead)
+    free = rng.choice([-1.0, 1.0], lead) * 10.0 ** rng.uniform(-3, top, lead)
+    b = np.choose(rng.integers(0, 5, lead), [
+        a, a + one, np.nextafter(a, ulp), np.nextafter(a + one, ulp), free])
+    V = np.stack([a, b], axis=-1)
+    assert np.array_equal(_project_simplex(V), sorted_projection(V))
+
+
 def two_player_mixed_rows_game():
     """Player 1 picks one of three actions; player 2 then picks one of two
     or one of three, and player 1 once more one of two."""

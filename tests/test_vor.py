@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import single, strat
+from conftest import single
 
 import irgames.vor as vor
-from irgames.game import chance_nodes, subtree_nodes, validate_game
+from irgames.game import chance_nodes, subtree_nodes
 from irgames.generators import (
     default_valid_utility,
     gen_dory,
@@ -21,7 +21,6 @@ from irgames.generators import (
     gen_random,
     gen_sat_game,
 )
-from irgames.recall import perfect_recall_refinement
 from irgames.solvers import enumerate_equilibria, optimal_strategy
 from irgames.strategies import (
     expected_utility,
