@@ -162,13 +162,10 @@ def cmd_solve(args) -> int:
     game = _load_game(args.game)
     cfg = _config_from(args)
     which = "best" if args.best else "worst" if args.worst else "best"
-    try:
-        if args.concept == "opt":
-            report = optimal_strategy(game, cfg)
-        else:
-            report = best_worst(game, args.concept.upper(), which, cfg)
-    except (EquilibriumNotFoundError, CapExceededError, ValueError) as exc:
-        raise DomainError(str(exc)) from exc
+    if args.concept == "opt":
+        report = optimal_strategy(game, cfg)
+    else:
+        report = best_worst(game, args.concept.upper(), which, cfg)
     _print_report(report)
     return 0
 
@@ -182,10 +179,7 @@ def cmd_vor(args) -> int:
     canon = {c.lower(): c for c in VOR_CONCEPTS}
     if concept.lower() not in canon:
         raise DomainError(f"unknown VoR concept {concept!r}")
-    try:
-        report = vor_compute(game, canon[concept.lower()], cfg)
-    except (EquilibriumNotFoundError, CapExceededError, ValueError) as exc:
-        raise DomainError(str(exc)) from exc
+    report = vor_compute(game, canon[concept.lower()], cfg)
     print(f"concept: {report.concept}")
     print(f"u1 refined: {fmt(report.numerator)}")
     print(f"u1 original: {fmt(report.denominator)}")
@@ -240,10 +234,7 @@ def cmd_smooth_check(args) -> int:
     game = _load_game(args.game)
     cfg = _config_from(args)
     pistar = _load_profile(args.pistar, game)
-    try:
-        verdict = smoothness_check(game, pistar, args.lam, args.mu, cfg)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    verdict = smoothness_check(game, pistar, args.lam, args.mu, cfg)
     print(f"verdict: {verdict.kind}")
     print(f"worst margin: {fmt(verdict.worst_margin)}")
     print(f"opt: {fmt(verdict.opt_utility)}")
@@ -261,10 +252,7 @@ def cmd_partial_best(args) -> int:
 
     game = _load_game(args.game)
     cfg = _config_from(args)
-    try:
-        scored, (best_game, value) = _scored_refinements(game, args.k, cfg)
-    except (CapExceededError, ValueError) as exc:
-        raise DomainError(str(exc)) from exc
+    scored, (best_game, value) = _scored_refinements(game, args.k, cfg)
     for cand, score in scored[:args.table_cap]:
         print(f"candidate infosets={len(cand.infosets.get(1, {}))}: {fmt(score)}")
     if len(scored) > args.table_cap:

@@ -15,8 +15,8 @@ and ``Game.numeric`` is their float table, also built once.  The exact
 reach and value evaluators (``expected_utility``, ``infoset_reach``,
 ``infoset_frequency``, ``realization_equivalent``, and the perfect-recall
 DP of optimal play) walk the tree instead: one top-down pass of
-``node_reach_map``, plus the DP's recursion over subtrees.  They stay walks
-because the leaf table holds quadratically many visits on a chain of
+``node_reach_map``, which the DP follows with one bottom-up pass over the
+player's own histories.  They stay walks because the leaf table holds quadratically many visits on a chain of
 distinct infosets (about n**2 / 2 on lenny(n)'s perfect-recall refinement),
 where a walk is linear.  ``Game.memo`` keeps what solvers derive from the
 game once per input.

@@ -42,18 +42,21 @@ def _block_id(infoset_id: str, nodes: tuple[str, ...]) -> str:
     return f"{infoset_id}.{digest}"
 
 
+def _cut(old: Infoset, blocks: list[tuple[str, ...]]) -> dict[str, Infoset]:
+    """The infosets that replace ``old`` once it is cut into the given
+    blocks of its nodes: ``old`` itself for one block."""
+    if len(blocks) == 1:
+        return {old.id: old}
+    ids = [_block_id(old.id, block) for block in blocks]
+    return {bid: Infoset(id=bid, player=old.player, nodes=block, actions=old.actions)
+            for bid, block in zip(ids, blocks)}
+
+
 def _with_partition(game: Game, player: int, infoset_id: str,
                     blocks: list[tuple[str, ...]]) -> Game:
     """Replace one infoset by the given blocks of its nodes."""
-    old = game.infosets[player][infoset_id]
     per = dict(game.infosets[player])
-    del per[infoset_id]
-    for block in blocks:
-        if len(blocks) == 1:
-            per[infoset_id] = old
-            break
-        bid = _block_id(infoset_id, block)
-        per[bid] = Infoset(id=bid, player=player, nodes=block, actions=old.actions)
+    per.update(_cut(per.pop(infoset_id), blocks))
     return replace(game, infosets={**game.infosets, player: per})
 
 
@@ -112,54 +115,67 @@ def _partition_key(game: Game, player: int) -> tuple:
 _REFINEMENT_CAP = 20_000
 
 
+def _grouping_count(m: int, most: int) -> int:
+    """Partitions of ``m`` atoms into at most ``most`` blocks: the sum of
+    the Stirling numbers S(m, j), j <= most.  The count never falls as
+    ``m`` grows, so it stops at the first row past the cap."""
+    row = [1]  # row[j] = S(i, j) for j <= min(i, most)
+    for i in range(1, m + 1):
+        prev = row + [0]
+        row = [0] + [j * prev[j] + prev[j - 1] for j in range(1, min(i, most) + 1)]
+        if sum(row) > _REFINEMENT_CAP:
+            break
+    return sum(row)
+
+
 def enumerate_k_refinements(game: Game, player: int, k: int) -> list[Game]:
     """Every game reachable from this one by at most ``k`` admissible
-    splits, deduplicated by the resulting partition.
+    splits, one per partition, in order of the canonical partition.
 
     Refinements are exactly the per-infoset groupings of the perfect-recall
-    atoms, so enumeration walks atom-set partitions with a shared split
-    budget instead of replaying split sequences.
+    atoms, so enumeration extends the choices one infoset at a time, in
+    sorted id order, under a shared split budget.  Every partial choice
+    completes to a refinement (the rest left whole), so more than
+    ``_REFINEMENT_CAP`` partial choices, or groupings of one infoset
+    (counted before any is built), raise ``CapExceededError``.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     game._check_player(player)
     if k == 0:
         return [game]
+    over = CapExceededError(f"more than {_REFINEMENT_CAP} candidate refinements; lower k")
     pr_game, plan = perfect_recall_refinement(game, player)
-    per_infoset: list[tuple[str, list[tuple[str, ...]]]] = []
-    for iid in sorted(game.infosets.get(player, {})):
+    isets = game.infosets.get(player, {})
+    # Choices: (splits left, the chosen infosets as a list linked last
+    # first), so extending one is constant work.
+    choices: list[tuple[int, Optional[tuple]]] = [(k, None)]
+    for iid in sorted(isets):
         atoms = [tuple(pr_game.infosets[player][f].nodes) for f in plan.mapping[iid]]
-        per_infoset.append((iid, atoms))
+        if _grouping_count(len(atoms), k + 1) > _REFINEMENT_CAP:
+            raise over
+        options = [
+            (len(part) - 1, _cut(isets[iid], [
+                tuple(sorted(n for atom in block for n in atom)) for block in part]))
+            for part in _set_partitions(atoms, min(len(atoms), k + 1))
+        ]
+        grown = []
+        for budget, chain in choices:
+            grown.extend((budget - cost, (cut, chain))
+                         for cost, cut in options if cost <= budget)
+            if len(grown) > _REFINEMENT_CAP:
+                raise over
+        choices = grown
 
-    # Partition choices per infoset grouped by extra-split cost.
-    options: list[list[tuple[int, list[tuple[str, ...]]]]] = []
-    for iid, atoms in per_infoset:
-        opts = []
-        for part in _set_partitions(atoms, min(len(atoms), k + 1)):
-            blocks = [tuple(sorted(n for a in block for n in a)) for block in part]
-            opts.append((len(blocks) - 1, blocks))
-        options.append(opts)
-
-    results: dict[tuple, Game] = {}
-
-    def rec(idx: int, budget: int, current: Game):
-        if len(results) > _REFINEMENT_CAP:
-            raise CapExceededError(
-                f"more than {_REFINEMENT_CAP} candidate refinements; lower k"
-            )
-        if idx == len(per_infoset):
-            key = _partition_key(current, player)
-            if key not in results:
-                results[key] = current
-            return
-        iid = per_infoset[idx][0]
-        for cost, blocks in options[idx]:
-            if cost > budget:
-                continue
-            rec(idx + 1, budget - cost, _with_partition(current, player, iid, blocks))
-
-    rec(0, k, game)
-    return [results[key] for key in sorted(results)]
+    candidates = []
+    for _, chain in choices:
+        cuts = []
+        while chain is not None:
+            cut, chain = chain
+            cuts.append(cut)
+        per = {iid: iset for cut in reversed(cuts) for iid, iset in cut.items()}
+        candidates.append(replace(game, infosets={**game.infosets, player: per}))
+    return sorted(candidates, key=lambda cand: _partition_key(cand, player))
 
 
 def _scored_refinements(game: Game, k: int, cfg: SolverConfig

@@ -9,7 +9,8 @@ equilibrium enumeration with best/worst selection.
 Computation policy, in one place:
 
 * games without absentmindedness admit pure optima, so optimal play is
-  found by infoset DP when the player has perfect recall, and otherwise
+  found in sequence form when the player has perfect recall (one
+  bottom-up pass over the player's own histories), and otherwise
   by exhaustive pure enumeration: every pure value at once, as one matrix
   product of a front and a back half-table of the compiled leaf table
   (each half's pure assignments against the leaves), then an exact
@@ -167,7 +168,7 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
     """Best achievable play in a single-player game.
 
     Without absentmindedness a pure optimum exists, so the answer is exact:
-    by infoset DP under perfect recall, otherwise by vectorized pure
+    in sequence form under perfect recall, otherwise by vectorized pure
     enumeration.  With absentmindedness the polynomial utility is attacked
     by a seeded grid scan plus multistart projected ascent; near-rational
     optima are snapped to exact fractions when doing so loses nothing.
@@ -208,59 +209,38 @@ def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
 
 
 def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
-    """Exact optimal value by per-infoset backward induction.
+    """Exact optimal value in sequence form: one bottom-up pass over the
+    player's own histories.
 
-    Sound for perfect recall: members of an infoset share the player's own
-    action history, so their relative weights are chance-only and the
-    infoset's contribution separates from upstream decisions.  Every
-    infoset below a member has a strictly longer own history, so the
-    infosets are decided from the longest own history up.
+    Under perfect recall the members of an infoset share one own history,
+    the one it is decided at.  A history's value is the chance reach times
+    utility of its terminals plus, for each infoset decided there, the
+    best value among the histories its actions extend it to.  A step is
+    numbered after its parent history, so one pass from the last history
+    down to the empty one (-1) decides every infoset below a history
+    before the history itself; ties take the first action.
     """
-    isets = game.infosets.get(1, {})
-    history, _ = own_histories(game, 1)
-    order = sorted(isets, key=lambda iid: (history[isets[iid].nodes[0]][1], iid))
+    history, steps = own_histories(game, 1)
+    step_id = {step: h for h, step in enumerate(steps)}
+    decided: dict[int, list] = {}
+    for iset in game.infosets.get(1, {}).values():
+        decided.setdefault(history[iset.nodes[0]][0], []).append(iset)
     # Chance-only reach of every node: every player action weighs 1.
     weights = node_reach_map(game, StrategyProfile(strategies=tuple(
         BehavioralStrategy(p, {i: (1,) * len(iset.actions) for i, iset in own.items()})
         for p, own in game.infosets.items()
     )))
+    value: dict[int, Num] = dict.fromkeys(range(-1, len(steps)), Fraction(0))
+    for nid, (h, _) in history.items():
+        if game.nodes[nid].is_terminal:
+            value[h] += weights[nid] * game.utilities[nid][0]
     choice: dict[str, int] = {}
-    memo: dict[str, Num] = {}
-
-    def value(nid: str) -> Num:
-        if nid in memo:
-            return memo[nid]
-        node = game.nodes[nid]
-        if node.is_terminal:
-            v: Num = game.utilities[nid][0]
-        elif node.is_chance:
-            v = sum(
-                (p * value(c) for p, c in zip(node.chance_dist, node.children) if p),
-                start=Fraction(0),
-            )
-        else:
-            iid = game.infoset_of_node[nid]
-            v = value(node.children[choice[iid]])
-        memo[nid] = v
-        return v
-
-    for iid in reversed(order):
-        iset = isets[iid]
-        best_idx, best_val = 0, None
-        for a in range(len(iset.actions)):
-            total = sum(
-                (
-                    weights[nid] * value(game.nodes[nid].children[a])
-                    for nid in iset.nodes
-                ),
-                start=Fraction(0),
-            )
-            if best_val is None or total > best_val:
-                best_idx, best_val = a, total
-        choice[iid] = best_idx
-
-    strategy = pure_strategy(game, 1, choice)
-    return value(game.root), strategy
+    for h in range(len(steps) - 1, -2, -1):
+        for iset in decided.get(h, ()):
+            row = [value[step_id[h, iset.id, a]] for a in iset.actions]
+            choice[iset.id] = row.index(max(row))
+            value[h] += row[choice[iset.id]]
+    return value[-1], pure_strategy(game, 1, choice)
 
 
 # Slab members whose reached-leaf masks are built at a time, so the exact

@@ -34,7 +34,7 @@ from irgames.generators import gen_fig1, gen_fig2, gen_lenny, gen_random
 from irgames.partial import enumerate_k_refinements
 from irgames.recall import same_tree
 from irgames.solvers import SolverConfig
-from irgames.strategies import profile_from, pure_strategy
+from irgames.strategies import profile_from, pure_strategy, uniform_profile
 
 
 def test_game_round_trip(tmp_path):
@@ -248,6 +248,27 @@ def test_cli_error_codes(tmp_path, capsys):
     run(["gen", "fig1", "--out", str(fig1)])
     assert run(["solve", str(fig1), "--concept", "opt"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("make, command, message", [
+    (lambda: gen_fig1(Fraction(1, 100)), ["vor", "--concept", "opt"],
+     "optimal_strategy expects a single-player game; use fix_opponents first"),
+    (lambda: gen_lenny(16), ["partial-best", "--k", "1"],
+     "more than 20000 candidate refinements; lower k"),
+    (gen_fig2, ["smooth-check", "--lambda", "0", "--mu", "1", "--pistar"],
+     "require lam > 0 and mu >= 0"),
+], ids=["vor", "partial-best", "smooth-check"])
+def test_cli_solver_errors_exit_1(tmp_path, capsys, make, command, message):
+    # Solver and cap errors reach the one handler in cli_main.
+    game = tmp_path / "game.json"
+    write_game(make(), str(game))
+    if command[-1] == "--pistar":
+        pistar = tmp_path / "pistar.json"
+        write_profile(uniform_profile(read_game(str(game))), str(pistar))
+        command = [*command, str(pistar)]
+    assert run([command[0], str(game), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 @pytest.mark.parametrize("command", [

@@ -2,6 +2,7 @@
 best-refinement search."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from irgames.generators import (
     gen_fig2,
     gen_fig5,
     gen_fig5_split,
+    gen_lenny,
     gen_random,
     gen_x3c_game,
 )
@@ -174,6 +176,33 @@ def test_enumeration_cap(monkeypatch):
     monkeypatch.setattr(partial, "_REFINEMENT_CAP", 50)
     with pytest.raises(CapExceededError):
         enumerate_k_refinements(g, 1, 8)
+
+
+@pytest.mark.parametrize("cap", [3, 4])
+def test_enumeration_cap_is_the_most_candidates_returned(monkeypatch, cap):
+    # fig5 with k = 1 has 4 candidates; a cap of 3 once returned all 4.
+    monkeypatch.setattr(partial, "_REFINEMENT_CAP", cap)
+    if cap < 4:
+        with pytest.raises(CapExceededError, match=f"more than {cap} candidate"):
+            enumerate_k_refinements(gen_fig5(), 1, 1)
+    else:
+        assert len(enumerate_k_refinements(gen_fig5(), 1, 1)) == 4
+
+
+def test_enumeration_cap_is_checked_before_the_groupings_are_built():
+    # lenny20's infoset has 20 atoms, so 2**19 groupings into at most two
+    # blocks; building them all before the cap check took 5 s.
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="more than 20000 candidate"):
+        enumerate_k_refinements(gen_lenny(20), 1, 1)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_enumeration_runs_over_a_long_chain_of_infosets():
+    # 1,200 infosets, one atom each: the enumeration once recursed once per
+    # infoset and raised RecursionError.
+    g, _ = perfect_recall_refinement(gen_lenny(1200), 1)
+    assert enumerate_k_refinements(g, 1, 1) == [g]
 
 
 def test_fig5_regression_report():

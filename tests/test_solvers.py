@@ -50,7 +50,7 @@ from irgames.solvers import (
     nash_check,
     optimal_strategy,
 )
-from irgames.vor import _refined
+from irgames.vor import _refined, vor_compute
 
 EPS3 = Fraction(1, 10)
 CFG = SolverConfig()
@@ -126,6 +126,38 @@ def test_perfect_recall_dp_is_fast_on_a_deep_chain():
     report = optimal_strategy(g)
     assert time.perf_counter() - start < 0.3
     assert report.utilities[0] == 1 and report.certified == "exact"
+
+
+def test_optimal_play_runs_below_a_deep_chance_chain():
+    # 3,000 chance nodes above one decision: the DP once recursed once per
+    # node and raised RecursionError, in optimal_strategy and in OPT VoR.
+    n, half = 3000, Fraction(1, 2)
+    nodes = [Node(f"c{i}", "chance", ("on", "off"),
+                  (f"c{i + 1}" if i + 1 < n else "d", f"t{i}"), (half, half))
+             for i in range(n)]
+    nodes += [Node(f"t{i}", "terminal") for i in range(n)]
+    nodes += [Node("d", 1, ("l", "r"), ("zl", "zr")),
+              Node("zl", "terminal"), Node("zr", "terminal")]
+    utilities = {f"t{i}": (Fraction(1),) for i in range(n)}
+    utilities.update(zl=(Fraction(0),), zr=(Fraction(2),))
+    g = make_game(1, "c0", nodes, utilities, [Infoset("D", 1, ("d",), ("l", "r"))])
+    report = optimal_strategy(g)
+    assert report.utilities[0] == 1 + half ** n and report.certified == "exact"
+    assert report.profile[1].row("D") == (0, 1)
+    vor = vor_compute(g, "OPT")
+    assert vor.numerator == vor.denominator == report.utilities[0]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(depth=st.integers(2, 4), merge=st.sampled_from([0.6, 0.9]),
+       chance=st.sampled_from([0.3, 0.6]), absentminded=st.booleans(),
+       seed=st.integers(0, 10_000))
+def test_perfect_recall_dp_is_the_pure_optimum(depth, merge, chance, absentminded, seed):
+    g, _ = perfect_recall_refinement(
+        gen_random(depth, 2, merge, chance, absentminded, seed), 1)
+    value, strategy = solvers._perfect_recall_dp(g)
+    assert value == solvers._pure_enumeration_opt(g)[0]
+    assert value == expected_utility(g, profile_from(strategy), 1)
 
 
 # -- incentives and equilibrium checks --------------------------------------
