@@ -5,8 +5,11 @@ numeric output is printed with 12 significant digits, plus the exact
 rational in parentheses when one is available.
 
 Exit codes: 0 success, 1 domain errors (no equilibrium, caps, invalid
-game) and a standard output closed by its reader (``irgames ... | head``,
-without a traceback), 2 usage or parse errors, among them flags out of
+game, among them a NaN or infinite chance probability or utility) and a
+standard output closed by its reader (``irgames ... | head``, without a
+traceback), 2 usage or parse errors: malformed documents (bad JSON, a
+field of the wrong JSON type, a node entry that is not an object, a
+repeated node id, a repeated infoset id of one player) and flags out of
 range (a grid resolution below 1, a negative multistart, seed,
 ``partial-best --k`` or ``--table-cap``, an ``--eps-eq`` that is negative
 or not finite).

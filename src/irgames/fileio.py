@@ -97,51 +97,82 @@ def game_to_jsonable(game: Game) -> dict:
     return out
 
 
+def _list(raw, what: str, strings: bool = False) -> tuple:
+    """``raw``, which must be a JSON list (of strings, if ``strings``), as
+    a tuple."""
+    if not isinstance(raw, list) or (strings and not all(isinstance(v, str) for v in raw)):
+        raise GameParseError(f"{what} must be a list{' of strings' if strings else ''}, "
+                             f"got {raw!r}")
+    return tuple(raw)
+
+
+def _integer(raw, what: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise GameParseError(f"{what} must be an integer, got {raw!r}")
+    return raw
+
+
 def game_from_jsonable(doc) -> Game:
+    """The game a document describes.  A document that is not a game's
+    shape (a field of the wrong JSON type, a repeated node id, a repeated
+    infoset id of one player) raises :class:`GameParseError`; a
+    well-formed document may still describe an invalid game, which
+    ``validate_game`` reports."""
     if not isinstance(doc, dict):
         raise GameParseError("top-level game document must be an object")
     for key in ("players", "root", "nodes", "infosets"):
         if key not in doc:
             raise GameParseError(f"game document is missing the {key!r} field")
-    nodes = []
+    players = _integer(doc["players"], "'players'")
+    if not isinstance(doc["root"], str):
+        raise GameParseError(f"'root' must be a string, got {doc['root']!r}")
+    nodes: dict[str, Node] = {}
     utilities = {}
-    for entry in doc["nodes"]:
+    for entry in _list(doc["nodes"], "'nodes'"):
+        if not isinstance(entry, dict):
+            raise GameParseError(f"node entry {entry!r} is not an object")
         nid = entry.get("id")
         if not isinstance(nid, str):
             raise GameParseError("every node needs a string 'id'")
+        if nid in nodes:
+            raise GameParseError(f"node id {nid!r} appears twice")
         where = f" at node {nid!r}"
         owner = _owner_from_str(entry.get("owner"), where)
-        actions = tuple(entry.get("actions", ()))
-        children = tuple(entry.get("children", ()))
+        actions = _list(entry.get("actions", []), f"'actions'{where}", strings=True)
+        children = _list(entry.get("children", []), f"'children'{where}", strings=True)
         dist = entry.get("chance_probs")
         chance_dist = (
-            tuple(parse_number(p, where) for p in dist) if dist is not None else None
+            tuple(parse_number(p, where) for p in _list(dist, f"'chance_probs'{where}"))
+            if dist is not None else None
         )
-        nodes.append(
-            Node(id=nid, owner=owner, actions=actions, children=children,
-                 chance_dist=chance_dist)
-        )
+        nodes[nid] = Node(id=nid, owner=owner, actions=actions, children=children,
+                          chance_dist=chance_dist)
         if "utils" in entry:
-            utilities[nid] = tuple(parse_number(u, where) for u in entry["utils"])
-    infosets = []
-    for entry in doc["infosets"]:
-        try:
-            infosets.append(
-                Infoset(
-                    id=entry["id"],
-                    player=int(entry["player"]),
-                    nodes=tuple(entry["nodes"]),
-                    actions=tuple(entry["actions"]),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise GameParseError(f"bad infoset entry {entry!r}: {exc}") from None
+            utilities[nid] = tuple(parse_number(u, where)
+                                   for u in _list(entry["utils"], f"'utils'{where}"))
+    infosets: dict[tuple[int, str], Infoset] = {}
+    for entry in _list(doc["infosets"], "'infosets'"):
+        if not isinstance(entry, dict):
+            raise GameParseError(f"infoset entry {entry!r} is not an object")
+        iid = entry.get("id")
+        if not isinstance(iid, str):
+            raise GameParseError("every infoset needs a string 'id'")
+        where = f" at infoset {iid!r}"
+        player = _integer(entry.get("player"), f"'player'{where}")
+        if (player, iid) in infosets:
+            raise GameParseError(f"infoset id {iid!r} of player {player} appears twice")
+        infosets[player, iid] = Infoset(
+            id=iid,
+            player=player,
+            nodes=_list(entry.get("nodes"), f"'nodes'{where}", strings=True),
+            actions=_list(entry.get("actions"), f"'actions'{where}", strings=True),
+        )
     return make_game(
-        players=int(doc["players"]),
+        players=players,
         root=doc["root"],
-        nodes=nodes,
+        nodes=nodes.values(),
         utilities=utilities,
-        infosets=infosets,
+        infosets=infosets.values(),
         name=doc.get("name", ""),
     )
 

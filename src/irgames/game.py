@@ -26,6 +26,7 @@ Nothing here mutates: refinements and transforms build new ``Game`` objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -246,7 +247,8 @@ class Game:
     def memo(self) -> dict:
         """Results derived from this game that are computed once and shared,
         keyed by everything they depend on that a caller can set: its
-        perfect-recall refinements, and its optimal play and a polish
+        perfect-recall refinements, each player's own histories
+        (``recall.own_histories``), and its optimal play and a polish
         family's equilibrium classes under one ``SolverConfig``.  The
         solvers' module constants are not in the keys.  Stored results are
         never mutated."""
@@ -403,6 +405,11 @@ def subtree_nodes(game: Game, node_id: str) -> list[str]:
 _CHANCE_SUM_TOL = Fraction(1, 10**12)
 
 
+def _non_finite(values: Iterable[Num]) -> list[float]:
+    """The NaN and infinite entries of ``values``; a Fraction is finite."""
+    return [v for v in values if isinstance(v, float) and not math.isfinite(v)]
+
+
 def validate_game(game: Game) -> list[str]:
     """Return every invariant violation; an empty list means valid.
 
@@ -456,6 +463,8 @@ def validate_game(game: Game) -> list[str]:
                     f"chance node {node.id!r}: distribution missing or misaligned"
                 )
             else:
+                for p in _non_finite(dist):
+                    problems.append(f"chance node {node.id!r}: probability {p} is not finite")
                 if any(p < 0 for p in dist):
                     problems.append(f"chance node {node.id!r}: negative probability")
                 total = sum(dist)
@@ -514,7 +523,10 @@ def validate_game(game: Game) -> list[str]:
         utils = game.utilities.get(node.id)
         if utils is None or len(utils) != game.players:
             problems.append(f"terminal {node.id!r}: missing or short utilities")
-        elif any(u < 0 for u in utils):
-            problems.append(f"terminal {node.id!r}: negative utility")
+        else:
+            for u in _non_finite(utils):
+                problems.append(f"terminal {node.id!r}: utility {u} is not finite")
+            if any(u < 0 for u in utils):
+                problems.append(f"terminal {node.id!r}: negative utility")
 
     return problems

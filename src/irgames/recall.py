@@ -88,7 +88,19 @@ def own_histories(game: Game, player: int
     parent's history by at most one step and numbers every distinct
     (history, step) pair once, so two nodes share an id exactly when their
     ``obs_i`` keys are equal.  Also returns the step table: entry ``h`` is
-    history ``h``'s (parent id, infoset, action); the empty history is -1."""
+    history ``h``'s (parent id, infoset, action); the empty history is -1.
+
+    The walk runs once per game and player and is kept in ``game.memo``,
+    so the perfect-recall test, the refinement and the sequence-form DP of
+    optimal play share it.  Callers must not mutate the result."""
+    key = ("own histories", player)
+    if key not in game.memo:
+        game.memo[key] = _walk_own_histories(game, player)
+    return game.memo[key]
+
+
+def _walk_own_histories(game: Game, player: int
+                        ) -> tuple[dict[str, tuple[int, int]], list[tuple[int, str, str]]]:
     ids: dict[tuple, int] = {}
     out = {game.root: (-1, 0)}
     stack = [game.root]

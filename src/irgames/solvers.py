@@ -31,11 +31,13 @@ Computation policy, in one place:
   gradient dynamics and keep KKT residuals.  Its classes are kept in
   ``Game.memo`` under the key (family, ``SolverConfig``), so every
   concept of a family in one game shares one run.  The filter stage
-  applies the concept's filter and computes exact utilities: for every
-  class when enumerating, and lazily for best/worst selection, which walks
-  the classes from the requested end of Player 1's utility order and
-  stops at the first that passes.  Flags on every report say how much
-  certainty was earned;
+  reads each class's utilities, place in Player 1's utility order and
+  admission residual from the candidate stage; the EDT-NASH and CDT-NASH
+  filters test only rationality.  It filters every class when
+  enumerating, and lazily for best/worst selection, which walks the same
+  order from the requested end and stops at the first that passes: an end
+  of the enumeration.  Flags on every report say how much certainty was
+  earned;
 * every solver and every EDT and KKT check reads the game's one compiled
   float table, ``Game.numeric``, through the batched residual kernels
   (``_edt_residuals``, ``numeric.kkt_gaps``); only ``best_deviation``
@@ -151,12 +153,6 @@ class SolveReport:
     @property
     def u1(self) -> Num:
         return self.utilities[0]
-
-
-def _profile_utilities(game: Game, profile: StrategyProfile) -> tuple:
-    return tuple(
-        expected_utility(game, profile, p) for p in range(1, game.players + 1)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1071,11 +1067,13 @@ _FAMILY = {"EDT": "EDT", "NASH": "EDT", "EDT-NASH": "EDT",
 class _Classes:
     """A polish family's equilibrium classes in one game, before any
     concept's filter: one representative per realization-equivalence class
-    of the polished seeds whose residual clears ``cfg.eps_eq``."""
+    of the polished seeds whose residual clears ``cfg.eps_eq``.  The filter
+    stage reads each class's utilities, order and residual from here."""
 
-    X: np.ndarray         # (K, R) representatives, read-only, clustering order
-    residual: np.ndarray  # (K,) their residuals, read-only
-    order: np.ndarray     # X's rows by Player 1's kernel utility, then residual
+    X: np.ndarray          # (K, R) representatives, read-only, clustering order
+    residual: np.ndarray   # (K,) their admission residuals, read-only
+    utilities: np.ndarray  # (K, N) every player's kernel utility, read-only
+    order: np.ndarray      # X's rows by Player 1's kernel utility, then residual
     notes: tuple[str, ...]
 
 
@@ -1153,18 +1151,23 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
         chosen.append(j)
 
     X, res = X[keep[chosen]], res[keep[chosen]]
-    X.setflags(write=False)
-    res.setflags(write=False)
-    u1 = reps[: len(chosen)] @ num.utils[:, 0]
-    return _Classes(X=X, residual=res, order=np.lexsort((res, u1)),
-                    notes=tuple(notes))
+    # One matrix-vector product per player: a single (K, Z) @ (Z, N)
+    # product may round differently and so break ties in another order.
+    utilities = np.stack([reps[: len(chosen)] @ num.utils[:, p]
+                          for p in range(game.players)], axis=1)
+    for a in (X, res, utilities):
+        a.setflags(write=False)
+    return _Classes(X=X, residual=res, utilities=utilities,
+                    order=np.lexsort((res, utilities[:, 0])), notes=tuple(notes))
 
 
 def _class_report(game: Game, concept: str, cfg: SolverConfig,
                   classes: _Classes, k: int) -> tuple[Optional[SolveReport], bool]:
     """The concept's report on class ``k``, or None if its filter rejects
     the class; and whether ``_WITNESS_CAP`` cut the witness search of that
-    rejection."""
+    rejection.  It reports the candidate stage's utilities and residual;
+    the class cleared its family's residual test there, so the EDT-NASH
+    and CDT-NASH filters test only rationality."""
     num = game.numeric
     x = classes.X[k]
     prof = num.index.profile(x)
@@ -1175,35 +1178,58 @@ def _class_report(game: Game, concept: str, cfg: SolverConfig,
             return None, False
         residual = max(residual, nres)
     elif concept in ("EDT-NASH", "CDT-NASH"):
-        check = edt_nash_check if concept == "EDT-NASH" else cdt_nash_check
-        if not check(game, prof, cfg):
+        gains, first_visit = ((_edt_gains, True) if concept == "EDT-NASH"
+                              else (_cdt_gains, False))
+        if not _rational_per_player(game, prof, cfg, gains, first_visit):
             return None, any(
                 math.prod(r.size for r in _unreached_rows(num, x, p))
                 > _WITNESS_CAP for p in range(1, game.players + 1))
     return SolveReport(
         concept=concept, which="any", profile=prof,
-        utilities=_profile_utilities(game, prof), residual=residual,
+        utilities=tuple(classes.utilities[k].tolist()), residual=residual,
         certified="heuristic", notes=classes.notes,
     ), False
 
 
-def _cap_note(capped: int) -> str:
-    return (f"witness_cap={_WITNESS_CAP} cut the witness search of "
-            f"{capped} rejected class(es)")
+def _walk_classes(game: Game, concept: str, cfg: SolverConfig,
+                  which: str) -> list[SolveReport]:
+    """The concept's reports on its family's classes, walked in
+    ``_Classes.order``: every class that passes for ``which`` "any", else
+    the first from the requested end.  When ``_WITNESS_CAP`` cut the
+    witness search of rejected classes the walk examined, every report
+    says how many, and if none passed, EquilibriumNotFoundError does."""
+    classes = _equilibrium_classes(game, concept, cfg)
+    reports, capped = [], 0
+    for k in (classes.order[::-1] if which == "best" else classes.order):
+        report, cut = _class_report(game, concept, cfg, classes, k)
+        if report is None:
+            capped += cut
+            continue
+        reports.append(report)
+        if which != "any":
+            break
+    if capped:
+        note = (f"witness_cap={_WITNESS_CAP} cut the witness search of "
+                f"{capped} rejected class(es)")
+        if not reports:
+            raise EquilibriumNotFoundError(f"no {concept} equilibrium found; {note}")
+        reports = [replace(r, notes=r.notes + (note,)) for r in reports]
+    return reports
 
 
 def enumerate_equilibria(game: Game, concept: str,
                          cfg: Optional[SolverConfig] = None) -> list[SolveReport]:
     """Seed, polish, dedup, filter: return one report per equilibrium class
-    found, sorted by Player 1's utility.
+    found, sorted by Player 1's utility, then admission residual.
 
     Two stages.  The candidate stage (seeds, polish, residuals, dedup)
     depends only on the concept's polish family: EDT, NASH and EDT-NASH
     polish by best responses and keep EDT residuals, CDT and CDT-NASH
     polish by gradients and keep KKT residuals.  It runs once per game,
     family and ``SolverConfig``, and ``game.memo`` keeps its classes for
-    every later call.  The filter stage applies the concept's filter to
-    every class and computes its exact utilities.
+    every later call.  The filter stage walks the classes in their order,
+    filters each, and reports the utilities (kernel values) and admission
+    residual they carry: the list's ends are :func:`best_worst`'s answers.
 
     Classes are realization-equivalence classes; the representative is the
     member with the smallest residual.  Only profiles that individually
@@ -1213,23 +1239,7 @@ def enumerate_equilibria(game: Game, concept: str,
     rejected EDT-/CDT-NASH class, every report says so; if no class is
     left, EquilibriumNotFoundError says so.
     """
-    cfg = _cfg(cfg)
-    concept = concept.upper()
-    classes = _equilibrium_classes(game, concept, cfg)
-    reports, capped = [], 0
-    for k in range(len(classes.X)):
-        report, cut = _class_report(game, concept, cfg, classes, k)
-        if report is None:
-            capped += cut
-        else:
-            reports.append(report)
-    if capped:
-        note = _cap_note(capped)
-        if not reports:
-            raise EquilibriumNotFoundError(f"no {concept} equilibrium found; {note}")
-        reports = [replace(r, notes=r.notes + (note,)) for r in reports]
-    reports.sort(key=lambda r: (float(r.utilities[0]), r.residual))
-    return reports
+    return _walk_classes(game, concept.upper(), _cfg(cfg), "any")
 
 
 def best_worst(game: Game, concept: str, which: str,
@@ -1238,34 +1248,22 @@ def best_worst(game: Game, concept: str, which: str,
 
     Reads the classes of :func:`enumerate_equilibria`'s candidate stage,
     shared through ``game.memo``, and walks them lazily from the requested
-    end of Player 1's utility order (kernel value, then residual).  The
-    first class the concept's filter passes is the answer, and only its
-    exact utilities are computed.  A ``witness_cap`` note counts the
-    rejected classes the walk examined: every one is more extreme than the
-    answer, and no less extreme class can change it.
+    end of the same order (Player 1's kernel utility, then residual).  The
+    first class the concept's filter passes is the answer, with the
+    utilities and residual the candidate stage computed.  A
+    ``witness_cap`` note counts the rejected classes the walk examined:
+    every one is more extreme than the answer, and no less extreme class
+    can change it.
     """
     cfg = _cfg(cfg)
     concept = concept.upper()
     if which not in ("best", "worst"):
         raise ValueError(f"selector must be 'best' or 'worst', got {which!r}")
     if concept == "OPT":
-        report = optimal_strategy(game, cfg)
-        return replace(report, which=which)
-    classes = _equilibrium_classes(game, concept, cfg)
-    capped = 0
-    for k in (classes.order[::-1] if which == "best" else classes.order):
-        report, cut = _class_report(game, concept, cfg, classes, k)
-        if report is not None:
-            break
-        capped += cut
-    else:
-        if capped:
-            raise EquilibriumNotFoundError(
-                f"no {concept} equilibrium found; {_cap_note(capped)}")
+        return replace(optimal_strategy(game, cfg), which=which)
+    reports = _walk_classes(game, concept, cfg, which)
+    if not reports:
         raise EquilibriumNotFoundError(
             f"no {concept} equilibrium found at resolution "
-            f"delta=1/{cfg.grid_resolution}"
-        )
-    if capped:
-        report = replace(report, notes=report.notes + (_cap_note(capped),))
-    return replace(report, which=which)
+            f"delta=1/{cfg.grid_resolution}")
+    return replace(reports[0], which=which)

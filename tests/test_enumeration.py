@@ -114,16 +114,46 @@ def test_shared_classes_give_the_answers_of_a_fresh_game():
                 assert got == best_worst(make(), concept, which), (name, concept, which)
 
 
-def test_lazy_best_worst_is_an_end_of_the_enumeration():
-    for make in PAPER_GAMES.values():
-        game = make()
-        for g in (game, _refined(game)):
-            for concept in ENUM_CONCEPTS:
-                found = enumerate_equilibria(g, concept)
-                for which, want in (("best", found[-1]), ("worst", found[0])):
-                    got = best_worst(g, concept, which)
-                    assert (got.u1, got.certified, got.residual) == (
-                        want.u1, want.certified, want.residual), (g.name, concept, which)
+# Random games whose classes tie, or nearly tie, in Player 1's utility:
+# all 286 CDT classes of the first are worth about 1.92449, and the worst
+# EDT classes of the second 6 to within an ulp.
+TIED_GAMES = {
+    "seed9": lambda: gen_random(depth=3, branching=3, merge_rate=0.6, chance_rate=0.2,
+                                absentmindedness=False, seed=9, players=2),
+    "seed4-am": lambda: gen_random(3, 2, 0.6, 0.2, True, seed=4),
+}
+
+
+@pytest.fixture(scope="module")
+def class_games() -> list:
+    """The paper games, the tied games and their refinements, built once
+    for the module, so that its tests share each candidate stage."""
+    games = [make() for make in {**PAPER_GAMES, **TIED_GAMES}.values()]
+    return [g for game in games for g in (game, _refined(game))]
+
+
+def test_lazy_best_worst_is_an_end_of_the_enumeration(class_games):
+    for g in class_games:
+        for concept in ENUM_CONCEPTS:
+            found = enumerate_equilibria(g, concept)
+            for which, want in (("best", found[-1]), ("worst", found[0])):
+                got = best_worst(g, concept, which)
+                assert (got.u1, got.certified, got.residual, got.profile) == (
+                    want.u1, want.certified, want.residual, want.profile
+                ), (g.name, concept, which)
+
+
+def test_class_representatives_pass_their_family_check_at_their_residual(class_games):
+    # The EDT-NASH and CDT-NASH filters do not repeat the family's check,
+    # so every representative must pass it with the residual it was
+    # admitted at.
+    checks = {"EDT": solvers.edt_check, "CDT": solvers.kkt_check_profile}
+    for g in class_games:
+        for family, check in checks.items():
+            classes = solvers._equilibrium_classes(g, family, solvers.DEFAULT_CONFIG)
+            for x, residual in zip(classes.X, classes.residual):
+                assert check(g, g.numeric.index.profile(x)) == (True, float(residual)), (
+                    g.name, family)
 
 
 def test_lazy_walk_notes_only_the_cut_rejections_it_examined(monkeypatch):

@@ -37,6 +37,17 @@ def test_chance_distribution_must_sum_to_one():
     assert "sums to 1.1" in report[0]
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_chance_probabilities_and_utilities_are_flagged(bad):
+    # NaN compares false with everything, so no sum or sign test sees it.
+    g = gen_fig2()
+    nodes = {**g.nodes, "c0": replace(g.nodes["c0"], chance_dist=(bad, 0.5))}
+    broken = replace(g, nodes=nodes, utilities={**g.utilities, "zb3": (bad,)})
+    report = validate_game(broken)
+    assert f"chance node 'c0': probability {bad} is not finite" in report
+    assert f"terminal 'zb3': utility {bad} is not finite" in report
+
+
 def test_infoset_with_mismatched_action_lists_is_flagged():
     nodes = [
         Node(id="r", owner=1, actions=("a", "b"), children=("m", "z0")),

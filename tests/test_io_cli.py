@@ -284,6 +284,55 @@ def test_cli_rejects_invalid_game_with_exit_1(tmp_path, capsys, command):
     assert err.startswith("error: invalid game") and "'ghost'" in err
 
 
+def _node_field(doc: dict, nid: str, key: str, value) -> dict:
+    nodes = [{**n, key: value} if n["id"] == nid else n for n in doc["nodes"]]
+    return {**doc, "nodes": nodes}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("command", [
+    ["validate"], ["solve", "--concept", "opt"], ["vor", "--concept", "opt"],
+])
+def test_cli_rejects_non_finite_numbers_with_exit_1(tmp_path, capsys, command, literal):
+    doc = _node_field(game_to_jsonable(gen_fig2()), "c0", "chance_probs", ["BAD", "1/2"])
+    doc = _node_field(doc, "za", "utils", ["BAD"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(doc).replace('"BAD"', literal))
+    assert run([command[0], str(bad), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    text = captured.out + captured.err
+    assert "chance node 'c0': probability" in text and "terminal 'za': utility" in text
+    assert "is not finite" in text and "Traceback" not in captured.err
+
+
+MALFORMED = {
+    "node-not-an-object": (lambda d: {**d, "nodes": [5]}, "node entry 5 is not an object"),
+    "nodes-not-a-list": (lambda d: {**d, "nodes": 5}, "'nodes' must be a list"),
+    "utils-not-a-list": (lambda d: _node_field(d, "za", "utils", 1),
+                         "'utils' at node 'za' must be a list"),
+    "root-not-a-string": (lambda d: {**d, "root": [d["root"]]}, "'root' must be a string"),
+    "players-not-an-integer": (lambda d: {**d, "players": "x"},
+                               "'players' must be an integer"),
+    "actions-a-string": (lambda d: _node_field(d, "a", "actions", "LR"),
+                         "'actions' at node 'a' must be a list of strings"),
+    "infoset-twice": (lambda d: {**d, "infosets": d["infosets"] * 2},
+                      "infoset id 'I' of player 1 appears twice"),
+    "node-twice": (lambda d: {**d, "nodes": d["nodes"] + d["nodes"][-1:]},
+                   "node id 'zw1' appears twice"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_cli_malformed_documents_are_parse_errors(tmp_path, capsys, name):
+    edit, message = MALFORMED[name]
+    bad = tmp_path / "bad.json"
+    bad.write_text(dumps(edit(game_to_jsonable(gen_fig2()))))
+    assert run(["validate", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_solver_config_holds_exactly_the_cli_flags():
     args = build_parser().parse_args([
         "solve", "g.json", "--concept", "edt", "--grid-resolution", "3",

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import single, strat
 
+import irgames.recall as recall
 import irgames.solvers as solvers
 from irgames.game import Infoset, Node, has_absentmindedness, make_game, validate_game
 from irgames.generators import (
@@ -118,6 +119,22 @@ def test_pure_enumeration_agrees_with_dp_on_perfect_recall_games():
         v_dp, s_dp = _perfect_recall_dp(g)
         v_enum, _ = _pure_enumeration_opt(g)
         assert v_dp == v_enum == expected_utility(g, profile_from(s_dp), 1)
+
+
+def test_one_own_history_walk_per_optimal_solve(monkeypatch):
+    # The perfect-recall test and the sequence-form DP share one walk.
+    walks = []
+    walk = recall._walk_own_histories
+
+    def counted(game, player):
+        walks.append((id(game), player))
+        return walk(game, player)
+
+    refined = _refined(gen_random(4, 2, 0.6, 0.3, False, 3))
+    monkeypatch.setattr(recall, "_walk_own_histories", counted)
+    assert optimal_strategy(refined).certified == "exact"
+    assert has_perfect_recall(refined, 1)
+    assert walks == [(id(refined), 1)]
 
 
 def test_perfect_recall_dp_is_fast_on_a_deep_chain():
