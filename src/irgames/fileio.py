@@ -61,7 +61,8 @@ def _owner_from_str(raw: str, where: str):
 def game_to_jsonable(game: Game) -> dict:
     nodes = []
     order = game._ordered_ids()
-    order += [nid for nid in sorted(game.nodes) if nid not in set(order)]
+    placed = set(order)
+    order += [nid for nid in sorted(game.nodes) if nid not in placed]
     for nid in order:
         node = game.nodes[nid]
         entry: dict = {"id": node.id, "owner": _owner_to_str(node.owner)}
@@ -106,6 +107,17 @@ def _list(raw, what: str, strings: bool = False) -> tuple:
     return tuple(raw)
 
 
+def _objects(raw, what: str, kind: str, key: str):
+    """(``entry[key]``, entry) for each entry of ``raw``, which must be a
+    JSON list of objects with a string ``key``."""
+    for entry in _list(raw, what):
+        if not isinstance(entry, dict):
+            raise GameParseError(f"{kind} entry {entry!r} is not an object")
+        if not isinstance(entry.get(key), str):
+            raise GameParseError(f"every {kind} needs a string {key!r}")
+        yield entry[key], entry
+
+
 def _integer(raw, what: str) -> int:
     if isinstance(raw, bool) or not isinstance(raw, int):
         raise GameParseError(f"{what} must be an integer, got {raw!r}")
@@ -128,12 +140,7 @@ def game_from_jsonable(doc) -> Game:
         raise GameParseError(f"'root' must be a string, got {doc['root']!r}")
     nodes: dict[str, Node] = {}
     utilities = {}
-    for entry in _list(doc["nodes"], "'nodes'"):
-        if not isinstance(entry, dict):
-            raise GameParseError(f"node entry {entry!r} is not an object")
-        nid = entry.get("id")
-        if not isinstance(nid, str):
-            raise GameParseError("every node needs a string 'id'")
+    for nid, entry in _objects(doc["nodes"], "'nodes'", "node", "id"):
         if nid in nodes:
             raise GameParseError(f"node id {nid!r} appears twice")
         where = f" at node {nid!r}"
@@ -151,12 +158,7 @@ def game_from_jsonable(doc) -> Game:
             utilities[nid] = tuple(parse_number(u, where)
                                    for u in _list(entry["utils"], f"'utils'{where}"))
     infosets: dict[tuple[int, str], Infoset] = {}
-    for entry in _list(doc["infosets"], "'infosets'"):
-        if not isinstance(entry, dict):
-            raise GameParseError(f"infoset entry {entry!r} is not an object")
-        iid = entry.get("id")
-        if not isinstance(iid, str):
-            raise GameParseError("every infoset needs a string 'id'")
+    for iid, entry in _objects(doc["infosets"], "'infosets'", "infoset", "id"):
         where = f" at infoset {iid!r}"
         player = _integer(entry.get("player"), f"'player'{where}")
         if (player, iid) in infosets:
@@ -214,14 +216,24 @@ def strategy_to_jsonable(strategy: BehavioralStrategy) -> dict:
 
 
 def strategy_from_jsonable(doc) -> BehavioralStrategy:
-    try:
-        table = {
-            e["infoset"]: tuple(parse_number(p) for p in e["probs"])
-            for e in doc["entries"]
-        }
-        return BehavioralStrategy(player=int(doc["player"]), table=table)
-    except (KeyError, TypeError) as exc:
-        raise GameParseError(f"bad strategy document: {exc}") from None
+    """The strategy a document describes.  A document that is not a
+    strategy's shape (a field of the wrong JSON type, a repeated infoset
+    row) raises :class:`GameParseError`; ``validate_profile`` checks a
+    well-formed one against its game."""
+    if not isinstance(doc, dict):
+        raise GameParseError(f"strategy document {doc!r} is not an object")
+    for key in ("player", "entries"):
+        if key not in doc:
+            raise GameParseError(f"strategy document is missing the {key!r} field")
+    player = _integer(doc["player"], "'player'")
+    table: dict[str, tuple] = {}
+    for iid, entry in _objects(doc["entries"], "'entries'", "row", "infoset"):
+        if iid in table:
+            raise GameParseError(f"infoset {iid!r} of player {player} has two rows")
+        where = f" at infoset {iid!r}"
+        table[iid] = tuple(parse_number(p, where)
+                           for p in _list(entry.get("probs"), f"'probs'{where}"))
+    return BehavioralStrategy(player=player, table=table)
 
 
 def profile_to_jsonable(profile: StrategyProfile) -> list:

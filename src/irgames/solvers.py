@@ -13,15 +13,16 @@ Computation policy, in one place:
   bottom-up pass over the player's own histories), and otherwise
   by exhaustive pure enumeration: every pure value at once, as one matrix
   product of a front and a back half-table of the compiled leaf table
-  (each half's pure assignments against the leaves), then an exact
-  re-evaluation of the near-optimal strategies;
+  (each half's pure assignments against the leaves), then each distinct
+  reached-leaf set of the near-optimal slab is valued from ``Game.leaves``;
 * with absentmindedness the utility is a polynomial over a product of
   simplices, whose maximiser is a KKT point, so optimal play seeds the
   uniform profile, random vertices and mixed profiles, a grid and, where
   they are few, every pure profile, polishes them all by the projected
   gradient dynamics of the CDT candidate stage (``_gradient_polish``, one
-  moving player), then snaps near-rational optima to exact fractions when
-  that does not lose value;
+  moving player), then snaps the best polished point to exact fractions
+  when that does not lose value.  Above ``_PURE_CAP`` pure strategies, a
+  game without absentmindedness takes this path without the grid;
 * equilibrium enumeration runs in two stages.  The candidate stage seeds
   pure/grid/random profiles, polishes them, keeps the profiles whose
   residual clears the tolerance, and dedups them by realization
@@ -165,9 +166,10 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
 
     Without absentmindedness a pure optimum exists, so the answer is exact:
     in sequence form under perfect recall, otherwise by vectorized pure
-    enumeration.  With absentmindedness the polynomial utility is attacked
-    by a seeded grid scan plus multistart projected ascent; near-rational
-    optima are snapped to exact fractions when doing so loses nothing.
+    enumeration, whose reached-leaf sets are valued from ``Game.leaves``.
+    With absentmindedness the polynomial utility is attacked by a seeded
+    grid scan plus multistart projected ascent; the best polished point is
+    snapped to exact fractions when doing so loses nothing.
     The report is solved once per game and ``SolverConfig`` and kept in
     ``game.memo``.
     """
@@ -186,18 +188,11 @@ def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
     # strictly extends that of every member above it.
     if has_perfect_recall(game, 1):
         value, strategy = _perfect_recall_dp(game)
-    elif not has_absentmindedness(game, 1):
-        sizes = [len(i.actions) for i in game.infosets.get(1, {}).values()]
-        if math.prod(sizes) > _PURE_CAP:
-            report = _numeric_opt(game, cfg, grid=False)
-            return replace(
-                report,
-                certified="heuristic",
-                notes=report.notes + ("pure enumeration cap exceeded",),
-            )
+    elif not has_absentmindedness(game, 1) and math.prod(
+            len(i.actions) for i in game.infosets.get(1, {}).values()) <= _PURE_CAP:
         value, strategy = _pure_enumeration_opt(game)
     else:
-        return _numeric_opt(game, cfg, grid=True)
+        return _numeric_opt(game, cfg)
     return SolveReport(
         concept="OPT", which="any", profile=profile_from(strategy),
         utilities=(value,), residual=0.0, certified="exact",
@@ -240,7 +235,7 @@ def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
 
 
 # Slab members whose reached-leaf masks are built at a time, so the exact
-# re-evaluation holds (block, leaves) arrays, never a (slab, leaves) mask.
+# valuation holds (block, leaves) arrays, never a (slab, leaves) mask.
 _PURE_BLOCK = 4096
 
 
@@ -251,39 +246,41 @@ def _pure_enumeration_opt(game: Game) -> tuple[Num, BehavioralStrategy]:
     (``_front_rows``), so the ``itertools.product`` index of a strategy is
     ``i_front * n_back + i_back``.  A leaf is reached iff both halves take
     its entries' actions, so every pure value, in index order, is one
-    product of the front's (T_front, Z) leaf weights and the back's
-    (T_back, Z) reach mask.  The near-optimal slab is then re-evaluated
-    exactly.  A leaf whose chance coefficient is 0 is left out of the
-    reach masks; it carries no value, so the answer does not change.
+    product of the front's (T_front, Z) chance-weighted reach and the
+    back's (T_back, Z) reach mask.  Each distinct reached-leaf set of the
+    near-optimal slab is then valued exactly from ``Game.leaves``, as the
+    sum of chance times utility over its leaves, and one pure strategy is
+    built, for the winner.
     """
     num = game.numeric
     rows = num.index.rows
     k = _front_rows([r.size for r in rows])
-    front = _part_table(num, rows[:k])
-    back = _part_table(num, rows[k:]) > 0
-    values = ((front * num.utils[:, 0]) @ back.T).ravel()
-    best = values.max()
-    slab = np.nonzero(values >= best - 1e-9 - 1e-9 * abs(best))[0]
+    front = _part_reach(num, rows[:k])
+    back = _part_reach(num, rows[k:])
+    values = ((front * (num.coef * num.utils[:, 0])) @ back.T).ravel()
+    top = values.max()
+    slab = np.nonzero(values >= top - 1e-9 - 1e-9 * abs(top))[0]
 
     # Pure strategies that reach the same leaves have the same exact value,
     # so each reached set is valued once, at its first index.  Indices are
-    # in lexicographic order: the first exact maximum wins ties.
+    # in lexicographic order: the first exact maximum wins ties, and so
+    # each block's ``np.unique`` first places are taken in index order.
     first: dict[bytes, int] = {}
-    front_reach = front > 0
     for lo in range(0, len(slab), _PURE_BLOCK):
         ids = slab[lo : lo + _PURE_BLOCK]
-        masks = front_reach[ids // len(back)] & back[ids % len(back)]
-        for i, mask in zip(ids, masks):
-            first.setdefault(mask.tobytes(), i)
+        packed = np.packbits(front[ids // len(back)] & back[ids % len(back)], axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
+        for j in np.sort(np.unique(keys, return_index=True)[1]):
+            first.setdefault(keys[j].tobytes(), ids[j])
+    terms = [leaf.chance * game.utilities[z][0] for z, leaf in game.leaves.items()]
     best_val, best = None, None
-    for i in first.values():
-        actions = _pure_assignments(num.index, [i])[0]
-        choice = {r.infoset_id: int(a) for r, a in zip(rows, actions)}
-        strategy = pure_strategy(game, 1, choice)
-        v = expected_utility(game, profile_from(strategy), 1)
+    for key, i in first.items():
+        reached = np.unpackbits(np.frombuffer(key, np.uint8), count=len(terms))
+        v = sum((terms[z] for z in np.flatnonzero(reached)), start=Fraction(0))
         if best_val is None or v > best_val:
-            best_val, best = v, strategy
-    return best_val, best
+            best_val, best = v, i
+    actions = _pure_assignments(num.index, [best])[0]
+    return best_val, pure_strategy(game, 1, {r.infoset_id: int(a) for r, a in zip(rows, actions)})
 
 
 def _front_rows(sizes: Sequence[int]) -> int:
@@ -293,16 +290,19 @@ def _front_rows(sizes: Sequence[int]) -> int:
                key=lambda k: max(math.prod(sizes[:k]), math.prod(sizes[k:])))
 
 
-def _part_table(num: NumericGame, rows: Sequence[Row]) -> np.ndarray:
-    """(T, Z) leaf weights of the T pure assignments of ``rows``, in
-    ``itertools.product`` order, with every other coordinate at 1.  Since
-    1^n = 1 and 0^n = 0, a leaf keeps its chance coefficient iff each of its
-    entries on these rows takes the assignment's action, and is 0 else."""
+def _part_reach(num: NumericGame, rows: Sequence[Row]) -> np.ndarray:
+    """(T, Z) reach masks of the T pure assignments of ``rows``, in
+    ``itertools.product`` order: a leaf is reached iff each of its entries
+    on these rows takes the assignment's action.  Chance plays no part, so
+    a leaf whose float chance coefficient underflows to 0 keeps its mask."""
     X = np.ones((1, num.index.dim))
     for r in rows:
         X = np.repeat(X, r.size, axis=0)
         X[:, r.offset : r.offset + r.size] = np.tile(np.eye(r.size), (len(X) // r.size, 1))
-    return num.leaf_probs(X)
+    # A leaf is reached iff none of its entries is missed.
+    missed = np.zeros((num.n_leaves, len(X)), dtype=bool)
+    np.logical_or.at(missed, num.ent_leaf, X[:, num.ent_coord].T == 0)
+    return ~missed.T
 
 
 def _pure_assignments(index: FlatIndex, ids) -> np.ndarray:
@@ -314,69 +314,53 @@ def _pure_assignments(index: FlatIndex, ids) -> np.ndarray:
     return np.stack(np.unravel_index(ids, sizes), axis=1)
 
 
-def _numeric_opt(game: Game, cfg: SolverConfig, grid: bool) -> SolveReport:
-    """Multistart gradient polish for absentminded games, and for games
-    with too many pure strategies to enumerate."""
+def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
+    """Multistart gradient polish for absentminded games, seeded with a
+    grid, and for games with too many pure strategies to enumerate.  The
+    best polished point is snapped to small fractions and valued exactly
+    once; the snap is kept when that loses nothing."""
     num = game.numeric
     rng = cfg.rng()
     seeds = [num.index.uniform()[None],
              _random_vertices(num.index, rng, min(cfg.multistart, 16)),
              _random_mixed(num.index, rng, cfg.multistart)]
 
-    grid_full, notes = False, ()
-    if grid:
+    certified, notes = "heuristic", ("pure enumeration cap exceeded",)
+    if has_absentmindedness(game, 1):
         grid_pts, grid_full = _grid_points(num.index, cfg, rng)
         seeds.append(grid_pts)
-        if not grid_full:
+        if grid_full:
+            certified = f"grid-certified(delta=1/{cfg.grid_resolution})"
+            # Utility times own-path length, summed over the leaves: a sound
+            # bound on the utility change per unit sup-norm strategy change.
+            steps = np.bincount(num.ent_leaf, num.ent_count, minlength=num.n_leaves)
+            lip = float((num.coef * num.utils[:, 0] * steps).sum())
+            notes = (f"grid gap bound {lip / cfg.grid_resolution:.6g}",)
+        else:
             notes = (_sampled_note("grid_cap", _GRID_CAP, len(grid_pts), "grid points"),)
 
     # Every pure profile, where they are few: the random vertices can miss a
-    # pure optimum.  Drawn last, so that no earlier draw moves.
-    pure, pure_full = _pure_seed_vectors(num.index, rng)
-    if pure_full:
-        seeds.append(pure)
+    # pure optimum.
+    total = math.prod(r.size for r in num.index.rows)
+    if total <= _ENUM_PURE_CAP:
+        seeds.append(_one_hot(num.index, _pure_assignments(num.index, np.arange(total))))
 
     X, gaps = _gradient_polish(num, np.concatenate(seeds))
     vals = num.utility(X, 1)
-    order = np.argsort(-vals)
-
-    # Candidate pool: best polished seeds plus their rational snaps.
-    best_float = float(vals[order[0]])
-    best_vec = X[order[0]]
-    best_exact: Optional[tuple[Num, StrategyProfile]] = None
-    if game.is_rational:
-        for idx in order[: min(8, len(order))]:
-            snapped = _snap_vector(num.index, X[idx])
-            if snapped is None:
-                continue
-            prof = snapped
-            v = expected_utility(game, prof, 1)
-            if best_exact is None or v > best_exact[0]:
-                best_exact = (v, prof)
-
-    if best_exact is not None and float(best_exact[0]) >= best_float - 1e-11:
-        value, profile = best_exact
+    best = np.argsort(-vals)[0]
+    value = float(vals[best])
+    snapped = _snap_vector(num.index, X[best]) if game.is_rational else None
+    exact = None if snapped is None else expected_utility(game, snapped, 1)
+    if exact is not None and float(exact) >= value - 1e-11:
+        value, profile = exact, snapped
         residual = float(num.kkt_residuals(num.index.vector(profile)[None])[0])
     else:
-        value = best_float
-        profile = num.index.profile(best_vec)
-        residual = float(gaps[order[0]])
+        profile, residual = num.index.profile(X[best]), float(gaps[best])
 
-    certified = f"grid-certified(delta=1/{cfg.grid_resolution})" if grid_full else "heuristic"
-    if grid_full:
-        lip = _lipschitz_bound(num)
-        notes = (f"grid gap bound {lip / cfg.grid_resolution:.6g}",)
     return SolveReport(
         concept="OPT", which="any", profile=profile,
         utilities=(value,), residual=residual, certified=certified, notes=notes,
     )
-
-
-def _lipschitz_bound(num: NumericGame) -> float:
-    """Sum over leaves of utility times own-path length: a sound bound on
-    the utility change per unit sup-norm strategy change."""
-    steps_per_leaf = np.bincount(num.ent_leaf, num.ent_count, minlength=num.n_leaves)
-    return float((num.coef * num.utils[:, 0] * steps_per_leaf).sum())
 
 
 def _sampled_note(cap: str, value: int, count: int, what: str) -> str:
@@ -442,23 +426,18 @@ def _grid_points(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[np.ndarray, 
 
 
 def _snap_vector(index: FlatIndex, x: np.ndarray) -> Optional[StrategyProfile]:
-    """Round each row to nearby small fractions summing exactly to one."""
-    tables: dict[int, dict[str, tuple]] = {p: {} for p in range(1, index.game.players + 1)}
+    """Player 1's profile with each row of ``x`` rounded to nearby small
+    fractions summing exactly to one, or None when a row moves too far."""
+    table = {}
     for row in index.rows:
         block = x[row.offset : row.offset + row.size]
         snapped = [Fraction(float(v)).limit_denominator(_SNAP_DENOMINATOR) for v in block]
         snapped[-1] = 1 - sum(snapped[:-1])
-        if any(p < 0 or p > 1 for p in snapped):
+        if any(p < 0 or p > 1 or abs(float(p) - float(v)) > 1e-4
+               for p, v in zip(snapped, block)):
             return None
-        if any(abs(float(p) - float(v)) > 1e-4 for p, v in zip(snapped, block)):
-            return None
-        tables[row.player][row.infoset_id] = tuple(snapped)
-    return StrategyProfile(
-        strategies=tuple(
-            BehavioralStrategy(player=p, table=tables[p])
-            for p in range(1, index.game.players + 1)
-        )
-    )
+        table[row.infoset_id] = tuple(snapped)
+    return profile_from(BehavioralStrategy(1, table))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-from .game import CHANCE, Game, Infoset, Node, Num, first_visit_nodes, seq
+from .game import CHANCE, Game, Infoset, Node, Num, _non_finite, first_visit_nodes, seq
 
 # Float tolerance of a row's sum and of realization equivalence.
 _TOL = 1e-9
@@ -102,8 +102,8 @@ def uniform_profile(game: Game, rational: Optional[bool] = None) -> StrategyProf
 
 def validate_profile(game: Game, profile: StrategyProfile) -> list[str]:
     """Report missing rows, rows for infosets the player does not have, and
-    rows that are not distributions (a float row's sum may miss one by
-    ``_TOL``)."""
+    rows that are not distributions: a NaN or infinite entry, a negative
+    one, or a sum other than one (a float row's may miss one by ``_TOL``)."""
     problems = []
     players_seen = sorted(s.player for s in profile.strategies)
     if players_seen != list(range(1, game.players + 1)):
@@ -121,6 +121,9 @@ def validate_profile(game: Game, profile: StrategyProfile) -> list[str]:
             if len(row) != len(iset.actions):
                 problems.append(f"player {s.player}: row {iset.id!r} has wrong length")
                 continue
+            for p in _non_finite(row):
+                problems.append(
+                    f"player {s.player}: probability {p} at {iset.id!r} is not finite")
             if any(p < 0 for p in row):
                 problems.append(f"player {s.player}: negative probability at {iset.id!r}")
             total = sum(row)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -60,6 +61,15 @@ def test_write_is_deterministic(tmp_path):
     a = dumps(game_to_jsonable(g))
     b = dumps(game_to_jsonable(read_game_str(a)))
     assert a == b
+
+
+def test_game_writer_is_fast_on_a_deep_chain():
+    # 8,001 nodes: a set of the ordered ids rebuilt per node made the
+    # writer quadratic (seconds); with one set it takes milliseconds.
+    g = gen_lenny(4000)
+    start = time.perf_counter()
+    game_to_jsonable(g)
+    assert time.perf_counter() - start < 0.5
 
 
 def read_game_str(text: str):
@@ -421,25 +431,30 @@ def test_cli_help_shows_the_solver_config_defaults(capsys):
     assert "EPS_EQ equilibrium residual tolerance (default: 1e-06)" in out
 
 
-@pytest.mark.parametrize("problem", ["unknown infoset", "row sums to 2"])
+@pytest.mark.parametrize("problem", ["unknown infoset", "row sums to 2", "NaN entry"])
 @pytest.mark.parametrize("command", [
     ["smooth-check", "--lambda", "1", "--mu", "1", "--pistar"],
     ["export-dot", "--strategy"],
 ])
 def test_cli_rejects_invalid_strategy_with_exit_1(tmp_path, capsys, command, problem):
+    # A NaN entry passes both the sign and the sum test of a row;
+    # smooth-check once printed "verdict: pure-verified" for it.
     game = tmp_path / "fig2.json"
     write_game(gen_fig2(), str(game))
     doc = [{"player": 1, "entries": [{"infoset": "I", "probs": ["1/2", "1/2"]}]}]
     if problem == "unknown infoset":
         doc[0]["entries"][0]["infoset"] = "ghost"
-    else:
+    elif problem == "row sums to 2":
         doc[0]["entries"][0]["probs"] = ["1", "1"]
+    else:
+        doc[0]["entries"][0]["probs"] = [float("nan"), 1]
     bad = tmp_path / "bad_strategy.json"
     bad.write_text(json.dumps(doc))
     assert run([command[0], str(game), *command[1:], str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid strategy")
-    assert ("missing row for 'I'" if problem == "unknown infoset" else "sums to 2") in err
+    assert {"unknown infoset": "missing row for 'I'", "row sums to 2": "sums to 2",
+            "NaN entry": "probability nan at 'I' is not finite"}[problem] in err
 
 
 @pytest.mark.parametrize("command", [
@@ -459,3 +474,32 @@ def test_cli_rejects_strategy_row_for_unknown_infoset(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith("error: invalid strategy")
     assert "row for unknown infoset 'ghost'" in err
+
+
+def _strategy(player=1, entries=({"infoset": "I", "probs": ["1/2", "1/2"]},)) -> list:
+    return [{"player": player, "entries": list(entries)}]
+
+
+MALFORMED_STRATEGIES = {
+    "probs-a-string": (_strategy(entries=[{"infoset": "I", "probs": "10"}]),
+                       "'probs' at infoset 'I' must be a list"),
+    "row-twice": (_strategy(entries=[{"infoset": "I", "probs": [1, 0]},
+                                     {"infoset": "I", "probs": [0, 1]}]),
+                  "infoset 'I' of player 1 has two rows"),
+    "player-a-boolean": (_strategy(player=True), "'player' must be an integer, got True"),
+    "player-a-string": (_strategy(player="x"), "'player' must be an integer, got 'x'"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_STRATEGIES)
+def test_cli_malformed_strategy_documents_are_parse_errors(tmp_path, capsys, name):
+    doc, message = MALFORMED_STRATEGIES[name]
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+    bad = tmp_path / "bad_strategy.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["smooth-check", str(game), "--lambda", "1", "--mu", "0",
+                "--pistar", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -16,6 +16,7 @@ import irgames.recall as recall
 import irgames.solvers as solvers
 from irgames.game import Infoset, Node, has_absentmindedness, make_game, validate_game
 from irgames.generators import (
+    default_valid_utility,
     gen_dory,
     gen_fig1,
     gen_fig2,
@@ -163,6 +164,33 @@ def test_optimal_play_runs_below_a_deep_chance_chain():
     assert report.profile[1].row("D") == (0, 1)
     vor = vor_compute(g, "OPT")
     assert vor.numerator == vor.denominator == report.utilities[0]
+
+
+def test_pure_enumeration_sees_leaves_below_float_underflow():
+    # 1,100 chance nodes above a forgetful pair of decisions: every leaf
+    # below them has chance 2**-1100, which is 0 as a float, so all four
+    # pure strategies tie in float.  Each reached set is valued exactly,
+    # and the best one wins; the first strategy (l, a) is worth only the
+    # chain's own leaves.
+    n, half = 1100, Fraction(1, 2)
+    nodes = [Node(f"c{i}", "chance", ("on", "off"),
+                  (f"c{i + 1}" if i + 1 < n else "d", f"t{i}"), (half, half))
+             for i in range(n)]
+    nodes += [Node(f"t{i}", "terminal") for i in range(n)]
+    nodes += [Node("d", 1, ("l", "r"), ("e1", "e2")),
+              Node("e1", 1, ("a", "b"), ("z1a", "z1b")),
+              Node("e2", 1, ("a", "b"), ("z2a", "z2b"))]
+    nodes += [Node(z, "terminal") for z in ("z1a", "z1b", "z2a", "z2b")]
+    utilities = {f"t{i}": (Fraction(1),) for i in range(n)}
+    utilities.update(z1a=(Fraction(0),), z1b=(Fraction(1),),
+                     z2a=(Fraction(2),), z2b=(Fraction(0),))
+    g = make_game(1, "c0", nodes, utilities, [Infoset("D", 1, ("d",), ("l", "r")),
+                                              Infoset("E", 1, ("e1", "e2"), ("a", "b"))])
+    assert validate_game(g) == [] and not has_perfect_recall(g, 1)
+    assert not has_absentmindedness(g, 1) and float(g.leaves["z2a"].chance) == 0
+    report = optimal_strategy(g)
+    assert report.utilities[0] == 1 + half ** n and report.certified == "exact"
+    assert report.profile[1].table == {"D": (0, 1), "E": (1, 0)}
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -490,7 +518,37 @@ def test_pure_enumeration_values_tied_optima_once(monkeypatch):
     assert report.certified == "exact" and report.utilities == (Fraction(10),)
     first = {"A": (1, 0, 0), "B": (1, 0, 0), "C": (1, 0, 0), "R": (0, 0, 1)}
     assert report.profile[1].table == {k: tuple(map(Fraction, v)) for k, v in first.items()}
-    assert len(calls) < 27  # one evaluation per reached-leaf set, not per tie
+    # Reached-leaf sets are valued from the leaf table: no tree walk.
+    assert calls == []
+
+
+@pytest.mark.parametrize("make, walks", [
+    (gen_fig2, 1), (lambda: gen_lenny(6), 1),
+    (lambda: gen_random(6, 3, 0.6, 0.2, True, 1), 1),
+    (lambda: gen_dory(2), 0), (default_valid_utility, 0),
+    (lambda: gen_fig3(Fraction(1, 10)), 0),
+], ids=["fig2", "lenny6", "am6", "dory2", "valid", "fig3"])
+def test_optimal_play_values_its_answer_once(monkeypatch, make, walks):
+    # The polish path values only its best snapped point exactly; pure
+    # enumeration and the sequence-form DP read the leaf table.
+    calls = []
+    evaluate = solvers.expected_utility
+    monkeypatch.setattr(solvers, "expected_utility",
+                        lambda *args: calls.append(args) or evaluate(*args))
+    assert optimal_strategy(make()).u1 > 0
+    assert len(calls) == walks
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(depth=st.integers(2, 4), branching=st.integers(2, 3),
+       merge=st.sampled_from([0.6, 0.9]), chance=st.sampled_from([0.0, 0.3]),
+       absentminded=st.booleans(), seed=st.integers(0, 10_000))
+def test_an_exact_optimum_is_the_value_of_its_profile(depth, branching, merge, chance,
+                                                      absentminded, seed):
+    g = gen_random(depth, branching, merge, chance, absentminded, seed)
+    report = optimal_strategy(g, SolverConfig(grid_resolution=4, multistart=4))
+    if isinstance(report.u1, Fraction):
+        assert report.u1 == expected_utility(g, report.profile, 1)
 
 
 @pytest.mark.parametrize("block", [1, 2, 5])

@@ -201,6 +201,10 @@ def test_validate_profile_reports_problems():
     assert any("sums to" in p for p in validate_profile(g, bad))
     missing = single({"I1": (1, 0)})
     assert any("missing" in p for p in validate_profile(g, missing))
+    # A NaN entry passes both the sign test and the sum test.
+    for entry in (float("nan"), float("inf")):
+        problems = validate_profile(g, single({"I1": (entry, 1.0), "I2": (1, 0)}))
+        assert f"player 1: probability {entry} at 'I1' is not finite" in problems
 
 
 def test_validate_profile_reports_rows_for_unknown_infosets():
