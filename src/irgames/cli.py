@@ -392,8 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth-check", help="test the smoothness inequality",
                        formatter_class=fmt_cls)
     p.add_argument("game")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--mu", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", required=True,
+                   type=_checked(float, lambda v: math.isfinite(v) and v > 0,
+                                 "a finite number > 0"))
+    p.add_argument("--mu", required=True,
+                   type=_checked(float, lambda v: math.isfinite(v) and v >= 0,
+                                 "a finite number >= 0"))
     p.add_argument("--pistar", required=True,
                    help="strategy file with the substitution strategy")
     _add_solver_flags(p)

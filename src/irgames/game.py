@@ -482,19 +482,23 @@ def validate_game(game: Game) -> list[str]:
         elif not isinstance(node.owner, int) and node.owner not in (CHANCE, TERMINAL):
             problems.append(f"node {node.id!r}: bad owner {node.owner!r}")
 
-    # Infoset partitions.
-    for player in range(1, game.players + 1):
-        covered: dict[str, str] = {}
-        for iset in game.infosets.get(player, {}).values():
+    # Infoset partitions: one pass over the infosets the game holds, so an
+    # infoset of a player beyond the count is seen, and one over its nodes,
+    # not one per player.
+    covered: dict[tuple[int, str], str] = {}
+    for player, isets in game.infosets.items():
+        for iset in isets.values():
+            if not (isinstance(player, int) and 1 <= player <= game.players):
+                problems.append(f"infoset {iset.id!r}: player {player!r} out of range")
             if not iset.nodes:
                 problems.append(f"infoset {iset.id!r}: empty")
             for nid in iset.nodes:
-                if nid in covered:
+                if (player, nid) in covered:
                     problems.append(
                         f"node {nid!r} in two infosets of player {player}: "
-                        f"{covered[nid]!r} and {iset.id!r}"
+                        f"{covered[player, nid]!r} and {iset.id!r}"
                     )
-                covered[nid] = iset.id
+                covered[player, nid] = iset.id
                 node = game.nodes.get(nid)
                 if node is None:
                     problems.append(f"infoset {iset.id!r}: unknown node {nid!r}")
@@ -510,11 +514,12 @@ def validate_game(game: Game) -> list[str]:
                         f"{list(node.actions)} differs from infoset's "
                         f"{list(iset.actions)}"
                     )
-        for nid in game.nodes:
-            if game.nodes[nid].owner == player and nid not in covered:
-                problems.append(
-                    f"decision node {nid!r} of player {player} not in any infoset"
-                )
+    for nid, node in game.nodes.items():
+        if (isinstance(node.owner, int) and 1 <= node.owner <= game.players
+                and (node.owner, nid) not in covered):
+            problems.append(
+                f"decision node {nid!r} of player {node.owner} not in any infoset"
+            )
 
     # Utilities.
     for node in game.nodes.values():

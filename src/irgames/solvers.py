@@ -42,13 +42,18 @@ Computation policy, in one place:
 * every solver and every EDT and KKT check reads the game's one compiled
   float table, ``Game.numeric``, through the batched residual kernels
   (``_edt_residuals``, ``numeric.kkt_gaps``); only ``best_deviation``
-  keeps an exact vertex scan.  The Nash-refinement filters check each
-  player in place on it: the other players' rows stay fixed, each witness
-  overwrites the player's unreached rows, one batch holds the whole mixing
-  schedule, and reach, visit frequency and the CDT and EDT gains are read
-  from its kernels: an EDT gain from the gradient on rows without
+  keeps an exact vertex scan.  The rationality checks name a polish
+  family, which ``_schedule_check`` alone pairs with its gains and
+  normaliser (EDT gains over first-visit reach, CDT gains over visits).
+  The Nash-refinement filters check each player in place on the table:
+  the other players' rows stay fixed, each witness overwrites the
+  player's unreached rows, one batch holds the whole mixing schedule,
+  and reach, visit frequency and the CDT and EDT gains are read from its
+  kernels: an EDT gain from the gradient on rows without
   absentmindedness, and from the maximum of the row polynomial on
-  absentminded rows;
+  absentminded rows.  Only the witness builder reads ``_WITNESS_CAP``,
+  and a rejection is the cap's only when the failing player's search was
+  cut;
 * one maximiser of a row polynomial over the simplex, ``_max_row`` (the
   best vertex on an affine row, bracketed Newton for two actions, a
   scale-free projected ascent for three or more), serves the batched EDT
@@ -119,9 +124,6 @@ from .strategies import (
     infoset_gradient,
     infoset_terms,
 )
-
-CONCEPTS = ("OPT", "EDT", "CDT", "NASH", "EDT-NASH", "CDT-NASH")
-
 
 # The fixed verification policy (see the module docstring).
 _POLISH_ITERS = 200
@@ -744,19 +746,19 @@ def kkt_check_profile(game: Game, profile: StrategyProfile,
 
 
 def _schedule_check(num: NumericGame, x: np.ndarray, player: int,
-                    cfg: SolverConfig, gains: Callable,
-                    first_visit: bool) -> tuple[bool, np.ndarray]:
-    """Limit-based rationality of the player's rows of ``x``, verified along
-    ``_SCHEDULE`` with the other rows fixed: mix them toward uniform at
-    every rate delta at once, divide each of the player's incentives
-    ``gains(num, X, player, live)`` (an (S, rows) array, read where
-    ``live``) by its first-visit reach or by its expected visit count, and
-    accept when the worst quotient decays linearly in delta: fit the slope
-    on the first points and demand the rest stay under it (or under the
-    equilibrium tolerance).
+                    cfg: SolverConfig, family: str) -> tuple[bool, np.ndarray]:
+    """Limit-based rationality of the player's rows of ``x`` in the polish
+    ``family`` ("EDT" or "CDT"), verified along ``_SCHEDULE`` with the
+    other rows fixed: mix them toward uniform at every rate delta at once,
+    divide each of the player's incentives by its normaliser (an EDT gain
+    by the infoset's first-visit reach, a CDT gain by its expected visit
+    count), and accept when the worst quotient decays linearly in delta:
+    fit the slope on the first points and demand the rest stay under it
+    (or under the equilibrium tolerance).
 
     Returns the verdict and the (S,) worst-quotient trace it read.
     """
+    gains, first_visit = (_edt_gains, True) if family == "EDT" else (_cdt_gains, False)
     rows, block = num.index.block[player]
     deltas = np.array(_SCHEDULE, dtype=float)
     X = np.tile(x, (len(deltas), 1))
@@ -822,37 +824,33 @@ def edt_rational_check(game: Game, strategy: BehavioralStrategy,
     """Finite verification of the limit condition behind EDT rationality:
     the reach-normalized deviation gains must vanish linearly along the
     schedule."""
-    x = game.numeric.index.vector(profile_from(strategy))
-    return _schedule_check(game.numeric, x, 1, _cfg(cfg), _edt_gains, True)[0]
+    return _schedule_check(game.numeric, game.numeric.index.vector(profile_from(strategy)),
+                           1, _cfg(cfg), "EDT")[0]
 
 
 def cdt_rational_check(game: Game, strategy: BehavioralStrategy,
                        cfg: Optional[SolverConfig] = None) -> bool:
     """Schedule verification of the frequency-normalized, first-order
     (CDT-utility) rationality condition."""
-    x = game.numeric.index.vector(profile_from(strategy))
-    return _schedule_check(game.numeric, x, 1, _cfg(cfg), _cdt_gains, False)[0]
-
-
-def _unreached_rows(num: NumericGame, x: np.ndarray, player: int) -> list[Row]:
-    """The player's rows ``x`` reaches with at most ``SUPP_TOL``."""
-    rows = num.index.block[player][0]
-    reach = num.leaf_probs(x[None])[0] @ (num.visits[:, rows] > 0)
-    return [row for row, r in zip(num.index.rows[rows], reach) if r <= SUPP_TOL]
+    return _schedule_check(game.numeric, game.numeric.index.vector(profile_from(strategy)),
+                           1, _cfg(cfg), "CDT")[0]
 
 
 def _rationality_witnesses(num: NumericGame, x: np.ndarray,
-                           player: int) -> list[np.ndarray]:
+                           player: int) -> tuple[list[np.ndarray], bool]:
     """``x`` itself plus copies that overwrite the player's unreached rows
-    with uniform play or with every pure-action combination (the first
-    ``_WITNESS_CAP`` of them).
+    (reach at most ``SUPP_TOL``) with uniform play or with every
+    pure-action combination, the first ``_WITNESS_CAP`` of them; and
+    whether the cap cut that list.
 
     All are realization-equivalent to ``x`` by construction, since only
     unreached infosets change.
     """
-    unreached = _unreached_rows(num, x, player)
+    rows = num.index.block[player][0]
+    reach = num.leaf_probs(x[None])[0] @ (num.visits[:, rows] > 0)
+    unreached = [row for row, r in zip(num.index.rows[rows], reach) if r <= SUPP_TOL]
     if not unreached:
-        return [x]
+        return [x], False
 
     def completion(rows) -> np.ndarray:
         w = x.copy()
@@ -861,22 +859,22 @@ def _rationality_witnesses(num: NumericGame, x: np.ndarray,
         return w
 
     pure = itertools.product(*[np.eye(row.size) for row in unreached])
-    return [x, completion([1.0 / row.size for row in unreached]),
-            *map(completion, itertools.islice(pure, _WITNESS_CAP))]
+    return ([x, completion([1.0 / row.size for row in unreached]),
+             *map(completion, itertools.islice(pure, _WITNESS_CAP))],
+            math.prod(row.size for row in unreached) > _WITNESS_CAP)
 
 
-def _rational_per_player(game: Game, profile: StrategyProfile,
-                         cfg: SolverConfig, gains: Callable,
-                         first_visit: bool) -> bool:
-    """Per player, with the opponents' rows held fixed, some witness for
-    the player's rows passes the schedule check."""
-    num = game.numeric
-    x = num.index.vector(profile)
-    return all(
-        any(_schedule_check(num, w, p, cfg, gains, first_visit)[0]
-            for w in _rationality_witnesses(num, x, p))
-        for p in range(1, game.players + 1)
-    )
+def _rational_per_player(num: NumericGame, x: np.ndarray, cfg: SolverConfig,
+                         family: str) -> tuple[bool, bool]:
+    """Whether, per player, with the opponents' rows held fixed, some
+    witness for the player's rows passes the ``family``'s schedule check;
+    and whether ``_WITNESS_CAP`` cut the witness search of the player who
+    failed."""
+    for p in range(1, num.game.players + 1):
+        witnesses, cut = _rationality_witnesses(num, x, p)
+        if not any(_schedule_check(num, w, p, cfg, family)[0] for w in witnesses):
+            return False, cut
+    return True, False
 
 
 def edt_nash_check(game: Game, profile: StrategyProfile,
@@ -887,18 +885,22 @@ def edt_nash_check(game: Game, profile: StrategyProfile,
     The witness search covers the strategy itself and canonical rewrites
     of unreached infosets; it is sound but not complete.
     """
-    cfg = _cfg(cfg)
-    return (edt_check(game, profile, cfg)[0]
-            and _rational_per_player(game, profile, cfg, _edt_gains, True))
+    return _nash_refinement_check(game, profile, _cfg(cfg), "EDT")
 
 
 def cdt_nash_check(game: Game, profile: StrategyProfile,
                    cfg: Optional[SolverConfig] = None) -> bool:
     """KKT everywhere plus realization equivalence to a CDT-rational
     strategy per player (same canonical witness search)."""
-    cfg = _cfg(cfg)
-    return (kkt_check_profile(game, profile, cfg)[0]
-            and _rational_per_player(game, profile, cfg, _cdt_gains, False))
+    return _nash_refinement_check(game, profile, _cfg(cfg), "CDT")
+
+
+def _nash_refinement_check(game: Game, profile: StrategyProfile, cfg: SolverConfig,
+                           family: str) -> bool:
+    """The family's equilibrium check, then its rationality per player."""
+    check = edt_check if family == "EDT" else kkt_check_profile
+    return (check(game, profile, cfg)[0] and _rational_per_player(
+        game.numeric, game.numeric.index.vector(profile), cfg, family)[0])
 
 
 def nash_check(game: Game, profile: StrategyProfile,
@@ -990,8 +992,7 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> tuple[np.ndarray, np.nd
     """
     X = project_rows(num.index, X)
     B = X.shape[0]
-    players = range(1, num.game.players + 1)
-    movers = [p for p in players
+    movers = [p for p in range(1, num.game.players + 1)
               if num.index.block[p][1].start < num.index.block[p][1].stop]
     F = np.zeros((B, num.game.players))
     G = np.zeros_like(X)
@@ -1003,7 +1004,7 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> tuple[np.ndarray, np.nd
 
     for p in movers:
         carry(np.arange(B), p)
-    step = {p: np.full(B, 0.25) for p in players}
+    step = {p: np.full(B, 0.25) for p in movers}
     active = np.ones(B, dtype=bool)
     for _ in range(_POLISH_ITERS):
         idx = np.nonzero(active)[0]
@@ -1011,7 +1012,7 @@ def _gradient_polish(num: NumericGame, X: np.ndarray) -> tuple[np.ndarray, np.nd
             break
         settled = kkt_gaps(num.index, X[idx], G[idx]) < 1e-11
         stuck = np.ones(len(idx), dtype=bool)
-        for p in players:
+        for p in movers:
             stuck &= step[p][idx] < 1e-12
         active[idx[settled | stuck]] = False
         idx = idx[~(settled | stuck)]
@@ -1092,10 +1093,7 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     seeds = [pure_seeds, grid_seeds, _random_mixed(num.index, rng, cfg.multistart),
              num.index.uniform()[None]]
     if game.players == 1:
-        try:
-            seeds.append(num.index.vector(optimal_strategy(game, cfg).profile)[None])
-        except (ValueError, CapExceededError):
-            pass
+        seeds.append(num.index.vector(optimal_strategy(game, cfg).profile)[None])
     X = np.concatenate(seeds)
 
     if family == "CDT":
@@ -1148,8 +1146,7 @@ def _class_report(game: Game, concept: str, cfg: SolverConfig,
     the class cleared its family's residual test there, so the EDT-NASH
     and CDT-NASH filters test only rationality."""
     num = game.numeric
-    x = classes.X[k]
-    prof = num.index.profile(x)
+    prof = num.index.profile(classes.X[k])
     residual = float(classes.residual[k])
     if concept == "NASH":
         ok, nres, _ = nash_check(game, prof, cfg)
@@ -1157,12 +1154,12 @@ def _class_report(game: Game, concept: str, cfg: SolverConfig,
             return None, False
         residual = max(residual, nres)
     elif concept in ("EDT-NASH", "CDT-NASH"):
-        gains, first_visit = ((_edt_gains, True) if concept == "EDT-NASH"
-                              else (_cdt_gains, False))
-        if not _rational_per_player(game, prof, cfg, gains, first_visit):
-            return None, any(
-                math.prod(r.size for r in _unreached_rows(num, x, p))
-                > _WITNESS_CAP for p in range(1, game.players + 1))
+        # A writable vector: ``classes.X`` is read-only, and on a game where
+        # no player has an infoset the schedule's ``np.tile`` is a view.
+        passed, cut = _rational_per_player(num, num.index.vector(prof), cfg,
+                                           _FAMILY[concept])
+        if not passed:
+            return None, cut
     return SolveReport(
         concept=concept, which="any", profile=prof,
         utilities=tuple(classes.utilities[k].tolist()), residual=residual,

@@ -24,6 +24,7 @@ called, so ``irgames coeffs`` never loads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
@@ -363,8 +364,8 @@ def smoothness_check(
     cfg = _cfg(cfg)
     if game.players != 1:
         raise ValueError("smoothness_check expects a single-player game")
-    if lam <= 0 or mu < 0:
-        raise ValueError("require lam > 0 and mu >= 0")
+    if not (0 < lam < math.inf and 0 <= mu < math.inf):
+        raise ValueError("require finite lam > 0 and mu >= 0")
     if isinstance(pistar, StrategyProfile):
         pistar = pistar[1]
 

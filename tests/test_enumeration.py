@@ -337,6 +337,24 @@ def test_gradient_polish_keeps_every_seed_on_the_simplex():
     assert [r.utilities for r in reports] == [(10, 7), (3, 4)]
 
 
+def test_gradient_polish_drops_stuck_seeds_when_a_player_owns_nothing(monkeypatch):
+    # Player 2 owns no infoset, so only Player 1's step can collapse: a
+    # stuck test over every player never fired, and the seeds that never
+    # settled ran to the 200-step cap (201 gradient calls).
+    game = gen_random(4, 2, 0.7, 0.2, True, 41, players=2)
+    assert not game.infosets[2]
+    calls = []
+    gradient = game.numeric.gradient
+
+    def counted(*args):
+        calls.append(args)
+        return gradient(*args)
+
+    monkeypatch.setattr(game.numeric, "gradient", counted)
+    solvers._equilibrium_classes(game, "CDT", solvers.DEFAULT_CONFIG)
+    assert len(calls) < 200
+
+
 def test_class_representatives_differ_in_some_node_reach():
     for make in (lambda: gen_fig1(Fraction(1, 100)), lambda: gen_dory(2)):
         game = make()

@@ -64,6 +64,23 @@ def test_infoset_with_mismatched_action_lists_is_flagged():
     assert any("action list" in p and "'m'" in p for p in report)
 
 
+def test_infoset_of_a_player_beyond_the_count_is_flagged():
+    # The partition check once looped over players 1..players only, so a
+    # one-player game with an infoset of player 2 was valid, and optimal
+    # play then raised a KeyError on the infoset's missing row.
+    nodes = [
+        Node(id="r", owner=1, actions=("a", "b"), children=("z0", "z1")),
+        Node(id="z0", owner="terminal"),
+        Node(id="z1", owner="terminal"),
+    ]
+    utils = {z: (Fraction(1),) for z in ("z0", "z1")}
+    infosets = [Infoset(id="I", player=1, nodes=("r",), actions=("a", "b")),
+                Infoset(id="G", player=2, nodes=("r",), actions=("a", "b"))]
+    report = validate_game(make_game(1, "r", nodes, utils, infosets))
+    assert report == ["infoset 'G': player 2 out of range",
+                      "infoset 'G': node 'r' owned by 1, not player 2"]
+
+
 def test_dangling_child_and_duplicate_parent_are_flagged():
     nodes = [
         Node(id="r", owner=1, actions=("a",), children=("ghost",)),

@@ -230,6 +230,23 @@ def test_cli_smooth_check(tmp_path, capsys):
     assert "verdict:" in out
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--lambda", "nan", "--mu", "1"], "argument --lambda: need a finite number > 0, got 'nan'"),
+    (["--lambda", "0", "--mu", "1"], "argument --lambda: need a finite number > 0, got '0'"),
+    (["--lambda", "1", "--mu", "nan"], "argument --mu: need a finite number >= 0, got 'nan'"),
+    (["--lambda", "1", "--mu", "inf"], "argument --mu: need a finite number >= 0, got 'inf'"),
+], ids=["lambda-nan", "lambda-zero", "mu-nan", "mu-inf"])
+def test_cli_smooth_check_bad_parameters_are_usage_errors(tmp_path, capsys, flags, message):
+    # --lambda nan once printed "verdict: pure-verified" with a NaN margin.
+    game = tmp_path / "fig2.json"
+    strat_path = tmp_path / "pistar.json"
+    write_game(gen_fig2(), str(game))
+    write_profile(profile_from(pure_strategy(gen_fig2(), 1, {"I": 0})), str(strat_path))
+    assert run(["smooth-check", str(game), *flags, "--pistar", str(strat_path)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_cli_coeffs_and_bounds(tmp_path, capsys):
     lenny = tmp_path / "lenny.json"
     run(["gen", "lenny", "--n", "4", "--out", str(lenny)])
@@ -265,8 +282,9 @@ def test_cli_error_codes(tmp_path, capsys):
      "optimal_strategy expects a single-player game; use fix_opponents first"),
     (lambda: gen_lenny(16), ["partial-best", "--k", "1"],
      "more than 20000 candidate refinements; lower k"),
-    (gen_fig2, ["smooth-check", "--lambda", "0", "--mu", "1", "--pistar"],
-     "require lam > 0 and mu >= 0"),
+    (lambda: gen_fig1(Fraction(1, 100)), ["smooth-check", "--lambda", "1", "--mu", "1",
+                                          "--pistar"],
+     "smoothness_check expects a single-player game"),
 ], ids=["vor", "partial-best", "smooth-check"])
 def test_cli_solver_errors_exit_1(tmp_path, capsys, make, command, message):
     # Solver and cap errors reach the one handler in cli_main.
@@ -292,6 +310,19 @@ def test_cli_rejects_invalid_game_with_exit_1(tmp_path, capsys, command):
     assert run([command[0], str(bad), *command[1:]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid game") and "'ghost'" in err
+
+
+@pytest.mark.parametrize("command", [["validate"], ["solve", "--concept", "opt"]])
+def test_cli_rejects_infosets_of_absent_players_with_exit_1(tmp_path, capsys, command):
+    # validate once printed "ok" here, and solve ended in a KeyError.
+    doc = game_to_jsonable(gen_fig2())
+    doc["infosets"].append({**doc["infosets"][0], "id": "G", "player": 2})
+    bad = tmp_path / "ghost.json"
+    bad.write_text(dumps(doc))
+    assert run([command[0], str(bad), *command[1:]]) == 1
+    captured = capsys.readouterr()
+    assert "infoset 'G': player 2 out of range" in captured.out + captured.err
+    assert "Traceback" not in captured.err
 
 
 def _node_field(doc: dict, nid: str, key: str, value) -> dict:

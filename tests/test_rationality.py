@@ -19,11 +19,10 @@ from irgames.numeric import SUPP_TOL, NumericGame
 from irgames.solvers import (
     EquilibriumNotFoundError,
     SolverConfig,
-    _cdt_gains,
-    _edt_gains,
     _rational_per_player,
     _rationality_witnesses,
     _schedule_check,
+    best_worst,
     cdt_nash_check,
     cdt_rational_check,
     edt_nash_check,
@@ -108,9 +107,9 @@ def reference_rational(game, profile, player: int, check) -> bool:
     return any(check(sub, w, CFG) for w in witnesses)
 
 
-@pytest.mark.parametrize("check, gains, first_visit", [
-    (edt_rational_check, _edt_gains, True),
-    (cdt_rational_check, _cdt_gains, False),
+@pytest.mark.parametrize("check, family", [
+    (edt_rational_check, "EDT"),
+    (cdt_rational_check, "CDT"),
 ])
 @settings(derandomize=True, max_examples=25, deadline=None)
 # Holding the opponent's pure rows fixed while the player's rows are mixed
@@ -120,9 +119,9 @@ def reference_rational(game, profile, player: int, check) -> bool:
        merge=st.sampled_from([0.5, 0.9]), chance=st.sampled_from([0.0, 0.3]),
        seed=st.integers(0, 10_000),
        kind=st.sampled_from(["uniform", "pure", "dirichlet"]))
-def test_in_place_verdicts_match_opponent_fixed_checks(check, gains, first_visit,
-                                                       depth, branching, merge,
-                                                       chance, seed, kind):
+def test_in_place_verdicts_match_opponent_fixed_checks(check, family, depth,
+                                                       branching, merge, chance,
+                                                       seed, kind):
     game = gen_random(depth, branching, merge, chance, False, seed, players=2)
     profile = make_profile(game, kind, seed)
     num = game.numeric
@@ -131,11 +130,11 @@ def test_in_place_verdicts_match_opponent_fixed_checks(check, gains, first_visit
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_WITNESS_CAP", WITNESS_CAP)
         for player in (1, 2):
-            got = any(_schedule_check(num, w, player, CFG, gains, first_visit)[0]
-                      for w in _rationality_witnesses(num, x, player))
+            got = any(_schedule_check(num, w, player, CFG, family)[0]
+                      for w in _rationality_witnesses(num, x, player)[0])
             want.append(reference_rational(game, profile, player, check))
             assert got == want[-1]
-        assert _rational_per_player(game, profile, CFG, gains, first_visit) == all(want)
+        assert _rational_per_player(num, x, CFG, family)[0] == all(want)
 
 
 # -- _WITNESS_CAP --------------------------------------------------------------
@@ -241,6 +240,55 @@ def test_cap_decided_rejection_marks_every_report_heuristic(monkeypatch):
 
 def test_edt_nash_rejection_marks_every_report_heuristic(monkeypatch):
     marks_every_report(monkeypatch, "EDT-NASH")
+
+
+def driver_game(chain: int = 9):
+    """Player 1 opts out for 2 or goes in to an absentminded driver row
+    (exit at the first visit 0, at the second 4, go on twice 1: going in
+    is worth at most 4/3, continuing 2/3 of the time), and going on twice
+    leads to Player 2's ``chain`` of two-action infosets.  Playing out
+    leaves the driver and the chain unreached: no completion of the driver
+    row that a witness tries (uniform, exit, continue) is rational, while
+    Player 2's 2^9 pure completions exceed the witness cap."""
+    nodes = [Node("r", 1, ("out", "in"), ("zo", "d1")),
+             Node("d1", 1, ("exit", "cont"), ("ze1", "d2")),
+             Node("d2", 1, ("exit", "cont"), ("ze2", "y0"))]
+    utilities = {"zo": (Fraction(2), Fraction(0)), "ze1": (Fraction(0), Fraction(0)),
+                 "ze2": (Fraction(4), Fraction(0))}
+    infosets = [Infoset("root", 1, ("r",), ("out", "in")),
+                Infoset("drive", 1, ("d1", "d2"), ("exit", "cont"))]
+    for k in range(chain):
+        below = f"y{k + 1}" if k + 1 < chain else "zg"
+        nodes.append(Node(f"y{k}", 2, ("stop", "go"), (f"zs{k}", below)))
+        infosets.append(Infoset(f"y{k}", 2, (f"y{k}",), ("stop", "go")))
+        utilities[f"zs{k}"] = (Fraction(1), Fraction(0))
+    utilities["zg"] = (Fraction(1), Fraction(0))
+    nodes += [Node(z, TERMINAL) for z in utilities]
+    return make_game(2, "r", nodes, utilities, infosets, name="driver")
+
+
+def out_profile_of(game):
+    """Player 1 plays out and exits; Player 2 stops everywhere."""
+    return profile_from(*(BehavioralStrategy(p, {
+        iid: (Fraction(1), Fraction(0)) for iid in game.infosets[p]
+    }) for p in (1, 2)))
+
+
+@pytest.mark.parametrize("concept", ["CDT-NASH", "EDT-NASH"])
+def test_witness_cap_note_counts_only_the_failing_players_search(monkeypatch, concept):
+    # Player 1 fails on a short witness list; Player 2's list is cut but
+    # never decides, so the rejection is not the cap's.
+    lean(monkeypatch)
+    game = driver_game()
+    num = game.numeric
+    x = num.index.vector(out_profile_of(game))
+    assert _rationality_witnesses(num, x, 1)[1] is False
+    assert _rationality_witnesses(num, x, 2)[1] is True
+    assert _rational_per_player(num, x, CFG, concept[:3]) == (False, False)
+    assert enumerate_equilibria(game, concept, LEAN) == []
+    with pytest.raises(EquilibriumNotFoundError) as err:
+        best_worst(game, concept, "best", LEAN)
+    assert "witness_cap" not in str(err.value)
 
 
 # -- timing ----------------------------------------------------------------------

@@ -15,7 +15,6 @@ from irgames.solvers import (
     _SCHEDULE,
     _SCHEDULE_SAFETY,
     SolverConfig,
-    _cdt_gains,
     _edt_gains,
     _schedule_check,
     best_deviation,
@@ -102,19 +101,16 @@ def reference_accepts(trace: list[float]) -> bool:
     return all(e <= max(CFG.eps_eq, slope * d) for e, d in zip(trace, _SCHEDULE))
 
 
-@pytest.mark.parametrize("concept, gains, first_visit", [
-    ("EDT", _edt_gains, True), ("CDT", _cdt_gains, False),
-])
+@pytest.mark.parametrize("concept", ["EDT", "CDT"])
 @PROPERTY
 @example(game=gen_random(2, 3, 0.9, 0.0, True, 3), kind="pure", seed=0)
 @given(game=games, kind=st.sampled_from(["uniform", "pure", "dirichlet"]),
        seed=st.integers(0, 10_000))
-def test_schedule_check_matches_scalar_reference(concept, gains, first_visit,
-                                                 game, kind, seed):
+def test_schedule_check_matches_scalar_reference(concept, game, kind, seed):
     strategy = make_strategy(game, kind, seed)
     ok, trace = _schedule_check(
         game.numeric, game.numeric.index.vector(profile_from(strategy)), 1,
-        CFG, gains, first_visit)
+        CFG, concept)
     want, slack = reference_trace(game, strategy, concept)
     assert np.all(np.abs(trace - want) <= 1e-9 * np.abs(want) + slack)
     assert ok == reference_accepts(want)

@@ -40,6 +40,7 @@ from irgames.vor import (
     chance_coefficient,
     coefficient_table,
     smoothness_check,
+    structural_bounds,
     vor_compute,
 )
 
@@ -279,6 +280,21 @@ def test_opt_vor_is_at_least_one(seed, am):
     assert report.ratio >= 1
 
 
+# The bound theorems hold for every game they apply to.  Each game of this
+# family takes at least the composed bound, and the chance-free or
+# absentmindedness-free ones the am or chance bounds as well.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 119), am=st.booleans(), chance=st.sampled_from([0.0, 0.3]))
+def test_every_applicable_bound_is_at_least_opt_vor(seed, am, chance):
+    game = gen_random(3, 2, 0.6, chance, am, seed)
+    report = vor_compute(game, "OPT")
+    if report.ratio is None:
+        return
+    for name, bound in structural_bounds(game).items():
+        if bound is not None:
+            assert report.ratio <= float(bound) + 1e-9, name
+
+
 # -- pure-strategy identities --------------------------------------------------
 
 
@@ -388,6 +404,19 @@ def test_smoothness_valid_utility_instance(monkeypatch):
     falsified = smoothness_check(g, pistar, 10.0, 0.0)
     assert falsified.kind == "falsified"
     assert falsified.counterexample is not None
+
+
+@pytest.mark.parametrize("lam, mu", [
+    (float("nan"), 0.0), (1.0, float("nan")), (float("inf"), 0.0), (1.0, float("inf")),
+    (0.0, 0.0), (1.0, -1.0),
+])
+def test_smoothness_check_rejects_non_finite_or_out_of_range_parameters(lam, mu):
+    # NaN compares false with every bound, so it once passed the range test
+    # and the check reported "pure-verified" with a NaN margin.
+    g = default_valid_utility()
+    pistar = profile_from(pure_strategy(g, 1, {"IS0": 0, "IS1": 1}))
+    with pytest.raises(ValueError, match="finite lam > 0 and mu >= 0"):
+        smoothness_check(g, pistar, lam, mu)
 
 
 def test_every_edt_equilibrium_clears_the_smooth_floor():
