@@ -5,14 +5,16 @@ numeric output is printed with 12 significant digits, plus the exact
 rational in parentheses when one is available.
 
 Exit codes: 0 success, 1 domain errors (no equilibrium, caps, invalid
-game, among them a NaN or infinite chance probability or utility) and a
-standard output closed by its reader (``irgames ... | head``, without a
-traceback), 2 usage or parse errors: malformed documents (bad JSON, a
-field of the wrong JSON type, a node entry that is not an object, a
-repeated node id, a repeated infoset id of one player) and flags out of
-range (a grid resolution below 1, a negative multistart, seed,
-``partial-best --k`` or ``--table-cap``, an ``--eps-eq`` that is negative
-or not finite).
+game, among them a NaN or infinite chance probability or utility),
+file-system errors (a missing, unreadable or unwritable file, or a
+directory where a file is expected: one ``error: ...`` line) and a
+standard output closed by its reader (``irgames ... | head``; neither
+prints a traceback), 2 usage or parse errors: malformed documents (bad
+JSON, bytes that are not UTF-8, a field of the wrong JSON type, a node
+entry that is not an object, a repeated node id, a repeated infoset id
+of one player) and flags out of range (a grid resolution below 1, a
+negative multistart, seed, ``partial-best --k`` or ``--table-cap``, an
+``--eps-eq`` that is negative or not finite).
 
 Each command imports the modules it uses inside its function, so a process
 loads only what its command needs.  ``validate``, ``refine`` and
@@ -462,7 +464,9 @@ def cli_main(argv=None) -> int:
     except fileio.GameParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except BrokenPipeError:
+        raise  # main() handles a closed standard output
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DomainError, EquilibriumNotFoundError, CapExceededError, ValueError) as exc:

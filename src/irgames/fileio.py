@@ -192,14 +192,26 @@ def loads(text: str):
         ) from None
 
 
+def _read_document(path: str):
+    """The JSON document in the file at ``path``; bytes that are not UTF-8
+    make it malformed, like bad JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GameParseError(
+                f"parse error at byte {exc.start}: not UTF-8 text ({exc.reason})"
+            ) from None
+    return loads(text)
+
+
 def write_game(game: Game, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(game_to_jsonable(game)))
 
 
 def read_game(path: str) -> Game:
-    with open(path, "r", encoding="utf-8") as fh:
-        return game_from_jsonable(loads(fh.read()))
+    return game_from_jsonable(_read_document(path))
 
 
 # -- strategies --------------------------------------------------------------
@@ -256,5 +268,4 @@ def write_profile(profile: StrategyProfile, path: str) -> None:
 
 
 def read_profile(path: str) -> StrategyProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profile_from_jsonable(loads(fh.read()))
+    return profile_from_jsonable(_read_document(path))

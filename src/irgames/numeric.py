@@ -113,7 +113,10 @@ def _coords_by_size(rows: list[Row]) -> list[np.ndarray]:
 def project_rows(index: FlatIndex, X: np.ndarray,
                  player: int | None = None) -> np.ndarray:
     """Euclidean projection of every infoset row, or of the given player's
-    rows alone, onto its simplex, one batched projection per row size."""
+    rows alone, onto its simplex, one batched projection per row size.
+    Rows of two and three actions take ``_project_simplex``'s closed
+    forms, which give the sort path's bits without sorting; larger rows
+    sort."""
     out = np.array(X, dtype=float, copy=True)
     groups = index.rows_by_size if player is None else index.player_rows_by_size[player]
     for coords in groups:
@@ -136,18 +139,39 @@ def kkt_gaps(index: FlatIndex, X: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 def _project_simplex(V: np.ndarray) -> np.ndarray:
     """Sort-based Euclidean projection onto the probability simplex,
-    batched over leading axes.  Two-action rows take a closed form that
-    writes out the sort path's own arithmetic, so it gives the same bits:
-    the sorted pair is (hi, lo), the threshold is (hi + lo - 1) / 2 when
-    both entries stay on the support and hi - 1 otherwise, and the second
-    test repeats the sort path's first-entry test, hi - (hi - 1) > 0,
-    which fails only above 2**53."""
+    batched over leading axes.  Two- and three-action rows take closed
+    forms that write out the sort path's own arithmetic, so they give the
+    same bits; rows of four or more actions take the sort.
+
+    Two actions: the sorted pair is (hi, lo), the threshold is
+    (hi + lo - 1) / 2 when both entries stay on the support and hi - 1
+    otherwise, and the second test repeats the sort path's first-entry
+    test, hi - (hi - 1) > 0, which fails only above 2**53.
+
+    Three actions: min and max order the entries u0 >= u1 >= u2 without
+    arithmetic, so exactly as the sort does (entries that compare equal
+    differ at most in the sign of a zero, which no sum below can see).
+    The partial sums are the cumsum's, u0 - 1, (u0 + u1) - 1 and
+    ((u0 + u1) + u2) - 1, the thresholds those sums over 1, 2 and 3, and
+    theta is the threshold of the largest k whose entry stays above its
+    own, or the k = 3 threshold when none does, which is what ``argmax``
+    picks from a row of all False."""
     n = V.shape[-1]
     if n == 2:
         hi = np.maximum(V[..., 0], V[..., 1])
         lo = np.minimum(V[..., 0], V[..., 1])
         both, top = (hi + lo - 1.0) / 2.0, hi - 1.0
         theta = np.where((lo - both > 0) | ~(hi - top > 0), both, top)
+        return np.maximum(V - theta[..., None], 0.0)
+    if n == 3:
+        a, b, c = V[..., 0], V[..., 1], V[..., 2]
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        u0, u1, u2 = np.maximum(hi, c), np.maximum(lo, np.minimum(hi, c)), np.minimum(lo, c)
+        pair = u0 + u1
+        t0, t1, t2 = u0 - 1.0, (pair - 1.0) / 2.0, ((pair + u2) - 1.0) / 3.0
+        theta = np.where(u0 - t0 > 0, t0, t2)
+        theta = np.where(u1 - t1 > 0, t1, theta)
+        theta = np.where(u2 - t2 > 0, t2, theta)
         return np.maximum(V - theta[..., None], 0.0)
     U = np.sort(V, axis=-1)[..., ::-1]
     css = np.cumsum(U, axis=-1) - 1.0

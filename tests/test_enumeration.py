@@ -29,6 +29,7 @@ from irgames.solvers import SolverConfig, best_worst, enumerate_equilibria
 from irgames.strategies import node_reach_map, validate_profile
 from irgames.vor import VOR_CONCEPTS, _refined, vor_compute
 
+from test_leaf_table import two_player_mixed_rows_game
 from test_rationality import LEAN, NOTE, bluff_game, lean
 
 PAPER_GAMES = {
@@ -294,7 +295,8 @@ def per_step_polish(num, X: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("make", [
     PAPER_GAMES["fig1"], PAPER_GAMES["dory2"], lambda: _refined(gen_lenny(6)),
-], ids=["fig1", "dory2", "refined lenny6"])
+    two_player_mixed_rows_game,
+], ids=["fig1", "dory2", "refined lenny6", "two-player mixed rows"])
 def test_carried_polish_takes_the_per_step_iterates(make):
     num = make().numeric
     rng = np.random.default_rng(0)
@@ -308,7 +310,9 @@ def test_carried_polish_takes_the_per_step_iterates(make):
 @pytest.mark.parametrize("make", [
     PAPER_GAMES["fig2"], PAPER_GAMES["lenny6"], PAPER_GAMES["fig3"],
     lambda: _refined(gen_dory(2)),
-], ids=["fig2", "lenny6", "fig3", "refined dory2"])
+    lambda: gen_random(2, 3, 0.7, 0.0, True, 13),
+    lambda: gen_random(3, 3, 0.9, 0.0, True, 0),
+], ids=["fig2", "lenny6", "fig3", "refined dory2", "random am2 seed 13", "random am3 seed 0"])
 def test_one_player_polish_takes_the_per_step_bits(make):
     # With one player every step moves the whole vector, so projecting the
     # mover's rows alone projects what the reference projects.

@@ -534,3 +534,77 @@ def test_cli_malformed_strategy_documents_are_parse_errors(tmp_path, capsys, nam
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command, message", [
+    (["validate", "{dir}"], "Is a directory"),
+    (["gen", "fig2", "--out", "{dir}"], "Is a directory"),
+    (["smooth-check", "{game}", "--lambda", "1", "--mu", "0", "--pistar", "{dir}"],
+     "Is a directory"),
+    (["refine", "{game}", "--out", "{dir}"], "Is a directory"),
+    (["gen", "fig2", "--out", "{dir}/absent/fig2.json"], "No such file or directory"),
+], ids=["validate-directory", "gen-out-directory", "pistar-directory",
+        "refine-out-directory", "gen-out-missing-parent"])
+def test_cli_file_system_errors_exit_1_without_a_traceback(tmp_path, capsys, command,
+                                                           message):
+    # These once ended in an IsADirectoryError traceback.
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+    capsys.readouterr()
+    argv = [a.format(dir=tmp_path, game=game) for a in command]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("mode", ["r", "w"], ids=["read", "write"])
+def test_cli_permission_errors_exit_1(tmp_path, capsys, monkeypatch, mode):
+    # A permission bit does not stop every user, so the openers that read
+    # documents and write outputs raise the denial themselves.
+    import irgames.cli
+    import irgames.fileio
+
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+
+    def denied(path, how="r", **kwargs):
+        if how == mode:
+            raise PermissionError(13, "Permission denied", str(path))
+        return open(path, how, **kwargs)
+
+    for module in (irgames.cli, irgames.fileio):
+        monkeypatch.setattr(module, "open", denied, raising=False)
+    assert run(["refine", str(game), "--out", str(tmp_path / "pr.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Permission denied" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("command", [
+    ["validate", "{bad}"],
+    ["smooth-check", "{game}", "--lambda", "1", "--mu", "0", "--pistar", "{bad}"],
+], ids=["game", "strategy"])
+def test_cli_non_utf8_documents_are_parse_errors(tmp_path, capsys, command):
+    # Such a document once exited 1 with the codec's message.
+    game = tmp_path / "fig2.json"
+    write_game(gen_fig2(), str(game))
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    assert run([a.format(bad=bad, game=game) for a in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: parse error at byte 13: not UTF-8 text")
+    assert "Traceback" not in captured.err and captured.out == ""
+    with pytest.raises(GameParseError):
+        read_game(str(bad))
+
+
+def test_cli_main_leaves_a_closed_stdout_to_main(monkeypatch):
+    # BrokenPipeError is an OSError, but main() must see it to point stdout
+    # at devnull before the exit flush.
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("irgames.cli.cmd_validate", closed)
+    with pytest.raises(BrokenPipeError):
+        run(["validate", "game.json"])

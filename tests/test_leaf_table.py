@@ -215,19 +215,21 @@ def mixed_rows_game():
 @PROPERTY
 @given(seed=st.integers(0, 10_000), rows=st.integers(1, 6))
 def test_project_rows_matches_per_row_projection(seed, rows):
+    # The sort path is the reference, so the closed forms of the two- and
+    # three-action rows are checked through the row dispatch too.
     index = NumericGame(mixed_rows_game()).index
     assert sorted(r.size for r in index.rows) == [2, 3]
     X = np.random.default_rng(seed).normal(scale=2.0, size=(rows, index.dim))
     want = X.copy()
     for row in index.rows:
         block = slice(row.offset, row.offset + row.size)
-        want[:, block] = _project_simplex(X[:, block])
+        want[:, block] = sorted_projection(X[:, block])
     assert np.array_equal(project_rows(index, X), want)
 
 
 def sorted_projection(V: np.ndarray) -> np.ndarray:
     """The sort-based simplex projection, the reference for the closed
-    form of two-action rows."""
+    forms of two- and three-action rows."""
     n = V.shape[-1]
     U = np.sort(V, axis=-1)[..., ::-1]
     css = np.cumsum(U, axis=-1) - 1.0
@@ -242,18 +244,31 @@ def sorted_projection(V: np.ndarray) -> np.ndarray:
        lead=st.sampled_from([(256,), (16, 16)]))
 @example(seed=0, top=300, lead=(256,))
 def test_two_action_projection_takes_the_sort_paths_bits(seed, top, lead):
-    # Magnitudes 1e-3 to 10**top; the second entry ties the first, is one
-    # away, is one ulp from the first or from one away, or is drawn freely.
-    # Above 2**53, a - (a - 1) > 0 fails and the sort path keeps both.
+    # Two- and three-action rows.  Magnitudes 1e-3 to 10**top; each later
+    # entry ties an earlier one, is one away, is one ulp from it or from
+    # one away, or is drawn freely, so any two entries or all three may
+    # tie.  Above 2**53, a - (a - 1) > 0 fails and the sort path keeps
+    # both.  Near-simplex rows (a Dirichlet draw plus noise) are the rows
+    # the polish projects.
     rng = np.random.default_rng(seed)
-    a = rng.choice([-1.0, 1.0], lead) * 10.0 ** rng.uniform(-3, top, lead)
-    one = rng.choice([-1.0, 1.0], lead)
-    ulp = rng.choice([-np.inf, np.inf], lead)
-    free = rng.choice([-1.0, 1.0], lead) * 10.0 ** rng.uniform(-3, top, lead)
-    b = np.choose(rng.integers(0, 5, lead), [
-        a, a + one, np.nextafter(a, ulp), np.nextafter(a + one, ulp), free])
-    V = np.stack([a, b], axis=-1)
-    assert np.array_equal(_project_simplex(V), sorted_projection(V))
+
+    def free():
+        return rng.choice([-1.0, 1.0], lead) * 10.0 ** rng.uniform(-3, top, lead)
+
+    def near(base):
+        one = rng.choice([-1.0, 1.0], lead)
+        ulp = rng.choice([-np.inf, np.inf], lead)
+        return np.choose(rng.integers(0, 5, lead), [
+            base, base + one, np.nextafter(base, ulp), np.nextafter(base + one, ulp), free()])
+
+    a = free()
+    b = near(a)
+    c = near(np.where(rng.random(lead) < 0.5, a, b))
+    noise = 10.0 ** rng.uniform(-17, -1, (*lead, 1))
+    for V in (np.stack([a, b], axis=-1), np.stack([a, b, c], axis=-1),
+              *(rng.dirichlet(np.ones(n), lead) + rng.normal(0.0, noise, (*lead, n))
+                for n in (2, 3))):
+        assert np.array_equal(_project_simplex(V), sorted_projection(V))
 
 
 def two_player_mixed_rows_game():
