@@ -47,11 +47,18 @@ class DomainError(RuntimeError):
 
 
 def fmt(value) -> str:
-    """12 significant digits, with the exact rational when available."""
+    """12 significant digits, with the exact rational when available; a
+    rational outside the normal float range, where a float would overflow
+    or drop digits, is rounded in decimal."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
-        return f"{float(value):.12g} (= {value})"
+        if sys.float_info.min <= abs(value) <= sys.float_info.max:
+            return f"{float(value):.12g} (= {value})"
+        from decimal import Context, Decimal
+
+        digits = Context(prec=12).divide(Decimal(value.numerator), Decimal(value.denominator))
+        return f"{digits.normalize():.12g} (= {value})"
     return f"{float(value):.12g}"
 
 

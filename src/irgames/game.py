@@ -9,17 +9,18 @@ end to end ("rational mode").
 Every expected utility here is a sum over leaves of the player's utility
 times the leaf's reach monomial: its chance coefficient times each strategy
 entry on its path, raised to the number of times the path takes it.
-``Game.leaves`` compiles these monomials once per game; gradients,
-deviations, the compiled arrays and the coefficients read them from there,
-and ``Game.numeric`` is their float table, also built once.  The exact
-reach and value evaluators (``expected_utility``, ``infoset_reach``,
+``Game.leaves`` compiles these monomials once per game, as how many times
+each path takes each action of every infoset it enters; gradients,
+deviations, the compiled arrays, coefficients and bounds read those counts
+as stored, and ``Game.numeric`` is their float table, also built once.  The
+exact reach and value evaluators (``expected_utility``, ``infoset_reach``,
 ``infoset_frequency``, ``realization_equivalent``, and the perfect-recall
 DP of optimal play) walk the tree instead: one top-down pass of
 ``node_reach_map``, which the DP follows with one bottom-up pass over the
-player's own histories.  They stay walks because the leaf table holds quadratically many visits on a chain of
-distinct infosets (about n**2 / 2 on lenny(n)'s perfect-recall refinement),
-where a walk is linear.  ``Game.memo`` keeps what solvers derive from the
-game once per input.
+player's own histories.  They stay walks because the leaf table holds
+quadratically many visits on a chain of distinct infosets (about n**2 / 2
+on lenny(n)'s perfect-recall refinement), where a walk is linear.
+``Game.memo`` keeps what is derived from the game once per input.
 
 Nothing here mutates: refinements and transforms build new ``Game`` objects.
 """
@@ -101,13 +102,13 @@ class Leaf(NamedTuple):
     """A terminal's reach monomial.
 
     ``chance`` is the product of the chance probabilities on the path (exact
-    in rational mode); ``visits`` pairs every ``(player, infoset_id,
-    action_index)`` the path takes with the number of times it takes it, in
-    order of first visit.
+    in rational mode); ``visits`` pairs every ``(player, infoset_id)`` the
+    path enters with how many times it takes each of the infoset's actions
+    there, in order of first visit.
     """
 
     chance: Num
-    visits: tuple[tuple[tuple[int, str, int], int], ...]
+    visits: tuple[tuple[tuple[int, str], tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,14 @@ class Game:
             node = self.nodes[nid]
             if node.is_terminal:
                 out[nid] = Leaf(chance, tuple(counts.items()))
+            key = (node.owner, self.infoset_of_node.get(nid))  # used at decision nodes
+            row = counts.get(key) or (0,) * len(node.children)
             for idx in reversed(range(len(node.children))):
                 child = node.children[idx]
                 if node.is_chance:
                     stack.append((child, chance * node.chance_dist[idx], counts))
                 else:
-                    key = (node.owner, self.infoset_of_node[nid], idx)
-                    visited = {**counts, key: counts.get(key, 0) + 1}
+                    visited = {**counts, key: row[:idx] + (row[idx] + 1,) + row[idx + 1:]}
                     stack.append((child, chance, visited))
         return out
 
@@ -203,7 +205,7 @@ class Game:
         in ``terminals`` order."""
         out: dict[tuple[int, str], list[str]] = {}
         for z, leaf in self.leaves.items():
-            for key in dict.fromkeys((p, iid) for (p, iid, _), _ in leaf.visits):
+            for key, _ in leaf.visits:
                 out.setdefault(key, []).append(z)
         return {key: tuple(zs) for key, zs in out.items()}
 
@@ -248,10 +250,11 @@ class Game:
         """Results derived from this game that are computed once and shared,
         keyed by everything they depend on that a caller can set: its
         perfect-recall refinements, each player's own histories
-        (``recall.own_histories``), and its optimal play and a polish
-        family's equilibrium classes under one ``SolverConfig``.  The
-        solvers' module constants are not in the keys.  Stored results are
-        never mutated."""
+        (``recall.own_histories``), its coefficient table
+        (``vor.coefficient_table``, which every structural bound reads),
+        and its optimal play and a polish family's equilibrium classes
+        under one ``SolverConfig``.  The solvers' module constants are not
+        in the keys.  Stored results are never mutated."""
         return {}
 
     def _ordered_ids(self) -> list[str]:

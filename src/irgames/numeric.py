@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -192,32 +193,29 @@ class NumericGame:
         self.index = FlatIndex(game)
         Z = len(game.terminals)
         self.n_leaves = Z
-        self.coef = np.ones(Z)  # chance coefficient per leaf
-        self.utils = np.zeros((Z, game.players))
+        leaves = game.leaves.values()
+        self.coef = np.array([float(leaf.chance) for leaf in leaves])  # chance coefficients
+        self.utils = np.array([[float(u) for u in game.utilities[z]] for z in game.leaves])
 
         # Distinct (leaf, flat coordinate, multiplicity) entries of every
-        # leaf's reach monomial, leaf by leaf; an entry's rank is its place
-        # among its leaf's entries, so products are taken division-free by
-        # prefix/suffix sweeps over the ranks.
-        ent_leaf: list[int] = []
-        ent_coord: list[int] = []
-        ent_count: list[int] = []
-        for zi, (z, leaf) in enumerate(game.leaves.items()):
-            self.utils[zi] = [float(u) for u in game.utilities[z]]
-            self.coef[zi] = float(leaf.chance)
-            counts = {
-                self.index.row_of[(p, iid)].offset + idx: n
-                for (p, iid, idx), n in leaf.visits
-            }
-            for coord in sorted(counts):
-                ent_leaf.append(zi)
-                ent_coord.append(coord)
-                ent_count.append(counts[coord])
-
-        self.ent_leaf = np.array(ent_leaf, dtype=np.intp)
-        self.ent_coord = np.array(ent_coord, dtype=np.intp)
-        self.ent_count = np.array(ent_count, dtype=np.float64)
-        self.n_entries = len(ent_leaf)
+        # leaf's reach monomial, by leaf and then coordinate; an entry's rank
+        # is its place among its leaf's entries, so products are taken
+        # division-free by prefix/suffix sweeps over the ranks.  Each visit
+        # spreads its counts over its row's coordinates; untaken ones drop.
+        visits = list(chain.from_iterable(leaf.visits for leaf in leaves))
+        offset_of = {key: row.offset for key, row in self.index.row_of.items()}
+        offsets = np.fromiter((offset_of[key] for key, _ in visits), np.intp, len(visits))
+        per_action = [counts for _, counts in visits]
+        sizes = np.fromiter(map(len, per_action), np.intp, len(visits))
+        count = np.fromiter(chain.from_iterable(per_action), np.intp, int(sizes.sum()))
+        coord = np.arange(len(count)) + np.repeat(offsets - (np.cumsum(sizes) - sizes), sizes)
+        leaf_of = np.repeat(np.repeat(np.arange(Z), [len(leaf.visits) for leaf in leaves]), sizes)
+        taken = count > 0
+        order = np.argsort((leaf_of * self.index.dim + coord)[taken], kind="stable")
+        self.ent_leaf = leaf_of[taken][order]
+        self.ent_coord = coord[taken][order]
+        self.ent_count = count[taken][order].astype(np.float64)
+        self.n_entries = len(self.ent_leaf)
 
         # Rank steps of the leaf products: step r holds the entries of rank
         # r.  Leaves are taken longest first, so the leaves with an entry of

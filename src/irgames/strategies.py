@@ -229,9 +229,9 @@ def infoset_terms(
 
     One term (c_k, e_k) per leaf whose path visits the infoset and pays the
     player: c_k is the utility times the leaf's chance coefficient and its
-    entries at other infosets, e_k its visit count per action.
+    entries at other infosets, e_k the leaf's visit counts of the row.
     """
-    n = len(game.infoset(infoset_id, player).actions)
+    game.infoset(infoset_id, player)  # KeyError for an unknown infoset
     rows = {s.player: s.table for s in profile.strategies}
     terms = []
     for z in game.leaves_visiting.get((player, infoset_id), ()):
@@ -239,13 +239,14 @@ def infoset_terms(
         if not u:
             continue
         c = u * game.leaves[z].chance
-        exps = [0] * n
-        for (p, iid, j), m in game.leaves[z].visits:
+        for (p, iid), counts in game.leaves[z].visits:
             if p == player and iid == infoset_id:
-                exps[j] = m
+                exps = counts
             else:
-                c = c * rows[p][iid][j] ** m
-        terms.append((c, tuple(exps)))
+                for entry, m in zip(rows[p][iid], counts):
+                    if m:
+                        c = c * entry ** m
+        terms.append((c, exps))
     return terms
 
 

@@ -15,8 +15,9 @@ leaf monomials:
 * the branching factor of a chance node: a recursive count bounding how
   many leaves a pure strategy can reach with positive probability below it.
 
-The coefficients and the exact bounds are tree walks in exact arithmetic;
-only the functions that solve (``bound_chance``, and so
+``coefficient_table`` builds them once per game, in exact arithmetic, and
+every bound reads them there; only the branching factors walk the tree.
+Only the functions that solve (``bound_chance``, and so
 ``structural_bounds`` on a game without absentmindedness, ``vor_compute``
 and ``smoothness_check``) import numpy and ``irgames.solvers``, when
 called, so ``irgames coeffs`` never loads them.
@@ -25,12 +26,13 @@ called, so ``irgames coeffs`` never loads them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .config import SolverConfig, _cfg
-from .game import Game, Leaf, Num, chance_nodes, has_absentmindedness, subtree_nodes
+from .game import Game, Leaf, Num, has_absentmindedness, subtree_nodes
 from .recall import perfect_recall_refinement
 from .strategies import (
     BehavioralStrategy,
@@ -60,25 +62,15 @@ def _leaf(game: Game, leaf: str) -> Leaf:
     return game.leaves[leaf]
 
 
-def _player1_rows(game: Game, leaf: str) -> dict[str, dict[int, int]]:
-    """Per infoset of Player 1 on the leaf's path: action-index -> count."""
-    rows: dict[str, dict[int, int]] = {}
-    for (player, iid, idx), n in _leaf(game, leaf).visits:
-        if player == 1:
-            rows.setdefault(iid, {})[idx] = n
-    return rows
-
-
 def am_coefficient(game: Game, leaf: str) -> Num:
     """Product over repeat-visited infosets of (n_a / n_I) ** n_a, one
-    factor per action taken there; 1 when no infoset repeats."""
+    factor per action (0 ** 0 = 1); 1 when no infoset repeats."""
     out: Num = Fraction(1)
-    for per_action in _player1_rows(game, leaf).values():
-        n_total = sum(per_action.values())
-        if n_total <= 1:
-            continue
-        for n_a in per_action.values():
-            out = out * Fraction(n_a, n_total) ** n_a
+    for (player, _), counts in _leaf(game, leaf).visits:
+        n_total = sum(counts)
+        if player == 1 and n_total > 1:
+            for n_a in counts:
+                out = out * Fraction(n_a, n_total) ** n_a
     return out
 
 
@@ -86,14 +78,12 @@ def am_witness(game: Game, leaf: str) -> BehavioralStrategy:
     """The stationary strategy that reaches the leaf with probability
     exactly equal to its absentmindedness coefficient (chance-free games):
     play each path action with its empirical frequency, uniform off-path."""
-    if chance_nodes(game):
+    if coefficient_table(game).branching:
         raise ValueError("am_witness requires a game without chance nodes")
     strategy = uniform_strategy(game, 1, rational=True)
-    for iid, per_action in _player1_rows(game, leaf).items():
-        n_total = sum(per_action.values())
-        size = len(game.infosets[1][iid].actions)
-        row = [Fraction(per_action.get(a, 0), n_total) for a in range(size)]
-        strategy = strategy.replace_row(iid, tuple(row))
+    for (player, iid), counts in _leaf(game, leaf).visits:
+        if player == 1:
+            strategy = strategy.replace_row(iid, tuple(Fraction(n, sum(counts)) for n in counts))
     return strategy
 
 
@@ -136,11 +126,16 @@ class CoefficientTable:
 
 
 def coefficient_table(game: Game) -> CoefficientTable:
-    return CoefficientTable(
-        am={z: am_coefficient(game, z) for z in game.terminals},
-        chance={z: chance_coefficient(game, z) for z in game.terminals},
-        branching=_branching_factors(game, game.root),
-    )
+    """The game's coefficients, kept in ``game.memo``; a game has chance
+    nodes exactly when ``branching`` is non-empty."""
+    key = "coefficient table"
+    if key not in game.memo:
+        game.memo[key] = CoefficientTable(
+            am={z: am_coefficient(game, z) for z in game.terminals},
+            chance={z: chance_coefficient(game, z) for z in game.terminals},
+            branching=_branching_factors(game, game.root),
+        )
+    return game.memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -150,41 +145,31 @@ def coefficient_table(game: Game) -> CoefficientTable:
 
 def _argmax_leaf(game: Game, score) -> str:
     """Deterministic argmax over terminals: ties go to the smallest id."""
-    best = None
-    for z in sorted(game.terminals):
-        s = score(z)
-        if best is None or s > best[0]:
-            best = (s, z)
-    return best[1]
+    return max(sorted(game.terminals), key=score)
 
 
 def bound_am(game: Game) -> tuple[Num, Num]:
     """The two chance-free bounds: max utility over best stationary value,
     and the inverse absentmindedness coefficient of the top leaf."""
-    if chance_nodes(game):
+    table = coefficient_table(game)
+    if table.branching:
         raise ValueError("bound_am requires a game without chance nodes")
-    ams = {z: am_coefficient(game, z) for z in game.terminals}
     u = {z: game.utilities[z][0] for z in game.terminals}
-    top = max(u.values())
-    best_stationary = max(ams[z] * u[z] for z in game.terminals)
+    best_stationary = max(table.am[z] * u[z] for z in game.terminals)
     if best_stationary == 0:
         raise ValueError("all utilities are zero; the bound is undefined")
-    bound1 = top / best_stationary
-    zstar = _argmax_leaf(game, lambda z: u[z])
-    bound2 = 1 / ams[zstar]
-    return bound1, bound2
+    zstar = _argmax_leaf(game, u.get)
+    return u[zstar] / best_stationary, 1 / table.am[zstar]
 
 
 def bound_am_entropy(game: Game, leaf: str) -> Num:
     """Support-size bound dominating 1/am(z): product over repeat-visited
     infosets of min(visits, actions) ** visits."""
     out: Num = Fraction(1)
-    for iid, per_action in _player1_rows(game, leaf).items():
-        n_total = sum(per_action.values())
-        if n_total <= 1:
-            continue
-        size = len(game.infosets[1][iid].actions)
-        out = out * Fraction(min(n_total, size)) ** n_total
+    for (player, _), counts in _leaf(game, leaf).visits:
+        n_total = sum(counts)
+        if player == 1 and n_total > 1:
+            out = out * Fraction(min(n_total, len(counts))) ** n_total
     return out
 
 
@@ -196,15 +181,12 @@ def bound_chance(game: Game, cfg: Optional[SolverConfig] = None) -> tuple[Num, N
     from .solvers import optimal_strategy
 
     cfg = _cfg(cfg)
+    table = coefficient_table(game)
     opt_refined = optimal_strategy(_refined(game), cfg).utilities[0]
-    best_leaf_value = max(
-        chance_coefficient(game, z) * game.utilities[z][0] for z in game.terminals
-    )
+    best_leaf_value = max(table.chance[z] * game.utilities[z][0] for z in game.terminals)
     if best_leaf_value == 0:
         raise ValueError("all utilities are zero; the bound is undefined")
-    bound1 = opt_refined / best_leaf_value
-    bound2 = max(_branching_factors(game, game.root).values(), default=1)
-    return bound1, Fraction(bound2)
+    return opt_refined / best_leaf_value, Fraction(max(table.branching.values(), default=1))
 
 
 def bound_composed(game: Game) -> Num:
@@ -213,9 +195,9 @@ def bound_composed(game: Game) -> Num:
     coefficient (each factor 1 when its domain is empty)."""
     if game.players != 1:
         raise ValueError("bound_composed expects a single-player game")
-    beta = max(_branching_factors(game, game.root).values(), default=1)
-    min_am = min(am_coefficient(game, z) for z in game.terminals)
-    return Fraction(beta) / min_am
+    table = coefficient_table(game)
+    beta = max(table.branching.values(), default=1)
+    return Fraction(beta) / min(table.am.values())
 
 
 def structural_bounds(game: Game, cfg: Optional[SolverConfig] = None) -> dict[str, Optional[Num]]:
@@ -225,7 +207,7 @@ def structural_bounds(game: Game, cfg: Optional[SolverConfig] = None) -> dict[st
     composed bound always.  An applicable bound that the utilities leave
     undefined (all zero) is None."""
     bounds: dict[str, Optional[Num]] = {}
-    if not chance_nodes(game):
+    if not coefficient_table(game).branching:
         try:
             bounds["am_utility"], bounds["am_zstar"] = bound_am(game)
         except ValueError:
@@ -269,6 +251,11 @@ def _refined(game: Game) -> Game:
     return game.memo[key]
 
 
+def _float(x: Num) -> float:
+    """``x`` as a float; math.inf above the float range."""
+    return float(x) if x <= sys.float_info.max else math.inf
+
+
 def _solve_concept(game: Game, concept: str, cfg: SolverConfig) -> SolveReport:
     from .solvers import best_worst, optimal_strategy
 
@@ -293,23 +280,25 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
     numerator = refined_report.utilities[0]
     denominator = base_report.utilities[0]
 
-    if float(denominator) > 0:
-        ratio: Optional[float] = float(numerator) / float(denominator)
-        kind = "finite"
-    elif float(numerator) > 0:
-        ratio, kind = None, "infinite"
+    # Exact division and comparison (float division rounds the same
+    # quotient): a ratio or bound beyond the float range, as lenny(n)'s
+    # past n = 1023, is decided right and reported as math.inf.
+    if denominator > 0:
+        value: Optional[Fraction] = Fraction(numerator) / Fraction(denominator)
+        ratio, kind = _float(value), "finite"
+    elif numerator > 0:
+        value, ratio, kind = None, None, "infinite"
     else:
-        ratio, kind = None, "undefined"
+        value, ratio, kind = None, None, "undefined"
 
-    bounds: dict[str, Optional[float]] = dict.fromkeys(
+    bounds: dict[str, Optional[Num]] = dict.fromkeys(
         ("am_utility", "am_zstar", "am_entropy", "chance_utility", "chance_beta", "composed"))
     if game.players == 1:
-        bounds.update((name, None if b is None else float(b))
-                      for name, b in structural_bounds(game, cfg).items())
+        bounds.update(structural_bounds(game, cfg))
 
     satisfied = {
-        name: (None if b is None or ratio is None or concept != "OPT"
-               else ratio <= b + 1e-9)
+        name: (None if b is None or value is None or concept != "OPT"
+               else value <= b + Fraction(1, 10**9))
         for name, b in bounds.items()
     }
     return VorReport(
@@ -320,7 +309,7 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
         ratio_kind=kind,
         refined_report=refined_report,
         base_report=base_report,
-        bounds=bounds,
+        bounds={name: None if b is None else _float(b) for name, b in bounds.items()},
         bounds_satisfied=satisfied,
     )
 

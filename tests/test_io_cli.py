@@ -118,6 +118,13 @@ def test_fmt_shows_exact_rationals():
     assert fmt(0.5) == "0.5"
 
 
+def test_fmt_rounds_rationals_beyond_the_float_range_exactly():
+    big = Fraction(2 ** 1100, 3)
+    assert fmt(big) == f"4.5276617635e+330 (= {big})"
+    assert fmt(1 / big) == f"2.20864554871e-331 (= {1 / big})"
+    assert fmt(Fraction(1, 2 ** 1030)).startswith("8.69169475979e-311 (= 1/")
+
+
 # -- CLI ----------------------------------------------------------------------
 
 
@@ -254,6 +261,15 @@ def test_cli_coeffs_and_bounds(tmp_path, capsys):
     assert run(["bounds", str(lenny)]) == 0
     out = capsys.readouterr().out
     assert "am zstar bound: 16" in out
+
+
+def test_cli_vor_beyond_the_float_range(tmp_path, capsys):
+    lenny = tmp_path / "lenny.json"
+    run(["gen", "lenny", "--n", "1030", "--out", str(lenny)])
+    assert run(["vor", str(lenny), "--concept", "opt"]) == 0
+    out = capsys.readouterr().out
+    assert f"vor: {2 ** 1030}" in out
+    assert "bound am_zstar: inf (satisfied)" in out
 
 
 def test_cli_export_dot(tmp_path, capsys):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import finite_difference_gradient, per_row_kkt_residuals, random_profile
 
-from irgames.game import Infoset, Node, has_absentmindedness, make_game
+from irgames.game import Infoset, Node, has_absentmindedness, make_game, seq
 from irgames.generators import gen_lenny, gen_random
 from irgames.numeric import SUPP_TOL, NumericGame, _project_simplex, project_rows
 from irgames.solvers import (
@@ -319,16 +319,29 @@ def test_has_absentmindedness_matches_ancestor_scan(game):
         assert has_absentmindedness(game, p) == brute
 
 
+@PROPERTY
+@example(game=gen_random(3, 3, 0.9, 0.0, True, 0))
+@given(game=games)
+def test_leaf_visits_are_the_counts_on_the_root_path(game):
+    for z, leaf in game.leaves.items():
+        path = seq(game, z) + [z]
+        counts: dict = {}
+        for parent, child in zip(path, path[1:]):
+            node = game.nodes[parent]
+            if not node.is_chance:
+                row = counts.setdefault((node.owner, game.infoset_of_node[parent]),
+                                        [0] * len(node.children))
+                row[node.children.index(child)] += 1
+        assert leaf.visits == tuple((key, tuple(row)) for key, row in counts.items())
+
+
 def leaf_table_absentminded(game) -> dict:
     """The infosets some leaf's path visits at least twice, read from the
     leaf table."""
     out = {p: set() for p in range(1, game.players + 1)}
     for leaf in game.leaves.values():
-        counts: dict = {}
-        for (p, iid, _), n in leaf.visits:
-            counts[p, iid] = counts.get((p, iid), 0) + n
-        for (p, iid), n in counts.items():
-            if n > 1:
+        for (p, iid), counts in leaf.visits:
+            if sum(counts) > 1:
                 out[p].add(iid)
     return out
 

@@ -2,6 +2,7 @@
 identities, and the smoothness framework."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,20 @@ def test_every_applicable_bound_is_at_least_opt_vor(seed, am, chance):
             assert report.ratio <= float(bound) + 1e-9, name
 
 
+# Past n = 1023 the OPT VoR 2**n and the am bounds exceed the float range,
+# and the original game's utility 1/2**n underflows it past n = 1074.
+@pytest.mark.parametrize("n", [1030, 1100])
+def test_opt_vor_beyond_the_float_range_is_decided_exactly(n):
+    report = vor_compute(gen_lenny(n), "OPT")
+    assert report.ratio_kind == "finite"
+    assert report.numerator / report.denominator == 2 ** n
+    assert report.ratio == math.inf
+    applicable = {name for name, b in report.bounds.items() if b is not None}
+    assert applicable == {"am_utility", "am_zstar", "am_entropy", "composed"}
+    assert all(report.bounds[name] == math.inf for name in applicable)
+    assert all(report.bounds_satisfied[name] is True for name in applicable)
+
+
 # -- pure-strategy identities --------------------------------------------------
 
 
@@ -455,24 +470,31 @@ def test_branching_factor_is_linear_on_a_chance_chain():
     assert coefficient_table(g).branching == {f"c{k}": 42 - k for k in range(1, 41)}
 
 
+def _path_steps(g, z):
+    """(node, action index) along the leaf's root path, read from ``seq``."""
+    from irgames.game import seq
+
+    path = seq(g, z) + [z]
+    for a, b in zip(path, path[1:]):
+        yield g.nodes[a], g.nodes[a].children.index(b)
+
+
+def _path_counts(g, z) -> dict:
+    """Player 1's infoset -> {action index: times the leaf's path takes it}."""
+    counts = {}
+    for node, idx in _path_steps(g, z):
+        if node.owner == 1:
+            per = counts.setdefault(g.infoset_of_node[node.id], {})
+            per[idx] = per.get(idx, 0) + 1
+    return counts
+
+
 def _reference_coefficients(g):
     """Coefficient table rebuilt by walking each leaf's root path and, for
     branching factors, by the recursive definition."""
-    from irgames.game import seq, subtree_nodes
-
-    def path_steps(z):
-        path = seq(g, z) + [z]
-        for a, b in zip(path, path[1:]):
-            yield g.nodes[a], g.nodes[a].children.index(b)
-
     def am(z):
-        counts = {}
-        for node, idx in path_steps(z):
-            if node.owner == 1:
-                per = counts.setdefault(g.infoset_of_node[node.id], {})
-                per[idx] = per.get(idx, 0) + 1
         out = Fraction(1)
-        for per in counts.values():
+        for per in _path_counts(g, z).values():
             total = sum(per.values())
             if total > 1:
                 for n_a in per.values():
@@ -481,7 +503,7 @@ def _reference_coefficients(g):
 
     def chance(z):
         out = Fraction(1)
-        for node, idx in path_steps(z):
+        for node, idx in _path_steps(g, z):
             if node.is_chance:
                 out *= node.chance_dist[idx]
         return out
@@ -500,14 +522,71 @@ def _reference_coefficients(g):
     }
 
 
+# am3 and am4 each have a path that takes two different actions at one
+# infoset, so an am coefficient there has more than one factor per infoset.
+def am3():
+    return gen_random(3, 3, 0.9, 0.0, True, 0)
+
+
+def am4():
+    return gen_random(4, 3, 0.7, 0.3, True, 0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: gen_fig1(Fraction(1, 100)), gen_fig2, lambda: gen_fig3(Fraction(1, 10)),
     lambda: gen_dory(3), lambda: gen_lenny(6), default_valid_utility,
     lambda: gen_random(4, 2, 0.8, 0.4, True, 3),
     lambda: gen_random(4, 3, 0.6, 0.3, False, 7, players=2),
+    am3, am4,
 ])
 def test_coefficient_table_matches_path_walks(make):
     g = make()
     table = coefficient_table(g)
     assert {"am": table.am, "chance": table.chance,
             "branching": table.branching} == _reference_coefficients(g)
+    for z in g.terminals:
+        entropy = Fraction(1)
+        for iid, per in _path_counts(g, z).items():
+            total = sum(per.values())
+            if total > 1:
+                size = len(g.infosets[1][iid].actions)
+                entropy *= Fraction(min(total, size)) ** total
+        assert bound_am_entropy(g, z) == entropy
+        if chance_nodes(g):
+            continue
+        witness = am_witness(g, z)
+        for iid, per in _path_counts(g, z).items():
+            total = sum(per.values())
+            size = len(g.infosets[1][iid].actions)
+            assert witness.row(iid) == tuple(Fraction(per.get(a, 0), total)
+                                             for a in range(size))
+
+
+@pytest.mark.parametrize("make", [am3, am4])
+def test_am_examples_take_two_actions_at_one_infoset(make):
+    g = make()
+    assert any(len(per) > 1 for z in g.terminals for per in _path_counts(g, z).values())
+
+
+# A chance-free game and one with chance nodes but no absentmindedness, so
+# between them every bound runs.
+@pytest.mark.parametrize("make", [am3, lambda: gen_dory(3)], ids=["am3", "dory3"])
+def test_coefficient_table_is_built_once_per_game(make, monkeypatch):
+    g = make()
+    coefficient_table(g)
+    calls = []
+
+    def counted(name):
+        real = getattr(vor, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(vor, name, wrapper)
+
+    counted("am_coefficient")
+    counted("_branching_factors")
+    bounds = structural_bounds(g)
+    vor_compute(g, "OPT")
+    assert calls == []
+    assert "composed" in bounds and ("am_zstar" in bounds) != ("chance_beta" in bounds)
