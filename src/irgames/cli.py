@@ -49,16 +49,21 @@ class DomainError(RuntimeError):
 def fmt(value) -> str:
     """12 significant digits, with the exact rational when available; a
     rational outside the normal float range, where a float would overflow
-    or drop digits, is rounded in decimal."""
+    or drop digits, is rounded in decimal.  Exact digits are written by
+    ``decimal``, which has no limit on the digits of an integer it
+    converts, so a numerator or denominator past the interpreter's
+    int-to-str limit prints too."""
     if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        if sys.float_info.min <= abs(value) <= sys.float_info.max:
-            return f"{float(value):.12g} (= {value})"
         from decimal import Context, Decimal
 
-        digits = Context(prec=12).divide(Decimal(value.numerator), Decimal(value.denominator))
-        return f"{digits.normalize():.12g} (= {value})"
+        num, den = Decimal(value.numerator), Decimal(value.denominator)
+        if den == 1:
+            return f"{num:f}"
+        exact = f"{num:f}/{den:f}"
+        if sys.float_info.min <= abs(value) <= sys.float_info.max:
+            return f"{float(value):.12g} (= {exact})"
+        digits = Context(prec=12).divide(num, den)
+        return f"{digits.normalize():.12g} (= {exact})"
     return f"{float(value):.12g}"
 
 

@@ -117,9 +117,17 @@ def project_rows(index: FlatIndex, X: np.ndarray,
     rows alone, onto its simplex, one batched projection per row size.
     Rows of two and three actions take ``_project_simplex``'s closed
     forms, which give the sort path's bits without sorting; larger rows
-    sort."""
+    sort.  Where one row size covers every row projected, the rows tile
+    one slice of coordinates in order, so a (..., rows, size) reshape of
+    that slice is the batch, with no gather or scatter."""
     out = np.array(X, dtype=float, copy=True)
     groups = index.rows_by_size if player is None else index.player_rows_by_size[player]
+    if len(groups) == 1:
+        (rows, size), start = groups[0].shape, groups[0][0, 0]
+        part = out[..., start : start + rows * size]
+        part[...] = _project_simplex(
+            part.reshape(part.shape[:-1] + (rows, size))).reshape(part.shape)
+        return out
     for coords in groups:
         out[..., coords] = _project_simplex(out[..., coords])
     return out

@@ -25,8 +25,12 @@ Computation policy, in one place:
   game without absentmindedness takes this path without the grid;
 * equilibrium enumeration runs in two stages.  The candidate stage seeds
   pure/grid/random profiles, polishes them, keeps the profiles whose
-  residual clears the tolerance, and dedups them by realization
-  equivalence, comparing leaf reaches.  It depends only on the concept's
+  residual clears the tolerance, drops repeats by one byte key per
+  rounded profile (``_row_keys``), and dedups the rest by realization
+  equivalence, comparing leaf reaches.  Past the polish every step is a
+  whole-batch numpy call, save the walk over the representatives, each of
+  which covers every later candidate within ``_DEDUP_TOL`` of it in one
+  call.  The stage depends only on the concept's
   polish family: EDT, NASH and EDT-NASH polish by best-response dynamics
   (``_br_polish``) and keep EDT residuals, CDT and CDT-NASH polish by
   gradient dynamics and keep KKT residuals.  Its classes are kept in
@@ -43,11 +47,13 @@ Computation policy, in one place:
   float table, ``Game.numeric``, through the batched residual kernels
   (``_edt_residuals``, ``numeric.kkt_gaps``); only ``best_deviation``
   keeps an exact vertex scan.  The rationality checks name a polish
-  family, which ``_schedule_check`` alone pairs with its gains and
+  family, which ``_schedule_checks`` alone pairs with its gains and
   normaliser (EDT gains over first-visit reach, CDT gains over visits).
   The Nash-refinement filters check each player in place on the table:
   the other players' rows stay fixed, each witness overwrites the
-  player's unreached rows, one batch holds the whole mixing schedule,
+  player's unreached rows, one batch holds the whole mixing schedule of
+  every witness of the player (in chunks of about ``_ROW_BLOCK_FLOATS``
+  leaf-table floats, the first chunk with a passing witness the last),
   and reach, visit frequency and the CDT and EDT gains are read from its
   kernels: an EDT gain from the gradient on rows without
   absentmindedness, and from the maximum of the row polynomial on
@@ -59,7 +65,9 @@ Computation policy, in one place:
   scale-free projected ascent for three or more), serves the batched EDT
   gains, the best-response polish, which moves every row of every seed to
   its maximiser, pure or mixed, for any number of players, and, on a batch
-  of one, ``best_deviation``;
+  of one, ``best_deviation``; each distinct row polynomial of a batch is
+  maximised once, the rows told apart by their byte keys
+  (``_unique_rows``);
 * the parts of the verification policy with one value in use are module
   constants, not options: the polish iteration cap (``_POLISH_ITERS``),
   the rationality schedule and its slope safety factor (``_SCHEDULE``,
@@ -492,6 +500,7 @@ def best_deviation(game: Game, profile: StrategyProfile, player: int,
 # temporaries hold about K (K + 64) floats per profile for two actions
 # (phi on the grid) and K (n + 1) n^2 for n actions (the ascent's partials),
 # K the row's visiting leaves; a block keeps them near this many floats.
+# The rationality filter sizes its witness chunks by it too.
 _ROW_BLOCK_FLOATS = 2 ** 20
 
 
@@ -541,8 +550,7 @@ def _max_row(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         values = C @ np.minimum(E, 1.0)
         pick = values.argmax(axis=1)
         return values[np.arange(len(C)), pick], np.eye(n)[pick]
-    C, inverse = np.unique(C, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    C, inverse = _unique_rows(C)
     if n > 2:
         best, s = _blockwise(_max_row_ascent, C, K * (n + 1) * n * n, E)
         return best[inverse], s[inverse]
@@ -560,6 +568,28 @@ def _max_row(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         better = inner > best[spread]
         best[spread[better]], s[spread[better]] = inner[better], at[better]
     return best[inverse], np.stack([s, 1.0 - s], axis=1)[inverse]
+
+
+def _row_keys(A: np.ndarray) -> np.ndarray:
+    """(K,) one opaque ``np.void`` key per row of the (K, n) ``A``, equal
+    exactly where ``np.unique(axis=0)`` calls the rows equal: ``+ 0.0``
+    drops a zero's sign.  Rows of no entries all share one key."""
+    A = np.ascontiguousarray(A + 0.0)
+    if not A.shape[1]:
+        return np.zeros(len(A), "V1")
+    return A.view(np.dtype((np.void, A.itemsize * A.shape[1])))[:, 0]
+
+
+def _unique_rows(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(C, axis=0, return_inverse=True)``: the distinct rows in
+    lexicographic order, and where each row of ``C`` went.  The rows are
+    told apart by their byte keys and only the distinct ones are sorted."""
+    _, first, inverse = np.unique(_row_keys(C), return_index=True, return_inverse=True)
+    rows = C[first]
+    order = np.lexsort(rows.T[::-1]) if C.shape[1] else np.arange(len(rows))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rows[order], rank[inverse]
 
 
 def _two_action_interior(C: np.ndarray, P: np.ndarray, Q: np.ndarray
@@ -747,32 +777,43 @@ def kkt_check_profile(game: Game, profile: StrategyProfile,
 
 def _schedule_check(num: NumericGame, x: np.ndarray, player: int,
                     cfg: SolverConfig, family: str) -> tuple[bool, np.ndarray]:
-    """Limit-based rationality of the player's rows of ``x`` in the polish
-    ``family`` ("EDT" or "CDT"), verified along ``_SCHEDULE`` with the
-    other rows fixed: mix them toward uniform at every rate delta at once,
-    divide each of the player's incentives by its normaliser (an EDT gain
-    by the infoset's first-visit reach, a CDT gain by its expected visit
-    count), and accept when the worst quotient decays linearly in delta:
-    fit the slope on the first points and demand the rest stay under it
-    (or under the equilibrium tolerance).
+    """:func:`_schedule_checks` on the one profile ``x``: its verdict and
+    (S,) trace."""
+    ok, trace = _schedule_checks(num, x[None], player, cfg, family)
+    return bool(ok[0]), trace[0]
 
-    Returns the verdict and the (S,) worst-quotient trace it read.
+
+def _schedule_checks(num: NumericGame, W: np.ndarray, player: int,
+                     cfg: SolverConfig, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """Limit-based rationality of the player's rows of every profile of the
+    (n, R) batch ``W`` in the polish ``family`` ("EDT" or "CDT"), verified
+    along ``_SCHEDULE`` with the other rows fixed: mix them toward uniform
+    at every rate delta at once, divide each of the player's incentives by
+    its normaliser (an EDT gain by the infoset's first-visit reach, a CDT
+    gain by its expected visit count), and accept when the worst quotient
+    decays linearly in delta: fit the slope on the first points and demand
+    the rest stay under it (or under the equilibrium tolerance).
+
+    The whole schedule of every profile is one (n S, R) batch, profile by
+    profile.  Returns the (n,) verdicts and the (n, S) worst-quotient
+    traces they read.
     """
     gains, first_visit = (_edt_gains, True) if family == "EDT" else (_cdt_gains, False)
     rows, block = num.index.block[player]
     deltas = np.array(_SCHEDULE, dtype=float)
-    X = np.tile(x, (len(deltas), 1))
-    X[:, block] = ((1.0 - deltas[:, None]) * x[block]
-                   + deltas[:, None] * num.index.uniform()[block])
+    n, S = len(W), len(deltas)
+    X = np.repeat(W, S, axis=0)
+    X[:, block] = ((1.0 - deltas[:, None]) * W[:, None, block]
+                   + deltas[:, None] * num.index.uniform()[block]).reshape(n * S, -1)
     # Every row of X sums to one, so these are the reach and the frequency.
     visits = num.visits[:, rows]
     norm = num.leaf_probs(X) @ (visits > 0 if first_visit else visits)
     live = norm > 0.0
     ratios = np.divide(gains(num, X, player, live), norm,
                        out=np.zeros_like(norm), where=live)
-    trace = ratios.max(axis=1, initial=0.0)
-    slope = _SCHEDULE_SAFETY * (trace[:5] / deltas[:5]).max(initial=0.0)
-    return bool(np.all(trace <= np.maximum(cfg.eps_eq, slope * deltas))), trace
+    trace = ratios.max(axis=1, initial=0.0).reshape(n, S)
+    slope = _SCHEDULE_SAFETY * (trace[:, :5] / deltas[:5]).max(axis=1, initial=0.0)
+    return np.all(trace <= np.maximum(cfg.eps_eq, slope[:, None] * deltas), axis=1), trace
 
 
 def _edt_gains(num: NumericGame, X: np.ndarray, player: int,
@@ -870,9 +911,15 @@ def _rational_per_player(num: NumericGame, x: np.ndarray, cfg: SolverConfig,
     witness for the player's rows passes the ``family``'s schedule check;
     and whether ``_WITNESS_CAP`` cut the witness search of the player who
     failed."""
+    # Witnesses per schedule batch: its (n S, Z) leaf table holds about
+    # ``_ROW_BLOCK_FLOATS`` floats.  The first chunk with a passing witness
+    # ends the player's search.
+    chunk = max(1, _ROW_BLOCK_FLOATS // (len(_SCHEDULE) * num.n_leaves))
     for p in range(1, num.game.players + 1):
         witnesses, cut = _rationality_witnesses(num, x, p)
-        if not any(_schedule_check(num, w, p, cfg, family)[0] for w in witnesses):
+        chunks = (np.array(witnesses[lo : lo + chunk])
+                  for lo in range(0, len(witnesses), chunk))
+        if not any(_schedule_checks(num, W, p, cfg, family)[0].any() for W in chunks):
             return False, cut
     return True, False
 
@@ -1103,34 +1150,32 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
         res = _edt_residuals(num, X)
 
     keep = np.nonzero(res <= cfg.eps_eq)[0]
-    if len(keep):
-        # Drop candidates that polished to numerically identical vectors.
-        rounded = np.round(X[keep], 10)
-        _, first = np.unique(rounded, axis=0, return_index=True)
-        keep = keep[np.sort(first)]
+    # Drop candidates that polished to numerically identical vectors, by
+    # the byte keys of their rounded rows: the first of each stays.
+    _, first = np.unique(_row_keys(np.round(X[keep], 10)), return_index=True)
+    keep = keep[np.sort(first)]
 
     # Dedup by realization equivalence: greedy clustering of leaf-reach
-    # vectors against class representatives, lowest residual first.  Every
-    # node's reach is the sum of its subtree's leaf reaches, so equal leaf
-    # reaches mean equal node reaches.
-    reach = num.leaf_probs(X[keep])
-    order = sorted(
-        range(len(keep)),
-        key=lambda j: (res[keep[j]], tuple(np.round(X[keep[j]], 9))),
-    )
-    reps = np.empty_like(reach)
+    # vectors, lowest residual first, then the rounded coordinates (a
+    # stable sort, so ties keep the candidates' order).  Each candidate not
+    # yet covered becomes a representative and covers every later one
+    # within ``_DEDUP_TOL`` of it.  Every node's reach is the sum of its
+    # subtree's leaf reaches, so equal leaf reaches mean equal node reaches.
+    order = keep[np.lexsort((*np.round(X[keep], 9).T[::-1], res[keep]))]
+    reach = num.leaf_probs(X[order])
+    covered = np.zeros(len(order), dtype=bool)
     chosen: list[int] = []
-    for j in order:
-        n = len(chosen)
-        if n and np.abs(reps[:n] - reach[j]).max(axis=1).min() <= _DEDUP_TOL:
+    for j in range(len(order)):
+        if covered[j]:
             continue
-        reps[n] = reach[j]
         chosen.append(j)
+        covered[j + 1 :] |= np.abs(reach[j + 1 :] - reach[j]).max(axis=1) <= _DEDUP_TOL
+    reps = reach[chosen]
 
-    X, res = X[keep[chosen]], res[keep[chosen]]
+    X, res = X[order[chosen]], res[order[chosen]]
     # One matrix-vector product per player: a single (K, Z) @ (Z, N)
     # product may round differently and so break ties in another order.
-    utilities = np.stack([reps[: len(chosen)] @ num.utils[:, p]
+    utilities = np.stack([reps @ num.utils[:, p]
                           for p in range(game.players)], axis=1)
     for a in (X, res, utilities):
         a.setflags(write=False)
@@ -1154,10 +1199,7 @@ def _class_report(game: Game, concept: str, cfg: SolverConfig,
             return None, False
         residual = max(residual, nres)
     elif concept in ("EDT-NASH", "CDT-NASH"):
-        # A writable vector: ``classes.X`` is read-only, and on a game where
-        # no player has an infoset the schedule's ``np.tile`` is a view.
-        passed, cut = _rational_per_player(num, num.index.vector(prof), cfg,
-                                           _FAMILY[concept])
+        passed, cut = _rational_per_player(num, classes.X[k], cfg, _FAMILY[concept])
         if not passed:
             return None, cut
     return SolveReport(

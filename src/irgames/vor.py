@@ -237,7 +237,7 @@ class VorReport:
     ratio_kind: str         # "finite" | "infinite" | "undefined"
     refined_report: SolveReport
     base_report: SolveReport
-    bounds: dict[str, Optional[float]]
+    bounds: dict[str, Optional[Num]]  # as structural_bounds returns them
     bounds_satisfied: dict[str, Optional[bool]]  # all None unless concept is OPT
 
 
@@ -249,11 +249,6 @@ def _refined(game: Game) -> Game:
     if key not in game.memo:
         game.memo[key] = perfect_recall_refinement(game, 1)[0]
     return game.memo[key]
-
-
-def _float(x: Num) -> float:
-    """``x`` as a float; math.inf above the float range."""
-    return float(x) if x <= sys.float_info.max else math.inf
 
 
 def _solve_concept(game: Game, concept: str, cfg: SolverConfig) -> SolveReport:
@@ -282,10 +277,12 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
 
     # Exact division and comparison (float division rounds the same
     # quotient): a ratio or bound beyond the float range, as lenny(n)'s
-    # past n = 1023, is decided right and reported as math.inf.
+    # past n = 1023, is decided right.  The bounds are kept exact; a ratio
+    # beyond the float range is reported as math.inf.
     if denominator > 0:
         value: Optional[Fraction] = Fraction(numerator) / Fraction(denominator)
-        ratio, kind = _float(value), "finite"
+        ratio = float(value) if value <= sys.float_info.max else math.inf
+        kind = "finite"
     elif numerator > 0:
         value, ratio, kind = None, None, "infinite"
     else:
@@ -309,7 +306,7 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
         ratio_kind=kind,
         refined_report=refined_report,
         base_report=base_report,
-        bounds={name: None if b is None else _float(b) for name, b in bounds.items()},
+        bounds=bounds,
         bounds_satisfied=satisfied,
     )
 

@@ -14,6 +14,7 @@ import pytest
 from conftest import per_row_kkt_residuals, single
 
 import irgames.solvers as solvers
+from irgames.game import Node, make_game
 from irgames.generators import (
     default_valid_utility,
     gen_dory,
@@ -368,3 +369,78 @@ def test_class_representatives_differ_in_some_node_reach():
                 reach = [node_reach_map(g, g.numeric.index.profile(x)) for x in classes.X]
                 for a, b in itertools.combinations(reach, 2):
                     assert max(abs(float(a[n]) - float(b[n])) for n in g.nodes) > 1e-6
+
+
+# -- the candidate stage's dedup ---------------------------------------------
+
+
+def sorted_scan_classes(num, X, res, eps, players):
+    """The dedup after the polish as a tuple-key ``sorted`` and a scan of
+    every candidate against the representatives chosen before it: the
+    reference for the candidate stage's batched dedup."""
+    keep = np.nonzero(res <= eps)[0]
+    if len(keep):
+        _, first = np.unique(np.round(X[keep], 10), axis=0, return_index=True)
+        keep = keep[np.sort(first)]
+    reach = num.leaf_probs(X[keep])
+    order = sorted(range(len(keep)),
+                   key=lambda j: (res[keep[j]], tuple(np.round(X[keep[j]], 9))))
+    reps = np.empty_like(reach)
+    chosen = []
+    for j in order:
+        n = len(chosen)
+        if n and np.abs(reps[:n] - reach[j]).max(axis=1).min() <= solvers._DEDUP_TOL:
+            continue
+        reps[n] = reach[j]
+        chosen.append(j)
+    X, res = X[keep[chosen]], res[keep[chosen]]
+    utilities = np.stack([reps[: len(chosen)] @ num.utils[:, p] for p in range(players)],
+                         axis=1)
+    return X, res, utilities, np.lexsort((res, utilities[:, 0]))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("refined", [False, True], ids=["base", "refined"])
+@pytest.mark.parametrize("name", PAPER_GAMES)
+def test_candidate_dedup_matches_the_sorted_scan(monkeypatch, name, refined, seed):
+    # The polished candidates and their residuals are read where the stage
+    # gets them: the CDT family's polish returns both, and the EDT family
+    # takes the residuals of its best-response polish's output.
+    polished = {}
+    for fn in ("_gradient_polish", "_edt_residuals"):
+        original = getattr(solvers, fn)
+
+        def recorded(num, X, original=original, fn=fn):
+            out = original(num, X)
+            polished[fn] = out if fn == "_gradient_polish" else (X.copy(), out)
+            return out
+
+        monkeypatch.setattr(solvers, fn, recorded)
+    game = PAPER_GAMES[name]()
+    if refined:
+        game = _refined(game)
+    cfg = SolverConfig(seed=seed)
+    for family, fn in (("CDT", "_gradient_polish"), ("EDT", "_edt_residuals")):
+        polished.clear()
+        classes = solvers._find_classes(game, family, cfg)
+        want = sorted_scan_classes(game.numeric, *polished[fn], cfg.eps_eq, game.players)
+        got = (classes.X, classes.residual, classes.utilities, classes.order)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("players", [1, 2])
+def test_game_without_infosets_enumerates_its_one_outcome(players):
+    # No player owns an infoset, so every profile is the empty vector: the
+    # dedup keys have no bytes, and one class remains.
+    nodes = [Node(id="c", owner="chance", actions=("a", "b"), children=("za", "zb"),
+                  chance_dist=(Fraction(1, 4), Fraction(3, 4))),
+             Node(id="za", owner="terminal"), Node(id="zb", owner="terminal")]
+    pays = {"za": (Fraction(4), Fraction(1)), "zb": (Fraction(0), Fraction(2))}
+    game = make_game(players, "c", nodes, {z: u[:players] for z, u in pays.items()}, [])
+    assert game.numeric.index.dim == 0
+    for concept in ENUM_CONCEPTS:
+        reports = enumerate_equilibria(game, concept)
+        assert [(r.utilities, r.residual) for r in reports] == [((1.0, 1.75)[:players], 0.0)]
+        assert all(s.table == {} for s in reports[0].profile.strategies)
+        assert best_worst(game, concept, "best").utilities == reports[0].utilities

@@ -227,6 +227,27 @@ def test_project_rows_matches_per_row_projection(seed, rows):
     assert np.array_equal(project_rows(index, X), want)
 
 
+@pytest.mark.parametrize("make, players, sizes", [
+    (lambda: gen_random(7, 3, 0.6, 0.2, False, 1), (None,), 1),
+    (lambda: gen_random(6, 3, 0.6, 0.2, True, 1), (None,), 1),
+    (lambda: gen_random(6, 3, 0.5, 0.2, False, 1, players=2), (None, 1, 2), 1),
+    (mixed_rows_game, (None,), 2),
+], ids=["r7", "am6", "p2", "mixed-rows"])
+def test_project_rows_keeps_the_gather_paths_bits(make, players, sizes):
+    # Where every row projected has one size (three actions on the
+    # benchmark's r7, am6 and p2), the rows' coordinates are projected as a
+    # reshape; the reference gathers and scatters them by size.
+    index = make().numeric.index
+    X = np.random.default_rng(0).normal(scale=2.0, size=(64, index.dim))
+    for player in players:
+        groups = index.rows_by_size if player is None else index.player_rows_by_size[player]
+        assert len(groups) == sizes
+        want = X.copy()
+        for coords in groups:
+            want[:, coords] = _project_simplex(want[:, coords])
+        assert project_rows(index, X, player).tobytes() == want.tobytes()
+
+
 def sorted_projection(V: np.ndarray) -> np.ndarray:
     """The sort-based simplex projection, the reference for the closed
     forms of two- and three-action rows."""

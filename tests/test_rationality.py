@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import irgames.solvers as solvers
 from irgames.game import TERMINAL, Infoset, Node, make_game
-from irgames.generators import gen_dory, gen_fig1, gen_random
+from irgames.generators import gen_dory, gen_fig1, gen_lenny, gen_random
 from irgames.numeric import SUPP_TOL, NumericGame
 from irgames.solvers import (
     EquilibriumNotFoundError,
@@ -22,6 +22,7 @@ from irgames.solvers import (
     _rational_per_player,
     _rationality_witnesses,
     _schedule_check,
+    _schedule_checks,
     best_worst,
     cdt_nash_check,
     cdt_rational_check,
@@ -35,7 +36,7 @@ from irgames.strategies import (
     infoset_reach,
     profile_from,
 )
-from irgames.vor import vor_compute
+from irgames.vor import _refined, vor_compute
 
 # A small cap makes both sides truncate their witness lists on most pure
 # profiles, so the property covers the cut as well.
@@ -135,6 +136,28 @@ def test_in_place_verdicts_match_opponent_fixed_checks(check, family, depth,
             want.append(reference_rational(game, profile, player, check))
             assert got == want[-1]
         assert _rational_per_player(num, x, CFG, family)[0] == all(want)
+
+
+@pytest.mark.parametrize("family", ["EDT", "CDT"])
+@pytest.mark.parametrize("make", [lambda: gen_lenny(6), lambda: gen_dory(2)],
+                         ids=["lenny6", "dory2"])
+def test_batched_schedule_checks_match_one_witness_at_a_time(make, family):
+    # Every class of the refined game, every player: the whole witness list
+    # in one batch gives each witness the verdict and trace bits it gets
+    # alone.
+    game = _refined(make())
+    num = game.numeric
+    sizes = []
+    for x in solvers._equilibrium_classes(game, family, CFG).X:
+        for player in range(1, game.players + 1):
+            witnesses = np.array(_rationality_witnesses(num, x, player)[0])
+            sizes.append(len(witnesses))
+            ok, traces = _schedule_checks(num, witnesses, player, CFG, family)
+            assert ok.shape == (len(witnesses),)
+            for w, verdict, trace in zip(witnesses, ok, traces):
+                alone, want = _schedule_check(num, w, player, CFG, family)
+                assert verdict == alone and trace.tobytes() == want.tobytes()
+    assert max(sizes) > 1
 
 
 # -- _WITNESS_CAP --------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import single, strat
 
@@ -618,6 +618,25 @@ def test_optimal_play_is_at_least_every_pure_profile(depth, branching, merge, ch
     best_pure, _ = brute_force_opt(g)
     value = optimal_strategy(g).utilities[0]
     assert float(value) >= float(best_pure) - 1e-12 * max(1.0, abs(float(best_pure)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(rows=st.integers(0, 12), width=st.integers(0, 300), seed=st.integers(0, 10_000))
+@example(rows=1, width=5, seed=0)
+@example(rows=4, width=0, seed=0)
+def test_unique_rows_matches_numpy_unique(rows, width, seed):
+    # Rows repeat, and repeated rows may differ in the sign of a zero,
+    # which np.unique does not see.  Negative entries make the byte order
+    # of the keys differ from the rows' lexicographic order.
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, -1.5, 1e-300, 0.25, 1.0, 7.0])
+    distinct = rng.choice(values, (max(1, rows // 2), width))
+    C = distinct[rng.integers(0, len(distinct), rows)]
+    C = np.where(C == 0.0, rng.choice([0.0, -0.0], C.shape), C)
+    want, want_inverse = np.unique(C, axis=0, return_inverse=True)
+    got, inverse = solvers._unique_rows(C)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(inverse, want_inverse.ravel())
 
 
 def test_two_action_deviation_finds_an_interior_maximum_between_term_peaks():

@@ -306,7 +306,7 @@ def test_opt_vor_beyond_the_float_range_is_decided_exactly(n):
     assert report.ratio == math.inf
     applicable = {name for name, b in report.bounds.items() if b is not None}
     assert applicable == {"am_utility", "am_zstar", "am_entropy", "composed"}
-    assert all(report.bounds[name] == math.inf for name in applicable)
+    assert all(report.bounds[name] == 2 ** n for name in applicable)
     assert all(report.bounds_satisfied[name] is True for name in applicable)
 
 
