@@ -17,14 +17,13 @@ negative multistart, seed, ``partial-best --k`` or ``--table-cap``, an
 ``--eps-eq`` that is negative or not finite).
 
 Each command imports the modules it uses inside its function, so a process
-loads only what its command needs.  ``validate``, ``refine`` and
-``coeffs`` walk the game tree in exact arithmetic and never load numpy or
+loads only what its command needs.  ``validate``, ``refine``, ``coeffs``
+and ``bounds`` walk the game tree in exact arithmetic (the chance bound
+reads the refinement's sequence-form optimum) and never load numpy or
 ``irgames.solvers``, whose import would be more than half of such a
-command's time.  ``solve``, ``vor``, ``smooth-check``, ``partial-best``,
-and ``bounds`` on a game without absentmindedness (its chance bound solves
-the refinement) load the solver stack, numpy and the compiled float table,
-when they run.  The parser reads its defaults from the numpy-free
-``irgames.config``.
+command's time.  ``solve``, ``vor``, ``smooth-check`` and ``partial-best``
+load the solver stack, numpy and the compiled float table, when they run.
+The parser reads its defaults from the numpy-free ``irgames.config``.
 """
 
 from __future__ import annotations
@@ -234,10 +233,9 @@ def cmd_bounds(args) -> int:
     from .vor import structural_bounds
 
     game = _load_game(args.game)
-    cfg = _config_from(args)
     if game.players != 1:
         raise DomainError("bounds apply to single-player games")
-    bounds = structural_bounds(game, cfg)
+    bounds = structural_bounds(game)
     if None in bounds.values():
         raise DomainError("all utilities are zero; the bound is undefined")
     for name, value in bounds.items():

@@ -15,11 +15,11 @@ deviations, the compiled arrays, coefficients and bounds read those counts
 as stored, and ``Game.numeric`` is their float table, also built once.  The
 exact reach and value evaluators (``expected_utility``, ``infoset_reach``,
 ``infoset_frequency``, ``realization_equivalent``, and the perfect-recall
-DP of optimal play) walk the tree instead: one top-down pass of
-``node_reach_map``, which the DP follows with one bottom-up pass over the
-player's own histories.  They stay walks because the leaf table holds
-quadratically many visits on a chain of distinct infosets (about n**2 / 2
-on lenny(n)'s perfect-recall refinement), where a walk is linear.
+optimum) walk the tree instead: one top-down pass of ``node_reach_map``,
+or of chance reach alone under the optimum's pass over own histories.
+They stay walks because the leaf table holds quadratically many visits on
+a chain of distinct infosets (about n**2 / 2 on lenny(n)'s perfect-recall
+refinement), where a walk is linear.
 ``Game.memo`` keeps what is derived from the game once per input.
 
 Nothing here mutates: refinements and transforms build new ``Game`` objects.
@@ -248,9 +248,9 @@ class Game:
     @cached_property
     def memo(self) -> dict:
         """Results derived from this game that are computed once and shared,
-        keyed by everything they depend on that a caller can set: its
-        perfect-recall refinements, each player's own histories
-        (``recall.own_histories``), its coefficient table
+        keyed by everything they depend on that a caller can set: each
+        player's perfect-recall refinement and own histories, and the
+        sequence-form optimum (all in ``recall``), its coefficient table
         (``vor.coefficient_table``, which every structural bound reads),
         and its optimal play and a polish family's equilibrium classes
         under one ``SolverConfig``.  The solvers' module constants are not

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional
 
-from .game import Game, Infoset, Node
+from .game import Game, Infoset, Node, Num
+from .strategies import BehavioralStrategy, pure_strategy
 
 
 @dataclass(frozen=True)
@@ -91,8 +93,8 @@ def own_histories(game: Game, player: int
     history ``h``'s (parent id, infoset, action); the empty history is -1.
 
     The walk runs once per game and player and is kept in ``game.memo``,
-    so the perfect-recall test, the refinement and the sequence-form DP of
-    optimal play share it.  Callers must not mutate the result."""
+    so the perfect-recall test, the refinement and the sequence-form
+    optimum share it.  Callers must not mutate the result."""
     key = ("own histories", player)
     if key not in game.memo:
         game.memo[key] = _walk_own_histories(game, player)
@@ -116,6 +118,45 @@ def _walk_own_histories(game: Game, player: int
                 out[child] = (history, length)
             stack.append(child)
     return out, list(ids)
+
+
+def perfect_recall_optimum(game: Game) -> tuple[Num, BehavioralStrategy]:
+    """Exact optimal value and a pure optimal strategy of Player 1, who has
+    perfect recall, in a single-player game; kept in ``game.memo``.  In
+    sequence form (Koller & Megiddo, GEB 1992): an infoset is decided at
+    its members' one own history, whose value is its terminals' chance
+    reach times utility plus, per infoset decided there, the best value of
+    the histories its actions lead to.  Steps are numbered after their
+    parent, so one pass from the last history down to the empty one (-1)
+    decides the infosets below a history first; ties take the first action."""
+    key = "perfect-recall optimum"
+    if key not in game.memo:
+        game.memo[key] = _sequence_form_optimum(game)
+    return game.memo[key]
+
+
+def _sequence_form_optimum(game: Game) -> tuple[Num, BehavioralStrategy]:
+    history, steps = own_histories(game, 1)
+    step_id = {step: h for h, step in enumerate(steps)}
+    decided: dict[int, list] = {}
+    for iset in game.infosets.get(1, {}).values():
+        decided.setdefault(history[iset.nodes[0]][0], []).append(iset)
+    # ``history`` lists each node after its parent: one pass carries reach.
+    reach = {game.root: Fraction(1)}
+    value: dict[int, Num] = dict.fromkeys(range(-1, len(steps)), Fraction(0))
+    for nid, (h, _) in history.items():
+        node = game.nodes[nid]
+        if node.is_terminal:
+            value[h] += reach[nid] * game.utilities[nid][0]
+        for idx, child in enumerate(node.children):
+            reach[child] = reach[nid] * node.chance_dist[idx] if node.is_chance else reach[nid]
+    choice: dict[str, int] = {}
+    for h in range(len(steps) - 1, -2, -1):
+        for iset in decided.get(h, ()):
+            row = [value[step_id[h, iset.id, a]] for a in iset.actions]
+            choice[iset.id] = row.index(max(row))
+            value[h] += row[choice[iset.id]]
+    return value[-1], pure_strategy(game, 1, choice)
 
 
 def has_perfect_recall(game: Game, player: int) -> bool:
@@ -193,12 +234,15 @@ def perfect_recall_refinement(game: Game, player: int) -> tuple[Game, Refinement
     other player's partition is untouched.  New infoset ids are derived
     from the old id and a content hash of the shared observation, so
     repeated runs are bit-identical.  Infosets that do not split keep
-    their id.
+    their id.  Kept in ``game.memo``, so solves on the refinement share it.
     """
-    new_isets, mapping = _perfect_recall_partition(game, player)
-    refined = replace(game, infosets={**game.infosets, player: new_isets},
-                      name=f"pr_{player}({game.name})" if game.name else "")
-    return refined, RefinementPlan(player=player, mapping=mapping)
+    key = ("perfect-recall refinement", player)
+    if key not in game.memo:
+        new_isets, mapping = _perfect_recall_partition(game, player)
+        refined = replace(game, infosets={**game.infosets, player: new_isets},
+                          name=f"pr_{player}({game.name})" if game.name else "")
+        game.memo[key] = refined, RefinementPlan(player=player, mapping=mapping)
+    return game.memo[key]
 
 
 def perfect_recall_refinement_all(game: Game) -> Game:
@@ -220,8 +264,9 @@ def check_coarsest(game: Game, player: int, candidate: Game) -> bool:
 
     Preconditions (checked, reported as ValueError): ``candidate`` shares
     the tree, refines ``game`` for ``player``, and gives that player
-    perfect recall.  Under those, the coarsest perfect-recall refinement
-    must itself be refined by the candidate; returns that truth value.
+    perfect recall.  Under those, returns whether it refines the coarsest
+    perfect-recall refinement: whether each of its infosets keeps to one
+    ``obs_i`` of ``game``, read off ``own_histories``, not the split.
     """
     if not same_tree(game, candidate):
         raise NotComparableError("not comparable: games have different trees")
@@ -229,8 +274,9 @@ def check_coarsest(game: Game, player: int, candidate: Game) -> bool:
         raise ValueError("precondition failed: candidate does not refine game")
     if not has_perfect_recall(candidate, player):
         raise ValueError("precondition failed: candidate lacks perfect recall")
-    pr_game, _ = perfect_recall_refinement(game, player)
-    return refines(candidate, pr_game, player) is not None
+    history, _ = own_histories(game, player)
+    return all(len({history[nid][0] for nid in iset.nodes}) <= 1
+               for iset in candidate.infosets.get(player, {}).values())
 
 
 def full_information_refinement(game: Game, player: int) -> Game:

@@ -9,9 +9,9 @@ equilibrium enumeration with best/worst selection.
 Computation policy, in one place:
 
 * games without absentmindedness admit pure optima, so optimal play is
-  found in sequence form when the player has perfect recall (one
-  bottom-up pass over the player's own histories), and otherwise
-  by exhaustive pure enumeration: every pure value at once, as one matrix
+  found in sequence form when the player has perfect recall (the
+  numpy-free ``recall.perfect_recall_optimum``), and otherwise by
+  exhaustive pure enumeration: every pure value at once, as one matrix
   product of a front and a back half-table of the compiled leaf table
   (each half's pure assignments against the leaves), then each distinct
   reached-leaf set of the near-optimal slab is valued from ``Game.leaves``;
@@ -21,7 +21,8 @@ Computation policy, in one place:
   they are few, every pure profile, polishes them all by the projected
   gradient dynamics of the CDT candidate stage (``_gradient_polish``, one
   moving player), then snaps the best polished point to exact fractions
-  when that does not lose value.  Above ``_PURE_CAP`` pure strategies, a
+  when that does not lose value, ``exact`` if it meets the refinement's
+  optimum, which bounds it.  Above ``_PURE_CAP`` pure strategies, a
   game without absentmindedness takes this path without the grid;
 * equilibrium enumeration runs in two stages.  The candidate stage seeds
   pure/grid/random profiles, polishes them, keeps the profiles whose
@@ -120,13 +121,12 @@ from .numeric import (
     project_rows,
     simplex_grid,
 )
-from .recall import has_perfect_recall, own_histories
+from .recall import has_perfect_recall, perfect_recall_optimum, perfect_recall_refinement
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
     expected_utility,
     fix_opponents,
-    node_reach_map,
     profile_from,
     pure_strategy,
     infoset_gradient,
@@ -197,7 +197,7 @@ def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
     # Perfect recall rules out absentmindedness: a member's own history
     # strictly extends that of every member above it.
     if has_perfect_recall(game, 1):
-        value, strategy = _perfect_recall_dp(game)
+        value, strategy = perfect_recall_optimum(game)
     elif not has_absentmindedness(game, 1) and math.prod(
             len(i.actions) for i in game.infosets.get(1, {}).values()) <= _PURE_CAP:
         value, strategy = _pure_enumeration_opt(game)
@@ -207,41 +207,6 @@ def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
         concept="OPT", which="any", profile=profile_from(strategy),
         utilities=(value,), residual=0.0, certified="exact",
     )
-
-
-def _perfect_recall_dp(game: Game) -> tuple[Num, BehavioralStrategy]:
-    """Exact optimal value in sequence form: one bottom-up pass over the
-    player's own histories.
-
-    Under perfect recall the members of an infoset share one own history,
-    the one it is decided at.  A history's value is the chance reach times
-    utility of its terminals plus, for each infoset decided there, the
-    best value among the histories its actions extend it to.  A step is
-    numbered after its parent history, so one pass from the last history
-    down to the empty one (-1) decides every infoset below a history
-    before the history itself; ties take the first action.
-    """
-    history, steps = own_histories(game, 1)
-    step_id = {step: h for h, step in enumerate(steps)}
-    decided: dict[int, list] = {}
-    for iset in game.infosets.get(1, {}).values():
-        decided.setdefault(history[iset.nodes[0]][0], []).append(iset)
-    # Chance-only reach of every node: every player action weighs 1.
-    weights = node_reach_map(game, StrategyProfile(strategies=tuple(
-        BehavioralStrategy(p, {i: (1,) * len(iset.actions) for i, iset in own.items()})
-        for p, own in game.infosets.items()
-    )))
-    value: dict[int, Num] = dict.fromkeys(range(-1, len(steps)), Fraction(0))
-    for nid, (h, _) in history.items():
-        if game.nodes[nid].is_terminal:
-            value[h] += weights[nid] * game.utilities[nid][0]
-    choice: dict[str, int] = {}
-    for h in range(len(steps) - 1, -2, -1):
-        for iset in decided.get(h, ()):
-            row = [value[step_id[h, iset.id, a]] for a in iset.actions]
-            choice[iset.id] = row.index(max(row))
-            value[h] += row[choice[iset.id]]
-    return value[-1], pure_strategy(game, 1, choice)
 
 
 # Slab members whose reached-leaf masks are built at a time, so the exact
@@ -328,7 +293,8 @@ def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
     """Multistart gradient polish for absentminded games, seeded with a
     grid, and for games with too many pure strategies to enumerate.  The
     best polished point is snapped to small fractions and valued exactly
-    once; the snap is kept when that loses nothing."""
+    once; the snap is kept when that loses nothing, ``exact`` if it meets
+    the refinement's optimum."""
     num = game.numeric
     rng = cfg.rng()
     seeds = [num.index.uniform()[None],
@@ -364,6 +330,9 @@ def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
     if exact is not None and float(exact) >= value - 1e-11:
         value, profile = exact, snapped
         residual = float(num.kkt_residuals(num.index.vector(profile)[None])[0])
+        # Lifting keeps utility, so the refinement's optimum bounds this one.
+        if value == perfect_recall_optimum(perfect_recall_refinement(game, 1)[0])[0]:
+            certified, notes = "exact", ()
     else:
         profile, residual = num.index.profile(X[best]), float(gaps[best])
 

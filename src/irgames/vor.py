@@ -17,10 +17,10 @@ leaf monomials:
 
 ``coefficient_table`` builds them once per game, in exact arithmetic, and
 every bound reads them there; only the branching factors walk the tree.
-Only the functions that solve (``bound_chance``, and so
-``structural_bounds`` on a game without absentmindedness, ``vor_compute``
-and ``smoothness_check``) import numpy and ``irgames.solvers``, when
-called, so ``irgames coeffs`` never loads them.
+The chance bound reads the refinement's exact optimum from
+``recall.perfect_recall_optimum``.  Only ``vor_compute`` and
+``smoothness_check`` import numpy and ``irgames.solvers``, when called,
+so ``irgames coeffs`` and ``irgames bounds`` never load them.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .config import SolverConfig, _cfg
 from .game import Game, Leaf, Num, has_absentmindedness, subtree_nodes
-from .recall import perfect_recall_refinement
+from .recall import perfect_recall_optimum, perfect_recall_refinement
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
@@ -175,14 +175,11 @@ def bound_am_entropy(game: Game, leaf: str) -> Num:
 
 def bound_chance(game: Game, cfg: Optional[SolverConfig] = None) -> tuple[Num, Num]:
     """The two absentmindedness-free bounds: refined optimum over the best
-    single-leaf chance value, and the max branching factor."""
-    if has_absentmindedness(game, 1):
-        raise ValueError("bound_chance requires a game without absentmindedness")
-    from .solvers import optimal_strategy
-
-    cfg = _cfg(cfg)
+    single-leaf chance value, and the max branching factor (``cfg`` unread)."""
+    if game.players != 1 or has_absentmindedness(game, 1):
+        raise ValueError("bound_chance requires one player without absentmindedness")
     table = coefficient_table(game)
-    opt_refined = optimal_strategy(_refined(game), cfg).utilities[0]
+    opt_refined = perfect_recall_optimum(perfect_recall_refinement(game, 1)[0])[0]
     best_leaf_value = max(table.chance[z] * game.utilities[z][0] for z in game.terminals)
     if best_leaf_value == 0:
         raise ValueError("all utilities are zero; the bound is undefined")
@@ -200,7 +197,7 @@ def bound_composed(game: Game) -> Num:
     return Fraction(beta) / min(table.am.values())
 
 
-def structural_bounds(game: Game, cfg: Optional[SolverConfig] = None) -> dict[str, Optional[Num]]:
+def structural_bounds(game: Game) -> dict[str, Optional[Num]]:
     """Every bound that applies to this single-player game, exact, by name,
     in report order: the absentmindedness bounds on a game without chance
     nodes, the chance bounds on a game without absentmindedness, and the
@@ -216,7 +213,7 @@ def structural_bounds(game: Game, cfg: Optional[SolverConfig] = None) -> dict[st
         bounds["am_entropy"] = bound_am_entropy(game, zstar)
     if not has_absentmindedness(game, 1):
         try:
-            bounds["chance_utility"], bounds["chance_beta"] = bound_chance(game, cfg)
+            bounds["chance_utility"], bounds["chance_beta"] = bound_chance(game)
         except ValueError:
             bounds["chance_utility"] = bounds["chance_beta"] = None
     bounds["composed"] = bound_composed(game)
@@ -241,16 +238,6 @@ class VorReport:
     bounds_satisfied: dict[str, Optional[bool]]  # all None unless concept is OPT
 
 
-def _refined(game: Game) -> Game:
-    """Player 1's coarsest perfect-recall refinement, built once per game
-    and kept in ``game.memo``, so every concept solved on it shares its
-    compiled table and its equilibrium classes."""
-    key = ("perfect-recall refinement", 1)
-    if key not in game.memo:
-        game.memo[key] = perfect_recall_refinement(game, 1)[0]
-    return game.memo[key]
-
-
 def _solve_concept(game: Game, concept: str, cfg: SolverConfig) -> SolveReport:
     from .solvers import best_worst, optimal_strategy
 
@@ -271,7 +258,7 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
     if concept not in VOR_CONCEPTS:
         raise ValueError(f"unknown VoR concept {concept!r}; choose from {VOR_CONCEPTS}")
     base_report = _solve_concept(game, concept, cfg)
-    refined_report = _solve_concept(_refined(game), concept, cfg)
+    refined_report = _solve_concept(perfect_recall_refinement(game, 1)[0], concept, cfg)
     numerator = refined_report.utilities[0]
     denominator = base_report.utilities[0]
 
@@ -291,7 +278,7 @@ def vor_compute(game: Game, concept: str, cfg: Optional[SolverConfig] = None) ->
     bounds: dict[str, Optional[Num]] = dict.fromkeys(
         ("am_utility", "am_zstar", "am_entropy", "chance_utility", "chance_beta", "composed"))
     if game.players == 1:
-        bounds.update(structural_bounds(game, cfg))
+        bounds.update(structural_bounds(game))
 
     satisfied = {
         name: (None if b is None or value is None or concept != "OPT"

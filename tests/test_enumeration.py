@@ -13,6 +13,7 @@ import pytest
 
 from conftest import per_row_kkt_residuals, single
 
+import irgames.recall as recall
 import irgames.solvers as solvers
 from irgames.game import Node, make_game
 from irgames.generators import (
@@ -26,9 +27,10 @@ from irgames.generators import (
     gen_random,
 )
 from irgames.numeric import project_rows, simplex_grid
+from irgames.recall import perfect_recall_refinement
 from irgames.solvers import SolverConfig, best_worst, enumerate_equilibria
 from irgames.strategies import node_reach_map, validate_profile
-from irgames.vor import VOR_CONCEPTS, _refined, vor_compute
+from irgames.vor import VOR_CONCEPTS, vor_compute
 
 from test_leaf_table import two_player_mixed_rows_game
 from test_rationality import LEAN, NOTE, bluff_game, lean
@@ -45,15 +47,15 @@ PAPER_GAMES = {
 ENUM_CONCEPTS = ("EDT", "CDT", "NASH", "EDT-NASH", "CDT-NASH")
 
 
-def count_calls(monkeypatch, name: str) -> list:
+def count_calls(monkeypatch, name: str, module=solvers) -> list:
     calls = []
-    original = getattr(solvers, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -72,7 +74,8 @@ def test_one_candidate_stage_per_game_family_and_config(monkeypatch, make):
     for concept in VOR_CONCEPTS[1:]:
         vor_compute(game, concept)
     # Once per family in the game and once in its refinement.
-    once = sorted((id(g), family) for g in (game, _refined(game))
+    once = sorted((id(g), family)
+                  for g in (game, perfect_recall_refinement(game, 1)[0])
                   for family in ("CDT", "EDT"))
     assert sorted(stages) == once
 
@@ -86,7 +89,8 @@ def test_one_candidate_stage_per_game_family_and_config(monkeypatch, make):
 @pytest.mark.parametrize("make", [gen_fig5, default_valid_utility])
 def test_one_optimal_solve_per_game_and_config(monkeypatch, make):
     solves = [count_calls(monkeypatch, name) for name in (
-        "_numeric_opt", "_pure_enumeration_opt", "_perfect_recall_dp")]
+        "_numeric_opt", "_pure_enumeration_opt")]
+    solves.append(count_calls(monkeypatch, "_sequence_form_optimum", recall))
     game = make()
     report = solvers.optimal_strategy(game)
     vor_compute(game, "OPT")
@@ -95,7 +99,7 @@ def test_one_optimal_solve_per_game_and_config(monkeypatch, make):
     # The enumeration seeds and the OPT row read the first report; the
     # refinement is solved once for the OPT row.
     assert sorted(id(g) for calls in solves for g in calls) == sorted(
-        [id(game), id(_refined(game))])
+        [id(game), id(perfect_recall_refinement(game, 1)[0])])
     assert solvers.optimal_strategy(game) is report
 
 
@@ -131,7 +135,7 @@ def class_games() -> list:
     """The paper games, the tied games and their refinements, built once
     for the module, so that its tests share each candidate stage."""
     games = [make() for make in {**PAPER_GAMES, **TIED_GAMES}.values()]
-    return [g for game in games for g in (game, _refined(game))]
+    return [g for game in games for g in (game, perfect_recall_refinement(game, 1)[0])]
 
 
 def test_lazy_best_worst_is_an_end_of_the_enumeration(class_games):
@@ -172,7 +176,7 @@ def test_lazy_walk_notes_only_the_cut_rejections_it_examined(monkeypatch):
 
 
 def test_classes_are_read_only_and_walked_in_kernel_utility_order():
-    refined = _refined(gen_fig3(Fraction(1, 10)))
+    refined = perfect_recall_refinement(gen_fig3(Fraction(1, 10)), 1)[0]
     classes = solvers._equilibrium_classes(refined, "EDT", solvers.DEFAULT_CONFIG)
     assert len(classes.X) == 2
     assert not classes.X.flags.writeable and not classes.residual.flags.writeable
@@ -231,7 +235,7 @@ def per_draw_seeds(index, rng, count: int, m: int) -> tuple:
 # bluff_game(1) has a three-action row before its two-action ones, so rows
 # drawn grouped by size leave the stream's order.
 @pytest.mark.parametrize("make", [
-    lambda: _refined(gen_fig2()), lambda: bluff_game(1),
+    lambda: perfect_recall_refinement(gen_fig2(), 1)[0], lambda: bluff_game(1),
     lambda: gen_random(3, 3, 0.5, 0.0, False, 7, players=2),
 ], ids=["refined fig2", "bluff", "two-player random"])
 def test_array_seeds_draw_the_per_draw_stream(monkeypatch, make):
@@ -295,7 +299,8 @@ def per_step_polish(num, X: np.ndarray) -> np.ndarray:
 
 
 @pytest.mark.parametrize("make", [
-    PAPER_GAMES["fig1"], PAPER_GAMES["dory2"], lambda: _refined(gen_lenny(6)),
+    PAPER_GAMES["fig1"], PAPER_GAMES["dory2"],
+    lambda: perfect_recall_refinement(gen_lenny(6), 1)[0],
     two_player_mixed_rows_game,
 ], ids=["fig1", "dory2", "refined lenny6", "two-player mixed rows"])
 def test_carried_polish_takes_the_per_step_iterates(make):
@@ -310,7 +315,7 @@ def test_carried_polish_takes_the_per_step_iterates(make):
 
 @pytest.mark.parametrize("make", [
     PAPER_GAMES["fig2"], PAPER_GAMES["lenny6"], PAPER_GAMES["fig3"],
-    lambda: _refined(gen_dory(2)),
+    lambda: perfect_recall_refinement(gen_dory(2), 1)[0],
     lambda: gen_random(2, 3, 0.7, 0.0, True, 13),
     lambda: gen_random(3, 3, 0.9, 0.0, True, 0),
 ], ids=["fig2", "lenny6", "fig3", "refined dory2", "random am2 seed 13", "random am3 seed 0"])
@@ -363,7 +368,7 @@ def test_gradient_polish_drops_stuck_seeds_when_a_player_owns_nothing(monkeypatc
 def test_class_representatives_differ_in_some_node_reach():
     for make in (lambda: gen_fig1(Fraction(1, 100)), lambda: gen_dory(2)):
         game = make()
-        for g in (game, _refined(game)):
+        for g in (game, perfect_recall_refinement(game, 1)[0]):
             for concept in ("EDT", "CDT"):
                 classes = solvers._equilibrium_classes(g, concept, solvers.DEFAULT_CONFIG)
                 reach = [node_reach_map(g, g.numeric.index.profile(x)) for x in classes.X]
@@ -418,7 +423,7 @@ def test_candidate_dedup_matches_the_sorted_scan(monkeypatch, name, refined, see
         monkeypatch.setattr(solvers, fn, recorded)
     game = PAPER_GAMES[name]()
     if refined:
-        game = _refined(game)
+        game = perfect_recall_refinement(game, 1)[0]
     cfg = SolverConfig(seed=seed)
     for family, fn in (("CDT", "_gradient_polish"), ("EDT", "_edt_residuals")):
         polished.clear()

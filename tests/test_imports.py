@@ -12,7 +12,7 @@ import pytest
 import irgames
 from irgames import solvers
 from irgames.fileio import write_game
-from irgames.generators import gen_fig2
+from irgames.generators import gen_dory, gen_fig2
 
 SRC = str(Path(irgames.__file__).resolve().parent.parent)
 
@@ -43,10 +43,16 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
                           text=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("command", ["validate", "refine", "coeffs", "bounds"])
-def test_exact_commands_load_neither_numpy_nor_the_solvers(tmp_path, command):
-    game = tmp_path / "fig2.json"
-    write_game(gen_fig2(), str(game))
+# dory3 has chance nodes and no absentmindedness, so its chance bound reads
+# the refinement's exact optimum.
+@pytest.mark.parametrize("command, make", [
+    pytest.param(command, make, id=command + suffix)
+    for make, suffix in ((gen_fig2, ""), (lambda: gen_dory(3), "-dory3"))
+    for command in ("validate", "refine", "coeffs", "bounds")
+])
+def test_exact_commands_load_neither_numpy_nor_the_solvers(tmp_path, command, make):
+    game = tmp_path / "game.json"
+    write_game(make(), str(game))
     code = (
         "import contextlib, io, json, sys\n"
         "import irgames\n"

@@ -15,6 +15,7 @@ from conftest import finite_difference_gradient, per_row_kkt_residuals, random_p
 from irgames.game import Infoset, Node, has_absentmindedness, make_game, seq
 from irgames.generators import gen_lenny, gen_random
 from irgames.numeric import SUPP_TOL, NumericGame, _project_simplex, project_rows
+from irgames.recall import perfect_recall_refinement
 from irgames.solvers import (
     best_deviation,
     edt_check,
@@ -32,7 +33,6 @@ from irgames.strategies import (
     uniform_profile,
     utility_gradient,
 )
-from irgames.vor import _refined
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -377,7 +377,7 @@ def test_absentminded_walk_matches_leaf_table(game):
 
 def test_absentmindedness_of_a_deep_chain_skips_the_leaf_table():
     chain = gen_lenny(2000)
-    refined = _refined(chain)
+    refined = perfect_recall_refinement(chain, 1)[0]
     assert has_absentmindedness(chain, 1)
     assert not has_absentmindedness(refined, 1)
     assert "leaves" not in vars(chain) and "leaves" not in vars(refined)

@@ -16,6 +16,7 @@ import irgames.solvers as solvers
 from irgames.game import TERMINAL, Infoset, Node, make_game
 from irgames.generators import gen_dory, gen_fig1, gen_lenny, gen_random
 from irgames.numeric import SUPP_TOL, NumericGame
+from irgames.recall import perfect_recall_refinement
 from irgames.solvers import (
     EquilibriumNotFoundError,
     SolverConfig,
@@ -36,7 +37,7 @@ from irgames.strategies import (
     infoset_reach,
     profile_from,
 )
-from irgames.vor import _refined, vor_compute
+from irgames.vor import vor_compute
 
 # A small cap makes both sides truncate their witness lists on most pure
 # profiles, so the property covers the cut as well.
@@ -145,7 +146,7 @@ def test_batched_schedule_checks_match_one_witness_at_a_time(make, family):
     # Every class of the refined game, every player: the whole witness list
     # in one batch gives each witness the verdict and trace bits it gets
     # alone.
-    game = _refined(make())
+    game = perfect_recall_refinement(make(), 1)[0]
     num = game.numeric
     sizes = []
     for x in solvers._equilibrium_classes(game, family, CFG).X:

@@ -167,6 +167,10 @@ def test_refinement_is_idempotent_and_coarsest(game):
     assert partitions(again) == partitions(refined)
     assert all(fine == (coarse,) for coarse, fine in plan.mapping.items())
     assert check_coarsest(game, 1, refined)
+    # No finer than needed either: one part per infoset and obs_i key.
+    assert len(refined.infosets.get(1, {})) == len({
+        (iset.id, obs_i(game, nid, 1)) for iset in game.infosets.get(1, {}).values()
+        for nid in iset.nodes})
 
 
 def test_all_player_refinement_on_fig1_touches_only_player1():

@@ -4,6 +4,7 @@ refinements, best-response verification, and enumeration."""
 import itertools
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +53,7 @@ from irgames.solvers import (
     nash_check,
     optimal_strategy,
 )
-from irgames.vor import _refined, vor_compute
+from irgames.vor import vor_compute
 
 EPS3 = Fraction(1, 10)
 CFG = SolverConfig()
@@ -97,6 +98,40 @@ def test_optimal_dory(n):
     assert optimal_strategy(pr).utilities[0] == 1
 
 
+def with_float_numbers(game):
+    """The game with every chance probability and utility a float."""
+    nodes = {nid: replace(node, chance_dist=node.chance_dist
+                          and tuple(map(float, node.chance_dist)))
+             for nid, node in game.nodes.items()}
+    return replace(game, nodes=nodes,
+                   utilities={z: tuple(map(float, u)) for z, u in game.utilities.items()})
+
+
+@pytest.mark.parametrize("make, value, certified, notes", [
+    (lambda: gen_random(7, 3, 0.6, 0.2, False, 1), Fraction(78, 11), "exact", ()),
+    (lambda: gen_random(6, 3, 0.6, 0.2, True, 1), Fraction(48, 5), "exact", ()),
+    (gen_fig5, Fraction(2), "exact", ()),
+    (gen_fig2, Fraction(2, 3), "grid-certified(delta=1/64)", ("grid gap bound 0.0546875",)),
+    (lambda: gen_lenny(6), Fraction(1, 64), "grid-certified(delta=1/64)",
+     ("grid gap bound 0.09375",)),
+    (lambda: with_float_numbers(gen_random(7, 3, 0.6, 0.2, False, 1)), 78 / 11, "heuristic",
+     ("pure enumeration cap exceeded",)),
+], ids=["r7", "am6", "fig5", "fig2", "lenny6", "float r7"])
+def test_an_exact_snap_at_the_refinements_optimum_is_certified(make, value, certified, notes):
+    # Lifting keeps utility, so the refinement's exact optimum bounds the
+    # game's: fig2 (2/3 against 3/2) and lenny6 (1/64 against 1) stay
+    # below it, and a float game's value is never compared with it.
+    g = make()
+    report = optimal_strategy(g)
+    assert report.u1 == pytest.approx(value, rel=1e-12)
+    assert isinstance(report.u1, Fraction) == isinstance(value, Fraction)
+    assert (report.certified, report.notes) == (certified, notes)
+    if certified == "exact":
+        refined = perfect_recall_refinement(g, 1)[0]
+        assert report.u1 == recall.perfect_recall_optimum(refined)[0]
+        assert report.u1 == expected_utility(g, report.profile, 1)
+
+
 def perfect_recall_games():
     """Perfect-recall games for the DP: random trees without merges, the
     refinements of random imperfect-recall trees (absentminded or not), and
@@ -113,11 +148,11 @@ def perfect_recall_games():
 
 
 def test_pure_enumeration_agrees_with_dp_on_perfect_recall_games():
-    from irgames.solvers import _perfect_recall_dp, _pure_enumeration_opt
+    from irgames.solvers import _pure_enumeration_opt
 
     for g in perfect_recall_games():
         assert has_perfect_recall(g, 1)
-        v_dp, s_dp = _perfect_recall_dp(g)
+        v_dp, s_dp = recall.perfect_recall_optimum(g)
         v_enum, _ = _pure_enumeration_opt(g)
         assert v_dp == v_enum == expected_utility(g, profile_from(s_dp), 1)
 
@@ -131,7 +166,7 @@ def test_one_own_history_walk_per_optimal_solve(monkeypatch):
         walks.append((id(game), player))
         return walk(game, player)
 
-    refined = _refined(gen_random(4, 2, 0.6, 0.3, False, 3))
+    refined = perfect_recall_refinement(gen_random(4, 2, 0.6, 0.3, False, 3), 1)[0]
     monkeypatch.setattr(recall, "_walk_own_histories", counted)
     assert optimal_strategy(refined).certified == "exact"
     assert has_perfect_recall(refined, 1)
@@ -139,7 +174,7 @@ def test_one_own_history_walk_per_optimal_solve(monkeypatch):
 
 
 def test_perfect_recall_dp_is_fast_on_a_deep_chain():
-    g = _refined(gen_lenny(2000))
+    g = perfect_recall_refinement(gen_lenny(2000), 1)[0]
     start = time.perf_counter()
     report = optimal_strategy(g)
     assert time.perf_counter() - start < 0.3
@@ -200,7 +235,7 @@ def test_pure_enumeration_sees_leaves_below_float_underflow():
 def test_perfect_recall_dp_is_the_pure_optimum(depth, merge, chance, absentminded, seed):
     g, _ = perfect_recall_refinement(
         gen_random(depth, 2, merge, chance, absentminded, seed), 1)
-    value, strategy = solvers._perfect_recall_dp(g)
+    value, strategy = recall.perfect_recall_optimum(g)
     assert value == solvers._pure_enumeration_opt(g)[0]
     assert value == expected_utility(g, profile_from(strategy), 1)
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import single
 
+import irgames.recall as recall
 import irgames.vor as vor
 from irgames.game import chance_nodes, subtree_nodes
 from irgames.generators import (
@@ -22,6 +23,8 @@ from irgames.generators import (
     gen_random,
     gen_sat_game,
 )
+from irgames.partial import k_best_partial
+from irgames.recall import check_coarsest, perfect_recall_refinement
 from irgames.solvers import enumerate_equilibria, optimal_strategy
 from irgames.strategies import (
     expected_utility,
@@ -590,3 +593,34 @@ def test_coefficient_table_is_built_once_per_game(make, monkeypatch):
     vor_compute(g, "OPT")
     assert calls == []
     assert "composed" in bounds and ("am_zstar" in bounds) != ("chance_beta" in bounds)
+
+
+@pytest.mark.parametrize("make, search", [
+    (lambda: gen_dory(2), True), (lambda: gen_random(7, 3, 0.6, 0.2, False, 1), False),
+], ids=["dory2", "r7"])
+def test_one_refinement_and_one_optimum_per_game(make, search, monkeypatch):
+    # Optimal play (r7's root check), OPT VoR, the chance bound, the
+    # coarsest-refinement oracle and the partial-recall search share the
+    # game's refinement, and the sequence-form DP runs once per game with
+    # perfect recall.  The games are kept in the lists, so no id repeats.
+    partitions, optima = [], []
+    partition, optimum = recall._perfect_recall_partition, recall._sequence_form_optimum
+    monkeypatch.setattr(recall, "_perfect_recall_partition",
+                        lambda game, player: partitions.append((game, player))
+                        or partition(game, player))
+    monkeypatch.setattr(recall, "_sequence_form_optimum",
+                        lambda game: optima.append(game) or optimum(game))
+    g = make()
+    optimal_strategy(g)
+    vor_compute(g, "OPT")
+    structural_bounds(g)
+    refined, plan = perfect_recall_refinement(g, 1)
+    assert check_coarsest(g, 1, refined)
+    if search:
+        k_best_partial(g, 1)
+    assert [(id(game), p) for game, p in partitions] == [(id(g), 1)]
+    solved = [id(game) for game in optima]
+    assert len(set(solved)) == len(solved)
+    assert id(refined) in solved and id(g) not in solved
+    again = perfect_recall_refinement(g, 1)
+    assert again[0] is refined and again[1] is plan
