@@ -19,10 +19,11 @@ negative multistart, seed, ``partial-best --k`` or ``--table-cap``, an
 Each command imports the modules it uses inside its function, so a process
 loads only what its command needs.  ``validate``, ``refine``, ``coeffs``
 and ``bounds`` walk the game tree in exact arithmetic (the chance bound
-reads the refinement's sequence-form optimum) and never load numpy or
-``irgames.solvers``, whose import would be more than half of such a
-command's time.  ``solve``, ``vor``, ``smooth-check`` and ``partial-best``
-load the solver stack, numpy and the compiled float table, when they run.
+reads the refinement's optimum, ``recall.pure_optimum``) and never load
+numpy or ``irgames.solvers``, whose import would be more than half of
+such a command's time.  ``solve``, ``vor``, ``smooth-check`` and
+``partial-best`` load the solver stack, numpy and the compiled float
+table, when they run.
 The parser reads its defaults from the numpy-free ``irgames.config``.
 """
 

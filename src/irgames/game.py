@@ -14,9 +14,9 @@ each path takes each action of every infoset it enters; gradients,
 deviations, the compiled arrays, coefficients and bounds read those counts
 as stored, and ``Game.numeric`` is their float table, also built once.  The
 exact reach and value evaluators (``expected_utility``, ``infoset_reach``,
-``infoset_frequency``, ``realization_equivalent``, and the perfect-recall
-optimum) walk the tree instead: one top-down pass of ``node_reach_map``,
-or of chance reach alone under the optimum's pass over own histories.
+``infoset_frequency``, ``realization_equivalent``, and the pure optimum)
+walk the tree instead: one top-down pass of ``node_reach_map``, or of
+chance reach alone under the pure optimum's passes over own histories.
 They stay walks because the leaf table holds quadratically many visits on
 a chain of distinct infosets (about n**2 / 2 on lenny(n)'s perfect-recall
 refinement), where a walk is linear.
@@ -249,8 +249,8 @@ class Game:
     def memo(self) -> dict:
         """Results derived from this game that are computed once and shared,
         keyed by everything they depend on that a caller can set: each
-        player's perfect-recall refinement and own histories, and the
-        sequence-form optimum (all in ``recall``), its coefficient table
+        player's perfect-recall refinement and own histories, and Player
+        1's pure optimum (all in ``recall``), its coefficient table
         (``vor.coefficient_table``, which every structural bound reads),
         and its optimal play and a polish family's equilibrium classes
         under one ``SolverConfig``.  The solvers' module constants are not

@@ -1,5 +1,7 @@
 """Recall refinements: the partial order on infoset partitions, the
-coarsest perfect-recall refinement, and the dummy-node transform.
+coarsest perfect-recall refinement, and the dummy-node transform; and
+Player 1's pure optimum, a search bounded by that refinement's
+sequence-form optimum.
 
 Two games are comparable only when they share the exact same tree (node
 ids, ownership, actions, chance, utilities); refinements differ solely in
@@ -9,6 +11,7 @@ how one player's decision nodes are grouped into infosets.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -93,8 +96,8 @@ def own_histories(game: Game, player: int
     history ``h``'s (parent id, infoset, action); the empty history is -1.
 
     The walk runs once per game and player and is kept in ``game.memo``,
-    so the perfect-recall test, the refinement and the sequence-form
-    optimum share it.  Callers must not mutate the result."""
+    so the perfect-recall test, the refinement and the pure optimum share
+    it.  Callers must not mutate the result."""
     key = ("own histories", player)
     if key not in game.memo:
         game.memo[key] = _walk_own_histories(game, player)
@@ -120,43 +123,112 @@ def _walk_own_histories(game: Game, player: int
     return out, list(ids)
 
 
-def perfect_recall_optimum(game: Game) -> tuple[Num, BehavioralStrategy]:
-    """Exact optimal value and a pure optimal strategy of Player 1, who has
-    perfect recall, in a single-player game; kept in ``game.memo``.  In
-    sequence form (Koller & Megiddo, GEB 1992): an infoset is decided at
-    its members' one own history, whose value is its terminals' chance
-    reach times utility plus, per infoset decided there, the best value of
-    the histories its actions lead to.  Steps are numbered after their
-    parent, so one pass from the last history down to the empty one (-1)
-    decides the infosets below a history first; ties take the first action."""
-    key = "perfect-recall optimum"
+# Own-history steps that ``pure_optimum``'s search may visit before it
+# gives up: each pass visits every step once, and the first always runs.
+_SEARCH_BUDGET = 5_000_000
+
+
+def pure_optimum(game: Game) -> Optional[tuple[Num, BehavioralStrategy]]:
+    """Exact value and strategy of Player 1's best pure strategy in a
+    single-player game, or None when the search runs past
+    ``_SEARCH_BUDGET`` own-history steps; kept in ``game.memo``.  Without
+    absentmindedness a pure optimum exists, so this is optimal play.
+
+    A branch-and-bound (Land & Doig, 1960) over the infosets' actions.  An
+    atom is an infoset's members that share one own history: an infoset of
+    the coarsest perfect-recall refinement.  A node's bound is the
+    refinement's optimum with every decided infoset forced to its action at
+    all of its atoms, one sequence-form pass (Koller & Megiddo, GEB 1992):
+    an atom is decided at its members' own history, whose value is its
+    terminals' chance reach times utility plus, per atom decided there, the
+    best value of the histories its actions lead to.  Steps are numbered
+    after their parent, so one pass from the last history down to the empty
+    one (-1) decides the atoms below a history first; ties take the first
+    action.  By lifting the bound is at least every completion's value, and
+    it is attained, so the node solved, when the atoms on the path the
+    pass chose agree within every infoset.  Otherwise the search branches,
+    depth first on an explicit stack, on the infoset whose on-path atoms
+    disagree most, its majority action first, and prunes nodes bounded by
+    the incumbent.  Under perfect recall the root pass is the answer."""
+    key = "pure optimum"
     if key not in game.memo:
-        game.memo[key] = _sequence_form_optimum(game)
+        game.memo[key] = _pure_search(game)
     return game.memo[key]
 
 
-def _sequence_form_optimum(game: Game) -> tuple[Num, BehavioralStrategy]:
+def _pure_search(game: Game) -> Optional[tuple[Num, BehavioralStrategy]]:
     history, steps = own_histories(game, 1)
     step_id = {step: h for h, step in enumerate(steps)}
-    decided: dict[int, list] = {}
-    for iset in game.infosets.get(1, {}).values():
-        decided.setdefault(history[iset.nodes[0]][0], []).append(iset)
+    isets = list(game.infosets.get(1, {}).values())
+    # Atoms as (own history, infoset index, step of each action), the last
+    # history first and in infoset order within one; every step is one
+    # atom's.  ``at`` lists each history's atoms, ``first`` each infoset's.
+    atoms = sorted(((h, i, [step_id[h, iset.id, a] for a in iset.actions])
+                    for i, iset in enumerate(isets)
+                    for h in dict.fromkeys(history[nid][0] for nid in iset.nodes)),
+                   key=lambda atom: -atom[0])
+    at: dict[int, list[int]] = {}
+    first: dict[int, int] = {}
+    for j, (h, i, _) in enumerate(atoms):
+        at.setdefault(h, []).append(j)
+        first.setdefault(i, j)
     # ``history`` lists each node after its parent: one pass carries reach.
+    # Values are indexed by history, the empty one (-1) last.
     reach = {game.root: Fraction(1)}
-    value: dict[int, Num] = dict.fromkeys(range(-1, len(steps)), Fraction(0))
+    base: list[Num] = [Fraction(0)] * (len(steps) + 1)
     for nid, (h, _) in history.items():
         node = game.nodes[nid]
         if node.is_terminal:
-            value[h] += reach[nid] * game.utilities[nid][0]
+            base[h] += reach[nid] * game.utilities[nid][0]
         for idx, child in enumerate(node.children):
             reach[child] = reach[nid] * node.chance_dist[idx] if node.is_chance else reach[nid]
-    choice: dict[str, int] = {}
-    for h in range(len(steps) - 1, -2, -1):
-        for iset in decided.get(h, ()):
-            row = [value[step_id[h, iset.id, a]] for a in iset.actions]
-            choice[iset.id] = row.index(max(row))
-            value[h] += row[choice[iset.id]]
-    return value[-1], pure_strategy(game, 1, choice)
+    # Integers and floats add far faster than fractions.  Over one common
+    # denominator exact values stay exact; a float game's exact zeros
+    # become 0.0, which leaves every float sum and comparison as it was.
+    exact = all(isinstance(v, Fraction) for v in base)
+    scale = math.lcm(*(v.denominator for v in base)) if exact else 1
+    base = [v.numerator * (scale // v.denominator) if exact else float(v) for v in base]
+
+    best: Optional[tuple[Num, dict[str, int]]] = None
+    stack: list[dict[int, int]] = [{}]
+    choice = [0] * len(atoms)
+    visited = 0
+    while stack:
+        if visited and visited >= _SEARCH_BUDGET:  # past the root pass
+            return None
+        forced = stack.pop()
+        visited += len(steps)
+        value = list(base)
+        for j, (h, i, kids) in enumerate(atoms):
+            a = forced.get(i)
+            if a is None:
+                row = [value[k] for k in kids]
+                a = row.index(max(row))
+            choice[j] = a
+            value[h] += value[kids[a]]
+        if best is not None and value[-1] <= best[0]:
+            continue
+        # The actions of the atoms on the chosen path, per infoset.
+        taken: dict[int, list[int]] = {}
+        path = [-1]
+        while path:
+            for j in at.get(path.pop(), ()):
+                taken.setdefault(atoms[j][1], []).append(choice[j])
+                path.append(atoms[j][2][choice[j]])
+        split, worst = None, 0
+        for i, actions in taken.items():
+            counts = [actions.count(a) for a in range(len(isets[i].actions))]
+            if len(actions) - max(counts) > worst:
+                split, worst = (i, counts.index(max(counts))), len(actions) - max(counts)
+        if split is None:
+            best = value[-1], {iset.id: taken[i][0] if i in taken else choice[first[i]]
+                               for i, iset in enumerate(isets)}
+            continue
+        i, majority = split
+        for a in sorted(range(len(isets[i].actions)), key=lambda a: (a == majority, -a)):
+            stack.append({**forced, i: a})
+    value, plan = best
+    return (Fraction(value, scale) if exact else value), pure_strategy(game, 1, plan)
 
 
 def has_perfect_recall(game: Game, player: int) -> bool:

@@ -9,12 +9,9 @@ equilibrium enumeration with best/worst selection.
 Computation policy, in one place:
 
 * games without absentmindedness admit pure optima, so optimal play is
-  found in sequence form when the player has perfect recall (the
-  numpy-free ``recall.perfect_recall_optimum``), and otherwise by
-  exhaustive pure enumeration: every pure value at once, as one matrix
-  product of a front and a back half-table of the compiled leaf table
-  (each half's pure assignments against the leaves), then each distinct
-  reached-leaf set of the near-optimal slab is valued from ``Game.leaves``;
+  the numpy-free ``recall.pure_optimum``: a branch-and-bound over pure
+  strategies, each node bounded by one sequence-form pass over the
+  player's own histories, which under perfect recall is the answer;
 * with absentmindedness the utility is a polynomial over a product of
   simplices, whose maximiser is a KKT point, so optimal play seeds the
   uniform profile, random vertices and mixed profiles, a grid and, where
@@ -22,8 +19,9 @@ Computation policy, in one place:
   gradient dynamics of the CDT candidate stage (``_gradient_polish``, one
   moving player), then snaps the best polished point to exact fractions
   when that does not lose value, ``exact`` if it meets the refinement's
-  optimum, which bounds it.  Above ``_PURE_CAP`` pure strategies, a
-  game without absentmindedness takes this path without the grid;
+  optimum, which bounds it.  A game without absentmindedness whose pure
+  search runs past ``recall._SEARCH_BUDGET`` takes this path without the
+  grid;
 * equilibrium enumeration runs in two stages.  The candidate stage seeds
   pure/grid/random profiles, polishes them, keeps the profiles whose
   residual clears the tolerance, drops repeats by one byte key per
@@ -73,7 +71,8 @@ Computation policy, in one place:
   constants, not options: the polish iteration cap (``_POLISH_ITERS``),
   the rationality schedule and its slope safety factor (``_SCHEDULE``,
   ``_SCHEDULE_SAFETY``), the realization-dedup tolerance (``_DEDUP_TOL``),
-  the pure-enumeration cap of optimal play (``_PURE_CAP``), the snapping
+  the work budget of the pure search of optimal play
+  (``recall._SEARCH_BUDGET``, in own-history steps), the snapping
   denominator (``_SNAP_DENOMINATOR``), the support tolerance
   ``numeric.SUPP_TOL``, and the caps on exhaustive work: the pure and grid
   seeds of enumeration and optimal play
@@ -121,14 +120,13 @@ from .numeric import (
     project_rows,
     simplex_grid,
 )
-from .recall import has_perfect_recall, perfect_recall_optimum, perfect_recall_refinement
+from . import recall
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
     expected_utility,
     fix_opponents,
     profile_from,
-    pure_strategy,
     infoset_gradient,
     infoset_terms,
 )
@@ -138,7 +136,6 @@ _POLISH_ITERS = 200
 _SCHEDULE = tuple(2.0 ** -k for k in range(1, 21))
 _SCHEDULE_SAFETY = 2.0
 _DEDUP_TOL = 1e-6
-_PURE_CAP = 200_000
 _SNAP_DENOMINATOR = 4096
 _ENUM_PURE_CAP = 4096
 _ENUM_PURE_SAMPLES = 200
@@ -175,11 +172,12 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
     """Best achievable play in a single-player game.
 
     Without absentmindedness a pure optimum exists, so the answer is exact:
-    in sequence form under perfect recall, otherwise by vectorized pure
-    enumeration, whose reached-leaf sets are valued from ``Game.leaves``.
-    With absentmindedness the polynomial utility is attacked by a seeded
-    grid scan plus multistart projected ascent; the best polished point is
-    snapped to exact fractions when doing so loses nothing.
+    ``recall.pure_optimum``, the branch-and-bound whose bounds are the
+    perfect-recall refinement's sequence-form optimum, unless it runs past
+    its budget.  With absentmindedness, or past that budget, the utility
+    is attacked by multistart projected ascent, with a seeded grid scan
+    under absentmindedness; the best polished point is snapped to exact
+    fractions when doing so loses nothing.
     The report is solved once per game and ``SolverConfig`` and kept in
     ``game.memo``.
     """
@@ -194,104 +192,30 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
 
 
 def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
-    # Perfect recall rules out absentmindedness: a member's own history
-    # strictly extends that of every member above it.
-    if has_perfect_recall(game, 1):
-        value, strategy = perfect_recall_optimum(game)
-    elif not has_absentmindedness(game, 1) and math.prod(
-            len(i.actions) for i in game.infosets.get(1, {}).values()) <= _PURE_CAP:
-        value, strategy = _pure_enumeration_opt(game)
-    else:
+    found = None if has_absentmindedness(game, 1) else recall.pure_optimum(game)
+    if found is None:
         return _numeric_opt(game, cfg)
+    value, strategy = found
     return SolveReport(
         concept="OPT", which="any", profile=profile_from(strategy),
         utilities=(value,), residual=0.0, certified="exact",
     )
 
 
-# Slab members whose reached-leaf masks are built at a time, so the exact
-# valuation holds (block, leaves) arrays, never a (slab, leaves) mask.
-_PURE_BLOCK = 4096
-
-
-def _pure_enumeration_opt(game: Game) -> tuple[Num, BehavioralStrategy]:
-    """Exhaustive exact maximum over pure strategies.
-
-    The rows, in flattened order, are cut into a front and a back part
-    (``_front_rows``), so the ``itertools.product`` index of a strategy is
-    ``i_front * n_back + i_back``.  A leaf is reached iff both halves take
-    its entries' actions, so every pure value, in index order, is one
-    product of the front's (T_front, Z) chance-weighted reach and the
-    back's (T_back, Z) reach mask.  Each distinct reached-leaf set of the
-    near-optimal slab is then valued exactly from ``Game.leaves``, as the
-    sum of chance times utility over its leaves, and one pure strategy is
-    built, for the winner.
-    """
-    num = game.numeric
-    rows = num.index.rows
-    k = _front_rows([r.size for r in rows])
-    front = _part_reach(num, rows[:k])
-    back = _part_reach(num, rows[k:])
-    values = ((front * (num.coef * num.utils[:, 0])) @ back.T).ravel()
-    top = values.max()
-    slab = np.nonzero(values >= top - 1e-9 - 1e-9 * abs(top))[0]
-
-    # Pure strategies that reach the same leaves have the same exact value,
-    # so each reached set is valued once, at its first index.  Indices are
-    # in lexicographic order: the first exact maximum wins ties, and so
-    # each block's ``np.unique`` first places are taken in index order.
-    first: dict[bytes, int] = {}
-    for lo in range(0, len(slab), _PURE_BLOCK):
-        ids = slab[lo : lo + _PURE_BLOCK]
-        packed = np.packbits(front[ids // len(back)] & back[ids % len(back)], axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1])))[:, 0]
-        for j in np.sort(np.unique(keys, return_index=True)[1]):
-            first.setdefault(keys[j].tobytes(), ids[j])
-    terms = [leaf.chance * game.utilities[z][0] for z, leaf in game.leaves.items()]
-    best_val, best = None, None
-    for key, i in first.items():
-        reached = np.unpackbits(np.frombuffer(key, np.uint8), count=len(terms))
-        v = sum((terms[z] for z in np.flatnonzero(reached)), start=Fraction(0))
-        if best_val is None or v > best_val:
-            best_val, best = v, i
-    actions = _pure_assignments(num.index, [best])[0]
-    return best_val, pure_strategy(game, 1, {r.infoset_id: int(a) for r, a in zip(rows, actions)})
-
-
-def _front_rows(sizes: Sequence[int]) -> int:
-    """The number of leading rows in the front part: the cut that keeps
-    the larger part's strategy count smallest."""
-    return min(range(len(sizes) + 1),
-               key=lambda k: max(math.prod(sizes[:k]), math.prod(sizes[k:])))
-
-
-def _part_reach(num: NumericGame, rows: Sequence[Row]) -> np.ndarray:
-    """(T, Z) reach masks of the T pure assignments of ``rows``, in
-    ``itertools.product`` order: a leaf is reached iff each of its entries
-    on these rows takes the assignment's action.  Chance plays no part, so
-    a leaf whose float chance coefficient underflows to 0 keeps its mask."""
-    X = np.ones((1, num.index.dim))
-    for r in rows:
-        X = np.repeat(X, r.size, axis=0)
-        X[:, r.offset : r.offset + r.size] = np.tile(np.eye(r.size), (len(X) // r.size, 1))
-    # A leaf is reached iff none of its entries is missed.
-    missed = np.zeros((num.n_leaves, len(X)), dtype=bool)
-    np.logical_or.at(missed, num.ent_leaf, X[:, num.ent_coord].T == 0)
-    return ~missed.T
-
-
-def _pure_assignments(index: FlatIndex, ids) -> np.ndarray:
-    """(T, rows) actions of the pure strategies with the given indices, in
-    the lexicographic order of ``itertools.product`` over the rows."""
-    sizes = [r.size for r in index.rows]
-    if not sizes:
-        return np.zeros((len(ids), 0), dtype=np.intp)
-    return np.stack(np.unravel_index(ids, sizes), axis=1)
+def _mixed_radix(radices: Sequence[int]) -> np.ndarray:
+    """(T, len(radices)) every digit tuple of the mixed radix, in
+    ``itertools.product`` order (the last digit fastest).  ``np.indices``
+    and ``np.unravel_index`` take one axis per digit, at most 64."""
+    ids = np.arange(math.prod(radices))
+    out = np.empty((len(ids), len(radices)), dtype=np.intp)
+    for j in range(len(radices) - 1, -1, -1):
+        ids, out[:, j] = np.divmod(ids, radices[j])
+    return out
 
 
 def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
     """Multistart gradient polish for absentminded games, seeded with a
-    grid, and for games with too many pure strategies to enumerate.  The
+    grid, and for games whose pure search ran past its budget.  The
     best polished point is snapped to small fractions and valued exactly
     once; the snap is kept when that loses nothing, ``exact`` if it meets
     the refinement's optimum."""
@@ -301,7 +225,8 @@ def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
              _random_vertices(num.index, rng, min(cfg.multistart, 16)),
              _random_mixed(num.index, rng, cfg.multistart)]
 
-    certified, notes = "heuristic", ("pure enumeration cap exceeded",)
+    certified, notes = "heuristic", (
+        f"search_budget={recall._SEARCH_BUDGET} own-history steps exceeded",)
     if has_absentmindedness(game, 1):
         grid_pts, grid_full = _grid_points(num.index, cfg, rng)
         seeds.append(grid_pts)
@@ -317,9 +242,9 @@ def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
 
     # Every pure profile, where they are few: the random vertices can miss a
     # pure optimum.
-    total = math.prod(r.size for r in num.index.rows)
-    if total <= _ENUM_PURE_CAP:
-        seeds.append(_one_hot(num.index, _pure_assignments(num.index, np.arange(total))))
+    sizes = [r.size for r in num.index.rows]
+    if math.prod(sizes) <= _ENUM_PURE_CAP:
+        seeds.append(_one_hot(num.index, _mixed_radix(sizes)))
 
     X, gaps = _gradient_polish(num, np.concatenate(seeds))
     vals = num.utility(X, 1)
@@ -331,7 +256,7 @@ def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
         value, profile = exact, snapped
         residual = float(num.kkt_residuals(num.index.vector(profile)[None])[0])
         # Lifting keeps utility, so the refinement's optimum bounds this one.
-        if value == perfect_recall_optimum(perfect_recall_refinement(game, 1)[0])[0]:
+        if value == recall.pure_optimum(recall.perfect_recall_refinement(game, 1)[0])[0]:
             certified, notes = "exact", ()
     else:
         profile, residual = num.index.profile(X[best]), float(gaps[best])
@@ -381,9 +306,9 @@ def _grid_points(index: FlatIndex, cfg: SolverConfig, rng) -> tuple[np.ndarray, 
     m = cfg.grid_resolution
     sizes = np.array([row.size for row in index.rows], dtype=np.intp)
     counts = [math.comb(m + size - 1, size - 1) for size in sizes]
-    total = math.prod(counts) if counts else 1
+    total = math.prod(counts)
     if total <= _GRID_CAP:
-        combos = np.indices(counts).reshape(len(counts), total)
+        combos = _mixed_radix(counts).T
         pts = np.empty((total, index.dim))
         for row, i in zip(index.rows, combos):
             pts[:, row.offset : row.offset + row.size] = simplex_grid(row.size, m)[i]
@@ -947,9 +872,9 @@ def nash_check(game: Game, profile: StrategyProfile,
 def _pure_seed_vectors(index: FlatIndex, rng) -> tuple[np.ndarray, bool]:
     """Every pure profile, in ``itertools.product`` order over the rows, or
     a random sample of them above ``_ENUM_PURE_CAP``."""
-    total = math.prod(r.size for r in index.rows)
-    if total <= _ENUM_PURE_CAP:
-        return _one_hot(index, _pure_assignments(index, np.arange(total))), True
+    sizes = [r.size for r in index.rows]
+    if math.prod(sizes) <= _ENUM_PURE_CAP:
+        return _one_hot(index, _mixed_radix(sizes)), True
     return _random_vertices(index, rng, _ENUM_PURE_SAMPLES), False
 
 

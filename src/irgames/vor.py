@@ -18,7 +18,7 @@ leaf monomials:
 ``coefficient_table`` builds them once per game, in exact arithmetic, and
 every bound reads them there; only the branching factors walk the tree.
 The chance bound reads the refinement's exact optimum from
-``recall.perfect_recall_optimum``.  Only ``vor_compute`` and
+``recall.pure_optimum``, one sequence-form pass under perfect recall.  Only ``vor_compute`` and
 ``smoothness_check`` import numpy and ``irgames.solvers``, when called,
 so ``irgames coeffs`` and ``irgames bounds`` never load them.
 """
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .config import SolverConfig, _cfg
 from .game import Game, Leaf, Num, has_absentmindedness, subtree_nodes
-from .recall import perfect_recall_optimum, perfect_recall_refinement
+from .recall import perfect_recall_refinement, pure_optimum
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
@@ -179,7 +179,7 @@ def bound_chance(game: Game, cfg: Optional[SolverConfig] = None) -> tuple[Num, N
     if game.players != 1 or has_absentmindedness(game, 1):
         raise ValueError("bound_chance requires one player without absentmindedness")
     table = coefficient_table(game)
-    opt_refined = perfect_recall_optimum(perfect_recall_refinement(game, 1)[0])[0]
+    opt_refined = pure_optimum(perfect_recall_refinement(game, 1)[0])[0]
     best_leaf_value = max(table.chance[z] * game.utilities[z][0] for z in game.terminals)
     if best_leaf_value == 0:
         raise ValueError("all utilities are zero; the bound is undefined")

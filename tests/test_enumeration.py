@@ -88,9 +88,8 @@ def test_one_candidate_stage_per_game_family_and_config(monkeypatch, make):
 
 @pytest.mark.parametrize("make", [gen_fig5, default_valid_utility])
 def test_one_optimal_solve_per_game_and_config(monkeypatch, make):
-    solves = [count_calls(monkeypatch, name) for name in (
-        "_numeric_opt", "_pure_enumeration_opt")]
-    solves.append(count_calls(monkeypatch, "_sequence_form_optimum", recall))
+    solves = [count_calls(monkeypatch, "_numeric_opt"),
+              count_calls(monkeypatch, "_pure_search", recall)]
     game = make()
     report = solvers.optimal_strategy(game)
     vor_compute(game, "OPT")

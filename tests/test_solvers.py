@@ -26,6 +26,7 @@ from irgames.generators import (
     gen_fig5_split,
     gen_lenny,
     gen_random,
+    gen_sat_game,
 )
 from irgames.recall import has_perfect_recall, perfect_recall_refinement
 from irgames.strategies import (
@@ -114,13 +115,16 @@ def with_float_numbers(game):
     (gen_fig2, Fraction(2, 3), "grid-certified(delta=1/64)", ("grid gap bound 0.0546875",)),
     (lambda: gen_lenny(6), Fraction(1, 64), "grid-certified(delta=1/64)",
      ("grid gap bound 0.09375",)),
-    (lambda: with_float_numbers(gen_random(7, 3, 0.6, 0.2, False, 1)), 78 / 11, "heuristic",
-     ("pure enumeration cap exceeded",)),
-], ids=["r7", "am6", "fig5", "fig2", "lenny6", "float r7"])
+    (lambda: with_float_numbers(gen_random(7, 3, 0.6, 0.2, False, 1)), 78 / 11, "exact", ()),
+    (lambda: with_float_numbers(gen_fig5()), 2.0, "grid-certified(delta=1/64)",
+     ("grid gap bound 0.09375",)),
+], ids=["r7", "am6", "fig5", "fig2", "lenny6", "float r7", "float fig5"])
 def test_an_exact_snap_at_the_refinements_optimum_is_certified(make, value, certified, notes):
     # Lifting keeps utility, so the refinement's exact optimum bounds the
     # game's: fig2 (2/3 against 3/2) and lenny6 (1/64 against 1) stay
-    # below it, and a float game's value is never compared with it.
+    # below it, and a float game's snapped value is never compared with it
+    # (float fig5).  r7 is not absentminded, so its pure search is exact,
+    # in floats too.
     g = make()
     report = optimal_strategy(g)
     assert report.u1 == pytest.approx(value, rel=1e-12)
@@ -128,8 +132,9 @@ def test_an_exact_snap_at_the_refinements_optimum_is_certified(make, value, cert
     assert (report.certified, report.notes) == (certified, notes)
     if certified == "exact":
         refined = perfect_recall_refinement(g, 1)[0]
-        assert report.u1 == recall.perfect_recall_optimum(refined)[0]
-        assert report.u1 == expected_utility(g, report.profile, 1)
+        for exact in (recall.pure_optimum(refined)[0], expected_utility(g, report.profile, 1)):
+            assert report.u1 == (exact if isinstance(value, Fraction)
+                                 else pytest.approx(exact, rel=1e-12))
 
 
 def perfect_recall_games():
@@ -147,14 +152,14 @@ def perfect_recall_games():
     yield perfect_recall_refinement(gen_lenny(6), 1)[0]
 
 
-def test_pure_enumeration_agrees_with_dp_on_perfect_recall_games():
-    from irgames.solvers import _pure_enumeration_opt
-
+def test_pure_enumeration_agrees_with_dp_on_perfect_recall_games(monkeypatch):
+    # Under perfect recall the root pass is the answer: a budget of one
+    # step still lets the first pass run, and no second one.
+    monkeypatch.setattr(recall, "_SEARCH_BUDGET", 1)
     for g in perfect_recall_games():
         assert has_perfect_recall(g, 1)
-        v_dp, s_dp = recall.perfect_recall_optimum(g)
-        v_enum, _ = _pure_enumeration_opt(g)
-        assert v_dp == v_enum == expected_utility(g, profile_from(s_dp), 1)
+        value, strategy = recall.pure_optimum(g)
+        assert value == brute_force_opt(g)[0] == expected_utility(g, profile_from(strategy), 1)
 
 
 def test_one_own_history_walk_per_optimal_solve(monkeypatch):
@@ -228,6 +233,70 @@ def test_pure_enumeration_sees_leaves_below_float_underflow():
     assert report.profile[1].table == {"D": (0, 1), "E": (1, 0)}
 
 
+@pytest.mark.parametrize("depth, seed, value", [
+    (6, 18, Fraction(7)), (8, 2, Fraction(70, 11)), (7, 18, Fraction(599, 70)),
+], ids=["g6_18", "g8_2", "g7_18"])
+def test_pure_search_is_exact_where_the_polish_fell_short(depth, seed, value):
+    # The polish once reported 33/5, 65/11 and 8.5238 here, and a CDT class
+    # was worth more than that OPT: no class of either family may be now.
+    g = gen_random(depth, 3, 0.6, 0.2, False, seed)
+    report = optimal_strategy(g)
+    assert (report.u1, report.certified) == (value, "exact")
+    assert expected_utility(g, report.profile, 1) == value
+    vor = vor_compute(g, "OPT")
+    assert vor.denominator == value
+    assert vor.numerator == recall.pure_optimum(perfect_recall_refinement(g, 1)[0])[0]
+    assert vor.ratio == 1 or (depth, seed) == (7, 18)
+    for family in ("EDT", "CDT"):
+        classes = solvers._equilibrium_classes(g, family, CFG)
+        assert classes.utilities[:, 0].max() <= float(value) * (1 + 1e-9)
+
+
+def test_pure_search_past_its_budget_falls_back_to_the_polish(monkeypatch):
+    # g7_18's search takes 13 passes over its 507 own-history steps; at a
+    # budget of 2,000 steps it stops after four, and the polish answers.
+    monkeypatch.setattr(recall, "_SEARCH_BUDGET", 2000)
+    g = gen_random(7, 3, 0.6, 0.2, False, 18)
+    report = optimal_strategy(g)
+    assert recall.pure_optimum(g) is None
+    assert report.certified == "heuristic"
+    assert report.notes == ("search_budget=2000 own-history steps exceeded",)
+    assert report.u1 <= Fraction(599, 70)
+
+
+def test_more_than_64_rows():
+    # numpy allows at most 64 axes; the pure seeds and the full grid once
+    # took one per row.  65 one-action rows lead to an absentminded row A
+    # visited twice, worth x_a ** 2.
+    nodes = [Node(f"p{k}", 1, ("go",), (f"p{k + 1}" if k < 64 else "d1",)) for k in range(65)]
+    nodes += [Node("d1", 1, ("a", "b"), ("d2", "z0")), Node("d2", 1, ("a", "b"), ("z1", "z2"))]
+    nodes += [Node(z, "terminal") for z in ("z0", "z1", "z2")]
+    utilities = {"z0": (Fraction(0),), "z1": (Fraction(1),), "z2": (Fraction(0),)}
+    infosets = [Infoset(f"P{k}", 1, (f"p{k}",), ("go",)) for k in range(65)]
+    infosets.append(Infoset("A", 1, ("d1", "d2"), ("a", "b")))
+    g = make_game(1, "p0", nodes, utilities, infosets)
+    assert validate_game(g) == [] and has_absentmindedness(g, 1)
+    assert len(g.numeric.index.rows) == 66
+    assert optimal_strategy(g).u1 == 1
+    assert best_worst(g, "EDT", "best").u1 == 1
+
+
+def test_pure_search_solves_a_3sat_game_with_75_rows():
+    # 14 variables, 60 clauses and the opt-out: 75 rows, where the pure
+    # enumeration raised.  A pure strategy is an assignment, worth
+    # eta + M' * (violated clauses) / n = 1 + 8 * violated.
+    rng = np.random.default_rng(0)
+    clauses = [[int(v) * int(rng.choice((1, -1))) for v in rng.choice(np.arange(1, 15), 3, False)]
+               for _ in range(60)]
+    g = gen_sat_game(clauses)
+    assert len(g.infosets[1]) == 75
+    report = optimal_strategy(g)
+    bits = (np.arange(2 ** 14)[:, None] >> np.arange(14)) & 1 == 1
+    violated = sum(np.all([bits[:, abs(l) - 1] != (l > 0) for l in c], axis=0) for c in clauses)
+    assert report.certified == "exact" and report.u1 == 1 + 8 * int(violated.max())
+    assert expected_utility(g, report.profile, 1) == report.u1
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(depth=st.integers(2, 4), merge=st.sampled_from([0.6, 0.9]),
        chance=st.sampled_from([0.3, 0.6]), absentminded=st.booleans(),
@@ -235,8 +304,9 @@ def test_pure_enumeration_sees_leaves_below_float_underflow():
 def test_perfect_recall_dp_is_the_pure_optimum(depth, merge, chance, absentminded, seed):
     g, _ = perfect_recall_refinement(
         gen_random(depth, 2, merge, chance, absentminded, seed), 1)
-    value, strategy = recall.perfect_recall_optimum(g)
-    assert value == solvers._pure_enumeration_opt(g)[0]
+    assume(math.prod(len(i.actions) for i in g.infosets.get(1, {}).values()) <= 512)
+    value, strategy = recall.pure_optimum(g)
+    assert value == brute_force_opt(g)[0]
     assert value == expected_utility(g, profile_from(strategy), 1)
 
 
@@ -551,10 +621,9 @@ def test_pure_enumeration_values_tied_optima_once(monkeypatch):
     monkeypatch.setattr(solvers, "expected_utility", counted)
     report = optimal_strategy(g)
     assert report.certified == "exact" and report.utilities == (Fraction(10),)
-    first = {"A": (1, 0, 0), "B": (1, 0, 0), "C": (1, 0, 0), "R": (0, 0, 1)}
-    assert report.profile[1].table == {k: tuple(map(Fraction, v)) for k, v in first.items()}
-    # Reached-leaf sets are valued from the leaf table: no tree walk.
+    # The search values histories, not strategies: no tree walk.
     assert calls == []
+    assert evaluate(g, report.profile, 1) == 10
 
 
 @pytest.mark.parametrize("make, walks", [
@@ -586,22 +655,6 @@ def test_an_exact_optimum_is_the_value_of_its_profile(depth, branching, merge, c
         assert report.u1 == expected_utility(g, report.profile, 1)
 
 
-@pytest.mark.parametrize("block", [1, 2, 5])
-@pytest.mark.parametrize("cut", range(5))
-def test_pure_enumeration_keeps_the_first_optimum_at_every_cut(monkeypatch, cut, block):
-    # The 27 tied optima are every third strategy index, so every cut of the
-    # four rows into a front and a back part, and small slab blocks, split
-    # the ties at every possible place.
-    g = forgetful_stop_game()
-    assert [r.size for r in g.numeric.index.rows] == [3, 3, 3, 3]
-    monkeypatch.setattr(solvers, "_front_rows", lambda sizes: cut)
-    monkeypatch.setattr(solvers, "_PURE_BLOCK", block)
-    value, strategy = solvers._pure_enumeration_opt(g)
-    assert value == Fraction(10)
-    first = {"A": (1, 0, 0), "B": (1, 0, 0), "C": (1, 0, 0), "R": (0, 0, 1)}
-    assert strategy.table == {k: tuple(map(Fraction, v)) for k, v in first.items()}
-
-
 def brute_force_opt(game):
     """The first exact maximum of ``expected_utility`` over the pure
     strategies, in ``itertools.product`` order over the sorted infosets."""
@@ -628,9 +681,8 @@ def test_pure_enumeration_matches_a_brute_force_scan(depth, branching, merge, ch
         g = fix_opponents(g, uniform_profile(g), mover)
     sizes = [len(i.actions) for i in g.infosets.get(1, {}).values()]
     assume(not has_perfect_recall(g, 1) and math.prod(sizes) <= 243)
-    value, strategy = solvers._pure_enumeration_opt(g)
-    ref_value, ref_strategy = brute_force_opt(g)
-    assert value == ref_value and strategy.table == ref_strategy.table
+    value, strategy = recall.pure_optimum(g)
+    assert value == brute_force_opt(g)[0] == expected_utility(g, profile_from(strategy), 1)
 
 
 @pytest.mark.parametrize("seed", [0, 2])

@@ -599,16 +599,17 @@ def test_coefficient_table_is_built_once_per_game(make, monkeypatch):
     (lambda: gen_dory(2), True), (lambda: gen_random(7, 3, 0.6, 0.2, False, 1), False),
 ], ids=["dory2", "r7"])
 def test_one_refinement_and_one_optimum_per_game(make, search, monkeypatch):
-    # Optimal play (r7's root check), OPT VoR, the chance bound, the
-    # coarsest-refinement oracle and the partial-recall search share the
-    # game's refinement, and the sequence-form DP runs once per game with
-    # perfect recall.  The games are kept in the lists, so no id repeats.
+    # Optimal play, OPT VoR, the chance bound, the coarsest-refinement
+    # oracle and the partial-recall search share the game's refinement,
+    # and the pure search runs once per game: on the game for its optimal
+    # play, and on the refinement for the bound and the OPT row.  The games
+    # are kept in the lists, so no id repeats.
     partitions, optima = [], []
-    partition, optimum = recall._perfect_recall_partition, recall._sequence_form_optimum
+    partition, optimum = recall._perfect_recall_partition, recall._pure_search
     monkeypatch.setattr(recall, "_perfect_recall_partition",
                         lambda game, player: partitions.append((game, player))
                         or partition(game, player))
-    monkeypatch.setattr(recall, "_sequence_form_optimum",
+    monkeypatch.setattr(recall, "_pure_search",
                         lambda game: optima.append(game) or optimum(game))
     g = make()
     optimal_strategy(g)
@@ -621,6 +622,6 @@ def test_one_refinement_and_one_optimum_per_game(make, search, monkeypatch):
     assert [(id(game), p) for game, p in partitions] == [(id(g), 1)]
     solved = [id(game) for game in optima]
     assert len(set(solved)) == len(solved)
-    assert id(refined) in solved and id(g) not in solved
+    assert id(refined) in solved and id(g) in solved
     again = perfect_recall_refinement(g, 1)
     assert again[0] is refined and again[1] is plan
