@@ -2,13 +2,17 @@
 concepts, and the value of recall with its structural bounds.
 
 The game, recall and strategy names are imported with the package; none of
-them needs numpy.  The solver names (``_SOLVER_NAMES``: ``optimal_strategy``,
-``SolverConfig`` and the rest) are resolved from ``irgames.solvers`` on
-first access (PEP 562), because that module loads numpy and the compiled
-float table.  A process that only validates, refines or reads
-coefficients, as the ``validate``, ``refine`` and ``coeffs`` CLI commands
-do, then never loads them.  ``from irgames import optimal_strategy`` and
-``irgames.SolverConfig`` work as before.
+them needs numpy.  ``optimal_strategy`` is one of them: it lives in
+``irgames.recall`` and loads the solvers only for absentminded games.  The
+other solver names (``_SOLVER_NAMES``) are resolved on first access
+(PEP 562): ``SolveReport`` and ``SolverConfig`` from the numpy-free
+``irgames.config``, the rest from ``irgames.solvers``, because that
+module loads numpy and the compiled float table.  A process that only
+validates, refines, reads coefficients or bounds, or plays optimally
+without absentmindedness, as the ``validate``, ``refine``, ``coeffs``,
+``bounds`` and ``solve --concept opt`` CLI commands do, then never loads
+them.  ``from irgames import SolverConfig`` and ``irgames.best_worst``
+work as before.
 """
 
 import importlib as _importlib
@@ -36,6 +40,7 @@ from .recall import (
     dummy_node_transform,
     full_information_refinement,
     has_perfect_recall,
+    optimal_strategy,
     perfect_recall_refinement,
     perfect_recall_refinement_all,
     refines,
@@ -74,7 +79,6 @@ _SOLVER_NAMES = (
     "enumerate_equilibria",
     "kkt_check",
     "nash_check",
-    "optimal_strategy",
 )
 # The submodules that importing the package loaded when the solver names
 # were imported eagerly; ``irgames.solvers`` still resolves after a bare
@@ -91,6 +95,9 @@ def __getattr__(name: str):
     if name in _LAZY_MODULES:
         return _importlib.import_module(f"{__name__}.{name}")
     if name in _SOLVER_NAMES:
+        config = _importlib.import_module(f"{__name__}.config")
+        if hasattr(config, name):
+            return getattr(config, name)
         return getattr(_importlib.import_module(f"{__name__}.solvers"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

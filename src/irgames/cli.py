@@ -21,9 +21,11 @@ loads only what its command needs.  ``validate``, ``refine``, ``coeffs``
 and ``bounds`` walk the game tree in exact arithmetic (the chance bound
 reads the refinement's optimum, ``recall.pure_optimum``) and never load
 numpy or ``irgames.solvers``, whose import would be more than half of
-such a command's time.  ``solve``, ``vor``, ``smooth-check`` and
-``partial-best`` load the solver stack, numpy and the compiled float
-table, when they run.
+such a command's time.  Nor do ``solve --concept opt``, ``vor --concept
+opt`` and ``partial-best`` on a game without absentmindedness: optimal
+play there is the same exact search (``recall.optimal_strategy``).  The
+other concepts, ``smooth-check`` and optimal play with absentmindedness
+load the solver stack, numpy and the compiled float table, when they run.
 The parser reads its defaults from the numpy-free ``irgames.config``.
 """
 
@@ -38,7 +40,11 @@ from fractions import Fraction
 from . import fileio
 from .config import CapExceededError, EquilibriumNotFoundError, SolverConfig
 from .game import Game, validate_game
-from .recall import perfect_recall_refinement, perfect_recall_refinement_all
+from .recall import (
+    optimal_strategy,
+    perfect_recall_refinement,
+    perfect_recall_refinement_all,
+)
 from .strategies import StrategyProfile, validate_profile
 
 
@@ -174,14 +180,14 @@ _SOLVE_CONCEPTS = ("opt", "edt", "cdt", "nash", "edt-nash", "cdt-nash")
 
 
 def cmd_solve(args) -> int:
-    from .solvers import best_worst, optimal_strategy
-
     game = _load_game(args.game)
     cfg = _config_from(args)
     which = "best" if args.best else "worst" if args.worst else "best"
     if args.concept == "opt":
         report = optimal_strategy(game, cfg)
     else:
+        from .solvers import best_worst
+
         report = best_worst(game, args.concept.upper(), which, cfg)
     _print_report(report)
     return 0

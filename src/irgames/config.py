@@ -1,8 +1,10 @@
-"""Solver settings and the solver errors, without numpy.
+"""Solver settings, the solve report and the solver errors, without numpy.
 
 The CLI builds its parser from ``SolverConfig``'s defaults and catches the
-two errors for every command, including the ones that never solve, so
-these live apart from ``irgames.solvers``, which loads numpy.
+two errors for every command, including the ones that never solve, and
+optimal play without absentmindedness (``recall.optimal_strategy``) builds
+a ``SolveReport`` without loading numpy, so these live apart from
+``irgames.solvers``, which loads numpy.
 ``irgames.solvers`` re-exports every name here: the objects, and with them
 the ``Game.memo`` keys that hold a ``SolverConfig``, are the same whichever
 module a caller imports them from.
@@ -15,6 +17,9 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .game import Num
+    from .strategies import StrategyProfile
 
 
 class CapExceededError(ValueError):
@@ -44,6 +49,24 @@ class SolverConfig:
 
 
 DEFAULT_CONFIG = SolverConfig()
+
+
+@dataclass(frozen=True)
+class SolveReport:
+    """Outcome of a solve: profile, utilities, residual, and an honest
+    certification flag (exact / grid-certified(...) / heuristic)."""
+
+    concept: str
+    which: str
+    profile: StrategyProfile
+    utilities: tuple
+    residual: float
+    certified: str
+    notes: tuple[str, ...] = ()
+
+    @property
+    def u1(self) -> Num:
+        return self.utilities[0]
 
 
 def _cfg(cfg: Optional[SolverConfig]) -> SolverConfig:

@@ -13,9 +13,9 @@ import hashlib
 from dataclasses import dataclass, replace
 from typing import Optional
 
+from .config import CapExceededError, SolverConfig, _cfg
 from .game import Game, Infoset, Num
-from .recall import refines, perfect_recall_refinement
-from .solvers import CapExceededError, SolverConfig, _cfg, optimal_strategy
+from .recall import optimal_strategy, refines, perfect_recall_refinement
 
 
 @dataclass(frozen=True)

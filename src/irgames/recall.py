@@ -1,7 +1,9 @@
 """Recall refinements: the partial order on infoset partitions, the
 coarsest perfect-recall refinement, and the dummy-node transform; and
 Player 1's pure optimum, a search bounded by that refinement's
-sequence-form optimum.
+sequence-form optimum, with the optimal-play dispatch that reads it.
+Only optimal play with absentmindedness, or past the search's budget,
+imports ``irgames.solvers`` and numpy, when it runs.
 
 Two games are comparable only when they share the exact same tree (node
 ids, ownership, actions, chance, utilities); refinements differ solely in
@@ -14,10 +16,13 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .game import Game, Infoset, Node, Num
-from .strategies import BehavioralStrategy, pure_strategy
+from .game import Game, Infoset, Node, Num, has_absentmindedness
+from .strategies import BehavioralStrategy, profile_from, pure_strategy
+
+if TYPE_CHECKING:
+    from .config import SolveReport, SolverConfig
 
 
 @dataclass(frozen=True)
@@ -229,6 +234,48 @@ def _pure_search(game: Game) -> Optional[tuple[Num, BehavioralStrategy]]:
             stack.append({**forced, i: a})
     value, plan = best
     return (Fraction(value, scale) if exact else value), pure_strategy(game, 1, plan)
+
+
+def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveReport:
+    """Best achievable play in a single-player game.
+
+    Without absentmindedness a pure optimum exists, so the answer is exact:
+    ``pure_optimum``, the branch-and-bound whose bounds are the
+    perfect-recall refinement's sequence-form optimum, unless it runs past
+    its budget.  With absentmindedness, or past that budget, the utility
+    is attacked by multistart projected ascent, with a seeded grid scan
+    under absentmindedness (``solvers._numeric_opt``); the best polished
+    point is snapped to exact fractions when doing so loses nothing.
+    The report is solved once per game and ``SolverConfig`` and kept in
+    ``game.memo``.
+    """
+    # Imported here: a module-level import would bind ``irgames.config``
+    # on ``import irgames``, which loads this module.
+    from .config import _cfg
+
+    cfg = _cfg(cfg)
+    if game.players != 1:
+        raise ValueError("optimal_strategy expects a single-player game; "
+                         "use fix_opponents first")
+    key = ("optimal strategy", cfg)
+    if key not in game.memo:
+        game.memo[key] = _solve_opt(game, cfg)
+    return game.memo[key]
+
+
+def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
+    found = None if has_absentmindedness(game, 1) else pure_optimum(game)
+    if found is None:
+        from .solvers import _numeric_opt
+
+        return _numeric_opt(game, cfg)
+    from .config import SolveReport
+
+    value, strategy = found
+    return SolveReport(
+        concept="OPT", which="any", profile=profile_from(strategy),
+        utilities=(value,), residual=0.0, certified="exact",
+    )
 
 
 def has_perfect_recall(game: Game, player: int) -> bool:

@@ -11,7 +11,10 @@ Computation policy, in one place:
 * games without absentmindedness admit pure optima, so optimal play is
   the numpy-free ``recall.pure_optimum``: a branch-and-bound over pure
   strategies, each node bounded by one sequence-form pass over the
-  player's own histories, which under perfect recall is the answer;
+  player's own histories, which under perfect recall is the answer.  The
+  dispatch, ``optimal_strategy``, lives in ``irgames.recall`` next to it
+  and imports this module only for ``_numeric_opt`` below, so optimal play
+  without absentmindedness loads no numpy; it is re-exported here;
 * with absentmindedness the utility is a polynomial over a product of
   simplices, whose maximiser is a KKT point, so optimal play seeds the
   uniform profile, random vertices and mixed profiles, a grid and, where
@@ -84,9 +87,10 @@ Computation policy, in one place:
   and would join every ``Game.memo`` key.  Functions read the constants
   when called, so a test can patch them; the memo keys do not carry them,
   so a patched run needs a fresh game.  ``SolverConfig`` holds only the
-  CLI's flags; it and the two solver errors live in the numpy-free
-  ``irgames.config``, so that the CLI can build its parser and handle
-  errors without loading this module, and are re-exported here;
+  CLI's flags; it, ``SolveReport`` and the two solver errors live in the
+  numpy-free ``irgames.config``, so that the CLI can build its parser and
+  handle errors, and optimal play can report, without loading this
+  module, and are re-exported here;
 * enumeration certifies nothing: seeding every grid point bounds no
   extremum, so every enumeration report is ``heuristic``.  Optimal play
   on a full grid is ``grid-certified``, with a Lipschitz gap bound.
@@ -106,6 +110,7 @@ from .config import (
     DEFAULT_CONFIG,
     CapExceededError,
     EquilibriumNotFoundError,
+    SolveReport,
     SolverConfig,
     _cfg,
 )
@@ -121,6 +126,7 @@ from .numeric import (
     simplex_grid,
 )
 from . import recall
+from .recall import optimal_strategy
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
@@ -145,61 +151,10 @@ _ENUM_DIM_CAP = 512
 _WITNESS_CAP = 256
 
 
-@dataclass(frozen=True)
-class SolveReport:
-    """Outcome of a solve: profile, utilities, residual, and an honest
-    certification flag (exact / grid-certified(...) / heuristic)."""
-
-    concept: str
-    which: str
-    profile: StrategyProfile
-    utilities: tuple
-    residual: float
-    certified: str
-    notes: tuple[str, ...] = ()
-
-    @property
-    def u1(self) -> Num:
-        return self.utilities[0]
-
-
 # ---------------------------------------------------------------------------
-# Optimal strategies (single-player)
+# Optimal strategies (single-player): the dispatch is
+# ``recall.optimal_strategy``; this is its numeric path
 # ---------------------------------------------------------------------------
-
-
-def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveReport:
-    """Best achievable play in a single-player game.
-
-    Without absentmindedness a pure optimum exists, so the answer is exact:
-    ``recall.pure_optimum``, the branch-and-bound whose bounds are the
-    perfect-recall refinement's sequence-form optimum, unless it runs past
-    its budget.  With absentmindedness, or past that budget, the utility
-    is attacked by multistart projected ascent, with a seeded grid scan
-    under absentmindedness; the best polished point is snapped to exact
-    fractions when doing so loses nothing.
-    The report is solved once per game and ``SolverConfig`` and kept in
-    ``game.memo``.
-    """
-    cfg = _cfg(cfg)
-    if game.players != 1:
-        raise ValueError("optimal_strategy expects a single-player game; "
-                         "use fix_opponents first")
-    key = ("optimal strategy", cfg)
-    if key not in game.memo:
-        game.memo[key] = _solve_opt(game, cfg)
-    return game.memo[key]
-
-
-def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
-    found = None if has_absentmindedness(game, 1) else recall.pure_optimum(game)
-    if found is None:
-        return _numeric_opt(game, cfg)
-    value, strategy = found
-    return SolveReport(
-        concept="OPT", which="any", profile=profile_from(strategy),
-        utilities=(value,), residual=0.0, certified="exact",
-    )
 
 
 def _mixed_radix(radices: Sequence[int]) -> np.ndarray:

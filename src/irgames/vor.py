@@ -18,9 +18,11 @@ leaf monomials:
 ``coefficient_table`` builds them once per game, in exact arithmetic, and
 every bound reads them there; only the branching factors walk the tree.
 The chance bound reads the refinement's exact optimum from
-``recall.pure_optimum``, one sequence-form pass under perfect recall.  Only ``vor_compute`` and
-``smoothness_check`` import numpy and ``irgames.solvers``, when called,
-so ``irgames coeffs`` and ``irgames bounds`` never load them.
+``recall.pure_optimum``, one sequence-form pass under perfect recall.
+Only ``vor_compute`` for a concept other than OPT, OPT on an absentminded
+game and ``smoothness_check`` import numpy and ``irgames.solvers``, when
+called, so ``irgames coeffs``, ``irgames bounds`` and OPT VoR without
+absentmindedness never load them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 from .config import SolverConfig, _cfg
 from .game import Game, Leaf, Num, has_absentmindedness, subtree_nodes
-from .recall import perfect_recall_refinement, pure_optimum
+from .recall import optimal_strategy, perfect_recall_refinement, pure_optimum
 from .strategies import (
     BehavioralStrategy,
     StrategyProfile,
@@ -42,7 +44,7 @@ from .strategies import (
 )
 
 if TYPE_CHECKING:
-    from .solvers import SolveReport
+    from .config import SolveReport
 
 VOR_CONCEPTS = (
     "OPT",
@@ -239,10 +241,10 @@ class VorReport:
 
 
 def _solve_concept(game: Game, concept: str, cfg: SolverConfig) -> SolveReport:
-    from .solvers import best_worst, optimal_strategy
-
     if concept == "OPT":
         return optimal_strategy(game, cfg)
+    from .solvers import best_worst
+
     which = "best" if concept[0] == "b" else "worst"
     return best_worst(game, concept[1:], which, cfg)
 
@@ -332,7 +334,7 @@ def smoothness_check(
     """
     import numpy as np
 
-    from .solvers import _pure_seed_vectors, _random_mixed, optimal_strategy
+    from .solvers import _pure_seed_vectors, _random_mixed
 
     cfg = _cfg(cfg)
     if game.players != 1:

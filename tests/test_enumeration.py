@@ -103,7 +103,7 @@ def test_one_optimal_solve_per_game_and_config(monkeypatch, make):
 
 
 def test_single_player_nash_check_solves_the_game_itself(monkeypatch):
-    solves = count_calls(monkeypatch, "_solve_opt")
+    solves = count_calls(monkeypatch, "_solve_opt", recall)
     game = gen_fig2()
     for row in ((1, 0), (Fraction(1, 3), Fraction(2, 3))):
         solvers.nash_check(game, single({"I": row}))

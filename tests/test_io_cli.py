@@ -15,7 +15,7 @@ import irgames
 
 from conftest import single
 
-from irgames import solvers
+from irgames import recall
 from irgames.cli import _config_from, build_parser, cli_main, fmt
 from irgames.dot import export_dot
 from irgames.fileio import (
@@ -229,8 +229,8 @@ def test_cli_partial_best_solves_each_candidate_once(tmp_path, monkeypatch, caps
     game = tmp_path / "lenny6.json"
     write_game(gen_lenny(6), str(game))
     calls = []
-    solve = solvers._solve_opt
-    monkeypatch.setattr(solvers, "_solve_opt", lambda g, cfg: calls.append(g) or solve(g, cfg))
+    solve = recall._solve_opt
+    monkeypatch.setattr(recall, "_solve_opt", lambda g, cfg: calls.append(g) or solve(g, cfg))
     # The count does not depend on the solver flags; these keep it fast.
     assert run(["partial-best", str(game), "--k", "1",
                 "--grid-resolution", "2", "--multistart", "0"]) == 0
