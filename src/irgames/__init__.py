@@ -3,15 +3,15 @@ concepts, and the value of recall with its structural bounds.
 
 The game, recall and strategy names are imported with the package; none of
 them needs numpy.  ``optimal_strategy`` is one of them: it lives in
-``irgames.recall`` and loads the solvers only for absentminded games.  The
-other solver names (``_SOLVER_NAMES``) are resolved on first access
-(PEP 562): ``SolveReport`` and ``SolverConfig`` from the numpy-free
-``irgames.config``, the rest from ``irgames.solvers``, because that
-module loads numpy and the compiled float table.  A process that only
-validates, refines, reads coefficients or bounds, or plays optimally
-without absentmindedness, as the ``validate``, ``refine``, ``coeffs``,
-``bounds`` and ``solve --concept opt`` CLI commands do, then never loads
-them.  ``from irgames import SolverConfig`` and ``irgames.best_worst``
+``irgames.recall`` and loads the solvers only where no exact path answers
+(see its docstring).  The other solver names (``_SOLVER_NAMES``) are
+resolved on first access (PEP 562): ``SolveReport`` and ``SolverConfig``
+from the numpy-free ``irgames.config``, the rest from
+``irgames.solvers``, because that module loads numpy and the compiled
+float table.  A process that only validates, refines, reads coefficients
+or bounds, or plays optimally where an exact path answers, as the
+``validate``, ``refine``, ``coeffs``, ``bounds`` and ``solve --concept
+opt`` CLI commands do, then never loads them.  ``from irgames import SolverConfig`` and ``irgames.best_worst``
 work as before.
 """
 

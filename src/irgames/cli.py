@@ -22,10 +22,13 @@ and ``bounds`` walk the game tree in exact arithmetic (the chance bound
 reads the refinement's optimum, ``recall.pure_optimum``) and never load
 numpy or ``irgames.solvers``, whose import would be more than half of
 such a command's time.  Nor do ``solve --concept opt``, ``vor --concept
-opt`` and ``partial-best`` on a game without absentmindedness: optimal
-play there is the same exact search (``recall.optimal_strategy``).  The
-other concepts, ``smooth-check`` and optimal play with absentmindedness
-load the solver stack, numpy and the compiled float table, when they run.
+opt`` and ``partial-best`` where optimal play has an exact answer
+(``recall.optimal_strategy``): on a game without absentmindedness, the
+same exact search; with absentmindedness, one two-action row in closed
+form, or in an exact game a best pure strategy that meets the
+refinement's optimum.  The other concepts, ``smooth-check`` and the rest
+of optimal play load the solver stack, numpy and the compiled float
+table, when they run.
 The parser reads its defaults from the numpy-free ``irgames.config``.
 """
 

@@ -2,8 +2,8 @@
 
 The CLI builds its parser from ``SolverConfig``'s defaults and catches the
 two errors for every command, including the ones that never solve, and
-optimal play without absentmindedness (``recall.optimal_strategy``) builds
-a ``SolveReport`` without loading numpy, so these live apart from
+optimal play with an exact answer (``recall.optimal_strategy``) builds a
+``SolveReport`` without loading numpy, so these live apart from
 ``irgames.solvers``, which loads numpy.
 ``irgames.solvers`` re-exports every name here: the objects, and with them
 the ``Game.memo`` keys that hold a ``SolverConfig``, are the same whichever

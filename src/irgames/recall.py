@@ -2,8 +2,10 @@
 coarsest perfect-recall refinement, and the dummy-node transform; and
 Player 1's pure optimum, a search bounded by that refinement's
 sequence-form optimum, with the optimal-play dispatch that reads it.
-Only optimal play with absentmindedness, or past the search's budget,
-imports ``irgames.solvers`` and numpy, when it runs.
+Only optimal play that no exact path answers (an absentminded game whose
+best pure strategy falls short of the refinement's optimum, a float
+absentminded game, or a search past its budget) imports
+``irgames.solvers`` and numpy, when it runs.
 
 Two games are comparable only when they share the exact same tree (node
 ids, ownership, actions, chance, utilities); refinements differ solely in
@@ -12,7 +14,6 @@ how one player's decision nodes are grouped into infosets.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -242,9 +243,15 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
     Without absentmindedness a pure optimum exists, so the answer is exact:
     ``pure_optimum``, the branch-and-bound whose bounds are the
     perfect-recall refinement's sequence-form optimum, unless it runs past
-    its budget.  With absentmindedness, or past that budget, the utility
-    is attacked by multistart projected ascent, with a seeded grid scan
-    under absentmindedness (``solvers._numeric_opt``); the best polished
+    its budget.  With absentmindedness two exact answers come first: one
+    two-action row is maximised in closed form
+    (``closed_form.two_action_optimum``) where its derivative allows, and
+    in an exact game the best pure strategy is optimal when it meets the
+    refinement's exact optimum, which by lifting bounds every strategy,
+    mixed ones too.  What remains, and a search past its budget, is
+    attacked by multistart projected ascent, with a seeded grid scan
+    under absentmindedness (``solvers._numeric_opt``), seeded also with
+    the best pure strategy where the search found it; the best polished
     point is snapped to exact fractions when doing so loses nothing.
     The report is solved once per game and ``SolverConfig`` and kept in
     ``game.memo``.
@@ -264,11 +271,28 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
 
 
 def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
-    found = None if has_absentmindedness(game, 1) else pure_optimum(game)
+    incumbent = None
+    if not has_absentmindedness(game, 1):
+        found = pure_optimum(game)
+    else:
+        found = None
+        rows = list(game.infosets[1].values())
+        if len(rows) == 1 and len(rows[0].actions) == 2:
+            from .closed_form import two_action_optimum
+
+            found = two_action_optimum(game)
+        # Lifting keeps utility, so the refinement's exact optimum bounds
+        # every strategy's value: a pure optimum that meets it is optimal.
+        # Two float sums added in different orders prove nothing.
+        if found is None and game.is_rational:
+            incumbent = pure_optimum(game)
+            refined = perfect_recall_refinement(game, 1)[0]
+            if incumbent is not None and incumbent[0] == pure_optimum(refined)[0]:
+                found, incumbent = incumbent, None
     if found is None:
         from .solvers import _numeric_opt
 
-        return _numeric_opt(game, cfg)
+        return _numeric_opt(game, cfg, incumbent[1] if incumbent else None)
     from .config import SolveReport
 
     value, strategy = found
@@ -296,6 +320,8 @@ def _history_names(steps: list[tuple[int, str, str]]
     trie, children in step order, meets the keys in sorted order; each
     history's hash state extends a copy of its parent's by one step of the
     ``repr``, so no key is ever built."""
+    import hashlib  # only here: ``import irgames`` need not load it
+
     children: dict[int, list[int]] = {}
     for h, (parent, _, _) in enumerate(steps):
         children.setdefault(parent, []).append(h)

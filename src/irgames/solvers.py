@@ -13,18 +13,23 @@ Computation policy, in one place:
   strategies, each node bounded by one sequence-form pass over the
   player's own histories, which under perfect recall is the answer.  The
   dispatch, ``optimal_strategy``, lives in ``irgames.recall`` next to it
-  and imports this module only for ``_numeric_opt`` below, so optimal play
-  without absentmindedness loads no numpy; it is re-exported here;
+  and imports this module only for ``_numeric_opt`` below, when no exact
+  path answers; it is re-exported here;
 * with absentmindedness the utility is a polynomial over a product of
-  simplices, whose maximiser is a KKT point, so optimal play seeds the
-  uniform profile, random vertices and mixed profiles, a grid and, where
-  they are few, every pure profile, polishes them all by the projected
-  gradient dynamics of the CDT candidate stage (``_gradient_polish``, one
-  moving player), then snaps the best polished point to exact fractions
-  when that does not lose value, ``exact`` if it meets the refinement's
-  optimum, which bounds it.  A game without absentmindedness whose pure
-  search runs past ``recall._SEARCH_BUDGET`` takes this path without the
-  grid;
+  simplices.  Two exact, numpy-free answers come first: one two-action
+  row is maximised in closed form where the derivative, its roots at 0
+  and 1 divided out, is linear (``irgames.closed_form``), and in an exact
+  game a best pure strategy that meets the refinement's exact optimum is
+  optimal, since lifting keeps utility and so that optimum bounds every
+  strategy.  Otherwise the maximiser is a KKT point, so
+  ``_numeric_opt`` seeds the uniform profile, random vertices and mixed
+  profiles, a grid, the search's best pure strategy and, where they are
+  few, every pure profile, polishes them all by the projected gradient
+  dynamics of the CDT candidate stage (``_gradient_polish``, one moving
+  player), then snaps the best polished point to exact fractions when
+  that does not lose value, ``exact`` if it meets the refinement's
+  optimum.  A game without absentmindedness whose pure search runs past
+  ``recall._SEARCH_BUDGET`` takes this path without the grid;
 * equilibrium enumeration runs in two stages.  The candidate stage seeds
   pure/grid/random profiles, polishes them, keeps the profiles whose
   residual clears the tolerance, drops repeats by one byte key per
@@ -168,12 +173,16 @@ def _mixed_radix(radices: Sequence[int]) -> np.ndarray:
     return out
 
 
-def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
-    """Multistart gradient polish for absentminded games, seeded with a
-    grid, and for games whose pure search ran past its budget.  The
-    best polished point is snapped to small fractions and valued exactly
-    once; the snap is kept when that loses nothing, ``exact`` if it meets
-    the refinement's optimum."""
+def _numeric_opt(game: Game, cfg: SolverConfig,
+                 incumbent: Optional[BehavioralStrategy] = None) -> SolveReport:
+    """Multistart gradient polish for the absentminded games no exact path
+    of ``recall.optimal_strategy`` solved, seeded with a grid, and for
+    games whose pure search ran past its budget.  ``incumbent``, the best
+    pure strategy when the search found it, is one more seed: the polish
+    only ascends, so the answer is worth no less, up to the 1e-11 a snap
+    may lose.  The best polished point is snapped to small fractions and
+    valued exactly once; the snap is kept when that loses nothing,
+    ``exact`` if it meets the refinement's optimum."""
     num = game.numeric
     rng = cfg.rng()
     seeds = [num.index.uniform()[None],
@@ -200,6 +209,8 @@ def _numeric_opt(game: Game, cfg: SolverConfig) -> SolveReport:
     sizes = [r.size for r in num.index.rows]
     if math.prod(sizes) <= _ENUM_PURE_CAP:
         seeds.append(_one_hot(num.index, _mixed_radix(sizes)))
+    if incumbent is not None:
+        seeds.append(num.index.vector(profile_from(incumbent))[None])
 
     X, gaps = _gradient_polish(num, np.concatenate(seeds))
     vals = num.utility(X, 1)

@@ -19,10 +19,13 @@ leaf monomials:
 every bound reads them there; only the branching factors walk the tree.
 The chance bound reads the refinement's exact optimum from
 ``recall.pure_optimum``, one sequence-form pass under perfect recall.
-Only ``vor_compute`` for a concept other than OPT, OPT on an absentminded
-game and ``smoothness_check`` import numpy and ``irgames.solvers``, when
-called, so ``irgames coeffs``, ``irgames bounds`` and OPT VoR without
-absentmindedness never load them.
+Only ``vor_compute`` for a concept other than OPT, OPT where optimal play
+needs the polish and ``smoothness_check`` import numpy and
+``irgames.solvers``, when called, so ``irgames coeffs``, ``irgames
+bounds`` and OPT VoR with an exact optimum (every game without
+absentmindedness, one two-action row in closed form, a best pure strategy
+at the refinement's optimum; see ``recall.optimal_strategy``) never load
+them.
 """
 
 from __future__ import annotations

@@ -85,6 +85,27 @@ def per_row_kkt_residuals(num: NumericGame, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def stall_chain(visits: tuple[int, ...]):
+    """One infoset with an action per entry of ``visits``, entered
+    sum(visits) times: the one paying leaf (utility 1) follows the path
+    that plays the first action visits[0] times, then the second
+    visits[1] times, and so on; every other action stops at 0."""
+    actions = tuple("ABCDEFGH"[: len(visits)])
+    path = [a for a, k in zip(actions, visits) for _ in range(k)]
+    ids = [f"d{k}" for k in range(len(path))] + ["win"]
+    nodes, utilities = [], {"win": (Fraction(1),)}
+    for k, taken in enumerate(path):
+        children = tuple(ids[k + 1] if a == taken else f"z{k}{a}" for a in actions)
+        nodes.append(Node(id=ids[k], owner=1, actions=actions, children=children))
+        for a in actions:
+            if a != taken:
+                nodes.append(Node(id=f"z{k}{a}", owner="terminal"))
+                utilities[f"z{k}{a}"] = (Fraction(0),)
+    nodes.append(Node(id="win", owner="terminal"))
+    infosets = [Infoset(id="I", player=1, nodes=tuple(ids[:-1]), actions=actions)]
+    return make_game(1, ids[0], nodes, utilities, infosets, name="stall")
+
+
 @pytest.fixture
 def tiny_game() -> Game:
     """One decision node, two leaves; the smallest valid game."""

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import per_row_kkt_residuals, single
 
+import irgames.closed_form as closed_form
 import irgames.recall as recall
 import irgames.solvers as solvers
 from irgames.game import Node, make_game
@@ -89,7 +90,8 @@ def test_one_candidate_stage_per_game_family_and_config(monkeypatch, make):
 @pytest.mark.parametrize("make", [gen_fig5, default_valid_utility])
 def test_one_optimal_solve_per_game_and_config(monkeypatch, make):
     solves = [count_calls(monkeypatch, "_numeric_opt"),
-              count_calls(monkeypatch, "_pure_search", recall)]
+              count_calls(monkeypatch, "_pure_search", recall),
+              count_calls(monkeypatch, "two_action_optimum", closed_form)]
     game = make()
     report = solvers.optimal_strategy(game)
     vor_compute(game, "OPT")

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import stall_chain
+
 import irgames
 from irgames import solvers
 from irgames.fileio import write_game
@@ -57,14 +59,22 @@ def dory3():
     return gen_dory(3)
 
 
+def am6():
+    """The benchmark's am6: absentminded three-action rows, whose best pure
+    strategy meets the refinement's optimum 48/5."""
+    return gen_random(6, 3, 0.6, 0.2, True, seed=1)
+
+
 # (command and flags, game, id).  dory3 has chance nodes and no
 # absentmindedness, so its chance bound reads the refinement's exact
 # optimum; optimal play without absentmindedness is the pure search, on the
-# game and on every partial-recall candidate.
+# game and on every partial-recall candidate.  With absentmindedness it is
+# exact without the polish on fig2 (one two-action row, in closed form) and
+# on am6 (the pure search, certified by the refinement's optimum).
 OPT_COMMANDS = [
     pytest.param(argv, make, id=f"{argv[0]}-opt-{name}")
     for argv in (("solve", "--concept", "opt"), ("vor", "--concept", "opt"))
-    for make, name in ((dory3, "dory3"), (r7, "r7"))
+    for make, name in ((dory3, "dory3"), (r7, "r7"), (gen_fig2, "fig2"), (am6, "am6"))
 ] + [pytest.param(("partial-best", "--k", "1"), x3c, id="partial-best-x3c")]
 
 
@@ -110,8 +120,9 @@ def test_optimal_play_prints_the_same_where_numpy_cannot_be_imported(tmp_path, a
 
 
 def test_absentminded_optimal_play_loads_the_solvers(tmp_path):
-    # fig2's one infoset is absentminded: OPT is the grid-seeded polish.
-    argv = ["solve", write(tmp_path, gen_fig2), "--concept", "opt"]
+    # One absentminded three-action row whose every pure strategy is worth
+    # 0, below the refinement's 1: OPT is the grid-seeded polish.
+    argv = ["solve", write(tmp_path, lambda: stall_chain((2, 2, 4))), "--concept", "opt"]
     proc = fresh_python(
         "import sys\n"
         f"sys.argv[1:] = {argv!r}\n"
@@ -123,11 +134,11 @@ def test_absentminded_optimal_play_loads_the_solvers(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "concept: OPT (any)",
-        "u1: 0.666666666667 (= 2/3)",
+        "u1: 0.000244140625 (= 1/4096)",
         "residual: 0",
         "certified: grid-certified(delta=1/64)",
-        "note: grid gap bound 0.0546875",
-        "P1 I: [0.333333333333 (= 1/3), 0.666666666667 (= 2/3)]",
+        "note: grid gap bound 0.125",
+        "P1 I: [0.25 (= 1/4), 0.25 (= 1/4), 0.5 (= 1/2)]",
         "True",
     ]
 

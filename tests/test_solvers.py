@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import single, strat
+from conftest import single, stall_chain, strat
 
+import irgames.closed_form as closed_form
 import irgames.recall as recall
 import irgames.solvers as solvers
 from irgames.game import Infoset, Node, has_absentmindedness, make_game, validate_game
@@ -108,33 +109,31 @@ def with_float_numbers(game):
                    utilities={z: tuple(map(float, u)) for z, u in game.utilities.items()})
 
 
-@pytest.mark.parametrize("make, value, certified, notes", [
-    (lambda: gen_random(7, 3, 0.6, 0.2, False, 1), Fraction(78, 11), "exact", ()),
-    (lambda: gen_random(6, 3, 0.6, 0.2, True, 1), Fraction(48, 5), "exact", ()),
-    (gen_fig5, Fraction(2), "exact", ()),
-    (gen_fig2, Fraction(2, 3), "grid-certified(delta=1/64)", ("grid gap bound 0.0546875",)),
-    (lambda: gen_lenny(6), Fraction(1, 64), "grid-certified(delta=1/64)",
-     ("grid gap bound 0.09375",)),
-    (lambda: with_float_numbers(gen_random(7, 3, 0.6, 0.2, False, 1)), 78 / 11, "exact", ()),
-    (lambda: with_float_numbers(gen_fig5()), 2.0, "grid-certified(delta=1/64)",
-     ("grid gap bound 0.09375",)),
+@pytest.mark.parametrize("make, value, bound", [
+    (lambda: gen_random(7, 3, 0.6, 0.2, False, 1), Fraction(78, 11), Fraction(78, 11)),
+    (lambda: gen_random(6, 3, 0.6, 0.2, True, 1), Fraction(48, 5), Fraction(48, 5)),
+    (gen_fig5, Fraction(2), Fraction(2)),
+    (gen_fig2, Fraction(2, 3), Fraction(3, 2)),
+    (lambda: gen_lenny(6), Fraction(1, 64), Fraction(1)),
+    (lambda: with_float_numbers(gen_random(7, 3, 0.6, 0.2, False, 1)), 78 / 11, 78 / 11),
+    (lambda: with_float_numbers(gen_fig5()), 2.0, 2.0),
 ], ids=["r7", "am6", "fig5", "fig2", "lenny6", "float r7", "float fig5"])
-def test_an_exact_snap_at_the_refinements_optimum_is_certified(make, value, certified, notes):
+def test_an_exact_snap_at_the_refinements_optimum_is_certified(make, value, bound):
     # Lifting keeps utility, so the refinement's exact optimum bounds the
-    # game's: fig2 (2/3 against 3/2) and lenny6 (1/64 against 1) stay
-    # below it, and a float game's snapped value is never compared with it
-    # (float fig5).  r7 is not absentminded, so its pure search is exact,
-    # in floats too.
+    # game's: am6's best pure strategy meets it, and r7 is not
+    # absentminded, so its pure search is exact, in floats too.  fig2
+    # (2/3 against 3/2), lenny6 (1/64 against 1) and fig5, in floats too,
+    # have one two-action row, whose maximum is found in closed form.
     g = make()
     report = optimal_strategy(g)
     assert report.u1 == pytest.approx(value, rel=1e-12)
     assert isinstance(report.u1, Fraction) == isinstance(value, Fraction)
-    assert (report.certified, report.notes) == (certified, notes)
-    if certified == "exact":
-        refined = perfect_recall_refinement(g, 1)[0]
-        for exact in (recall.pure_optimum(refined)[0], expected_utility(g, report.profile, 1)):
-            assert report.u1 == (exact if isinstance(value, Fraction)
-                                 else pytest.approx(exact, rel=1e-12))
+    assert (report.certified, report.notes) == ("exact", ())
+    refined = perfect_recall_refinement(g, 1)[0]
+    for exact, want in ((recall.pure_optimum(refined)[0], bound),
+                        (expected_utility(g, report.profile, 1), report.u1)):
+        assert exact == (want if isinstance(value, Fraction)
+                         else pytest.approx(want, rel=1e-12))
 
 
 def perfect_recall_games():
@@ -262,6 +261,104 @@ def test_pure_search_past_its_budget_falls_back_to_the_polish(monkeypatch):
     assert report.certified == "heuristic"
     assert report.notes == ("search_budget=2000 own-history steps exceeded",)
     assert report.u1 <= Fraction(599, 70)
+
+
+def no_polish(game, cfg, incumbent=None):
+    raise AssertionError("optimal play reached the polish")
+
+
+def one_row_game(tree):
+    """A one-player game from a nested tuple: ("I", left, right) is a node
+    of the one infoset I (actions L, R), ("c", left, right) a chance node
+    with probabilities (1/3, 2/3), and an integer a leaf's utility."""
+    nodes, utilities, members = [], {}, []
+    stack = [("n", tree)]
+    while stack:
+        nid, t = stack.pop()
+        if isinstance(t, int):
+            nodes.append(Node(nid, "terminal"))
+            utilities[nid] = (Fraction(t),)
+            continue
+        kind, *subtrees = t
+        children = (nid + "0", nid + "1")
+        if kind == "c":
+            nodes.append(Node(nid, "chance", ("l", "r"), children,
+                              (Fraction(1, 3), Fraction(2, 3))))
+        else:
+            nodes.append(Node(nid, 1, ("L", "R"), children))
+            members.append(nid)
+        stack.extend(zip(children, subtrees))
+    infosets = [Infoset("I", 1, tuple(members), ("L", "R"))]
+    return make_game(1, "n", nodes, utilities, infosets, name="one-row")
+
+
+@pytest.mark.parametrize("make, value", [
+    (lambda: stall_chain((10, 20)), Fraction(1, 3) ** 10 * Fraction(2, 3) ** 20),
+    (lambda: stall_chain((30, 60)), Fraction(1, 3) ** 30 * Fraction(2, 3) ** 60),
+    (lambda: stall_chain((100, 200)), Fraction(1, 3) ** 100 * Fraction(2, 3) ** 200),
+    (lambda: gen_lenny(200), Fraction(1, 2 ** 200)),
+    (lambda: with_float_numbers(gen_fig2()), 2 / 3),
+], ids=["stall10_20", "stall30_60", "stall100_200", "lenny200", "float fig2"])
+def test_one_two_action_row_is_maximised_in_closed_form(monkeypatch, make, value):
+    # The polish stalled below the skew chains' maxima, at 5.0844e-9 on
+    # the first, and called that grid-certified.
+    monkeypatch.setattr(solvers, "_numeric_opt", no_polish)
+    g = make()
+    report = optimal_strategy(g)
+    assert (report.u1, report.certified, report.notes) == (value, "exact", ())
+    assert isinstance(report.u1, Fraction) == g.is_rational
+    assert expected_utility(g, report.profile, 1) == value
+
+
+def test_a_higher_degree_row_falls_through_to_the_polish():
+    # (1 - x)(9 x^2 + 1): R stripped of its root at 0 is quadratic, with
+    # the irrational root (9 + sqrt 54) / 27; every pure strategy is worth
+    # at most 1, below the refinement's 9.
+    g = one_row_game(("I", ("I", ("I", 0, 9), 0), 1))
+    assert closed_form.two_action_optimum(g) is None
+    report = optimal_strategy(g)
+    x = (9 + math.sqrt(54)) / 27
+    assert report.certified == "grid-certified(delta=1/64)"
+    assert float(report.u1) == pytest.approx((1 - x) * (9 * x * x + 1), rel=1e-9)
+
+
+def test_a_pure_optimum_at_the_refinements_optimum_skips_the_polish(monkeypatch):
+    # am6's best pure strategy meets the refinement's exact optimum, which
+    # bounds every mixed strategy too.  A float copy proves nothing by that
+    # comparison and polishes.
+    monkeypatch.setattr(solvers, "_numeric_opt", no_polish)
+    g = gen_random(6, 3, 0.6, 0.2, True, 1)
+    report = optimal_strategy(g)
+    assert (report.u1, report.certified, report.notes) == (Fraction(48, 5), "exact", ())
+    with pytest.raises(AssertionError, match="polish"):
+        optimal_strategy(with_float_numbers(g))
+
+
+def test_the_polish_starts_from_the_best_pure_strategy():
+    # The best pure strategy, 299/35, falls short of the refinement's
+    # optimum, so the polish runs; it reported 8.4594 before it was seeded
+    # with that strategy.
+    g = gen_random(7, 3, 0.6, 0.2, True, 18)
+    report = optimal_strategy(g)
+    assert recall.pure_optimum(g)[0] == Fraction(299, 35)
+    assert report.certified == "heuristic" and report.u1 >= Fraction(299, 35)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(tree=st.recursive(st.integers(0, 9), lambda sub: st.tuples(
+    st.sampled_from("IIc"), sub, sub), max_leaves=12).filter(lambda t: not isinstance(t, int)))
+def test_one_two_action_row_is_worth_the_polish_and_every_pure_strategy(tree):
+    g = one_row_game(("I", *tree[1:]))
+    assert validate_game(g) == []
+    assume(has_absentmindedness(g, 1))
+    report = optimal_strategy(g)
+    polished = float(solvers._numeric_opt(g, CFG).u1)
+    assert float(report.u1) >= polished - 1e-9 * abs(polished)
+    for row in ((1, 0), (0, 1)):
+        assert report.u1 >= expected_utility(g, single({"I": row}), 1)
+    if closed_form.two_action_optimum(g) is not None:
+        assert report.certified == "exact"
+        assert report.u1 == expected_utility(g, report.profile, 1)
 
 
 def test_more_than_64_rows():
@@ -627,14 +724,16 @@ def test_pure_enumeration_values_tied_optima_once(monkeypatch):
 
 
 @pytest.mark.parametrize("make, walks", [
-    (gen_fig2, 1), (lambda: gen_lenny(6), 1),
-    (lambda: gen_random(6, 3, 0.6, 0.2, True, 1), 1),
+    (gen_fig2, 0), (lambda: gen_lenny(6), 0),
+    (lambda: gen_random(6, 3, 0.6, 0.2, True, 1), 0),
+    (lambda: stall_chain((2, 2, 4)), 1),
     (lambda: gen_dory(2), 0), (default_valid_utility, 0),
     (lambda: gen_fig3(Fraction(1, 10)), 0),
-], ids=["fig2", "lenny6", "am6", "dory2", "valid", "fig3"])
+], ids=["fig2", "lenny6", "am6", "stall224", "dory2", "valid", "fig3"])
 def test_optimal_play_values_its_answer_once(monkeypatch, make, walks):
-    # The polish path values only its best snapped point exactly; pure
-    # enumeration and the sequence-form DP read the leaf table.
+    # The polish path values only its best snapped point exactly; the pure
+    # search and the closed form of one two-action row read the leaf
+    # table.
     calls = []
     evaluate = solvers.expected_utility
     monkeypatch.setattr(solvers, "expected_utility",
@@ -795,27 +894,6 @@ def test_two_action_row_with_term_peaks_at_both_ends_opens_no_bracket(monkeypatc
     assert C.tolist() == [[2.0, 1.0]] and E.tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
 
-def stall_chain(visits: tuple[int, ...]):
-    """One infoset with an action per entry of ``visits``, entered
-    sum(visits) times: the one paying leaf (utility 1) follows the path
-    that plays the first action visits[0] times, then the second
-    visits[1] times, and so on; every other action stops at 0."""
-    actions = tuple("ABCDEFGH"[: len(visits)])
-    path = [a for a, k in zip(actions, visits) for _ in range(k)]
-    ids = [f"d{k}" for k in range(len(path))] + ["win"]
-    nodes, utilities = [], {"win": (Fraction(1),)}
-    for k, taken in enumerate(path):
-        children = tuple(ids[k + 1] if a == taken else f"z{k}{a}" for a in actions)
-        nodes.append(Node(id=ids[k], owner=1, actions=actions, children=children))
-        for a in actions:
-            if a != taken:
-                nodes.append(Node(id=f"z{k}{a}", owner="terminal"))
-                utilities[f"z{k}{a}"] = (Fraction(0),)
-    nodes.append(Node(id="win", owner="terminal"))
-    infosets = [Infoset(id="I", player=1, nodes=tuple(ids[:-1]), actions=actions)]
-    return make_game(1, ids[0], nodes, utilities, infosets, name="stall")
-
-
 def test_three_action_deviation_far_below_one_is_found():
     # sA^20 sB^20 sC^40 peaks at (1/4, 1/4, 1/2), worth 2^-120; the uniform
     # start is worth 3^-80 = 6.8e-39.  Steps of step * gradient, absolute
@@ -956,13 +1034,15 @@ def test_two_player_absentminded_edt_equilibrium_is_found():
 
 
 def test_sampled_grid_is_noted_in_optimal_strategy(monkeypatch):
+    # Three actions, and every pure strategy is worth 0: optimal play
+    # polishes.
     with monkeypatch.context() as m:
         m.setattr(solvers, "_GRID_CAP", 10)
         m.setattr(solvers, "_GRID_SAMPLES", 8)
-        report = optimal_strategy(gen_fig2())
+        report = optimal_strategy(stall_chain((2, 2, 4)))
     assert report.certified == "heuristic"
     assert report.notes == ("grid_cap=10 exceeded: sampled 8 grid points",)
-    full = optimal_strategy(gen_fig2())
+    full = optimal_strategy(stall_chain((2, 2, 4)))
     assert full.certified.startswith("grid-certified")
     assert not any("grid_cap" in n for n in full.notes)
 
