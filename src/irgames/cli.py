@@ -406,6 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("bounds", help="structural bounds on the value of recall",
+                       description="Structural bounds on the value of recall, in exact "
+                                   "arithmetic.  --grid-resolution, --multistart, "
+                                   "--eps-eq and --seed are accepted, as by solve and "
+                                   "vor, but no bound reads them.",
                        formatter_class=fmt_cls)
     p.add_argument("game")
     _add_solver_flags(p)

@@ -156,13 +156,22 @@ def pure_optimum(game: Game) -> Optional[tuple[Num, BehavioralStrategy]]:
     depth first on an explicit stack, on the infoset whose on-path atoms
     disagree most, its majority action first, and prunes nodes bounded by
     the incumbent.  Under perfect recall the root pass is the answer."""
+    found, proved = pure_search(game)
+    return found if proved else None
+
+
+def pure_search(game: Game) -> tuple[Optional[tuple[Num, BehavioralStrategy]], bool]:
+    """The search's best pure strategy, with its exact value, and whether
+    the search proved it optimal; kept in ``game.memo``.  Past
+    ``_SEARCH_BUDGET`` it is the incumbent, a lower bound on optimal play
+    (None if the search had found none), and False."""
     key = "pure optimum"
     if key not in game.memo:
         game.memo[key] = _pure_search(game)
     return game.memo[key]
 
 
-def _pure_search(game: Game) -> Optional[tuple[Num, BehavioralStrategy]]:
+def _pure_search(game: Game) -> tuple[Optional[tuple[Num, BehavioralStrategy]], bool]:
     history, steps = own_histories(game, 1)
     step_id = {step: h for h, step in enumerate(steps)}
     isets = list(game.infosets.get(1, {}).values())
@@ -201,7 +210,7 @@ def _pure_search(game: Game) -> Optional[tuple[Num, BehavioralStrategy]]:
     visited = 0
     while stack:
         if visited and visited >= _SEARCH_BUDGET:  # past the root pass
-            return None
+            break
         forced = stack.pop()
         visited += len(steps)
         value = list(base)
@@ -233,8 +242,12 @@ def _pure_search(game: Game) -> Optional[tuple[Num, BehavioralStrategy]]:
         i, majority = split
         for a in sorted(range(len(isets[i].actions)), key=lambda a: (a == majority, -a)):
             stack.append({**forced, i: a})
+    if best is None:
+        return None, False
     value, plan = best
-    return (Fraction(value, scale) if exact else value), pure_strategy(game, 1, plan)
+    # The stack is empty only when the search ran to its end.
+    return ((Fraction(value, scale) if exact else value),
+            pure_strategy(game, 1, plan)), not stack
 
 
 def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveReport:
@@ -251,7 +264,8 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
     mixed ones too.  What remains, and a search past its budget, is
     attacked by multistart projected ascent, with a seeded grid scan
     under absentmindedness (``solvers._numeric_opt``), seeded also with
-    the best pure strategy where the search found it; the best polished
+    the best pure strategy the search found, also past its budget (the
+    polish only ascends, so it answers no less); the best polished
     point is snapped to exact fractions when doing so loses nothing.
     The report is solved once per game and ``SolverConfig`` and kept in
     ``game.memo``.
@@ -271,11 +285,11 @@ def optimal_strategy(game: Game, cfg: Optional[SolverConfig] = None) -> SolveRep
 
 
 def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
-    incumbent = None
     if not has_absentmindedness(game, 1):
-        found = pure_optimum(game)
+        incumbent, proved = pure_search(game)
+        found = incumbent if proved else None
     else:
-        found = None
+        found = incumbent = None
         rows = list(game.infosets[1].values())
         if len(rows) == 1 and len(rows[0].actions) == 2:
             from .closed_form import two_action_optimum
@@ -285,10 +299,10 @@ def _solve_opt(game: Game, cfg: SolverConfig) -> SolveReport:
         # every strategy's value: a pure optimum that meets it is optimal.
         # Two float sums added in different orders prove nothing.
         if found is None and game.is_rational:
-            incumbent = pure_optimum(game)
+            incumbent = pure_search(game)[0]
             refined = perfect_recall_refinement(game, 1)[0]
             if incumbent is not None and incumbent[0] == pure_optimum(refined)[0]:
-                found, incumbent = incumbent, None
+                found = incumbent
     if found is None:
         from .solvers import _numeric_opt
 

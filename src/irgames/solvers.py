@@ -178,11 +178,11 @@ def _numeric_opt(game: Game, cfg: SolverConfig,
     """Multistart gradient polish for the absentminded games no exact path
     of ``recall.optimal_strategy`` solved, seeded with a grid, and for
     games whose pure search ran past its budget.  ``incumbent``, the best
-    pure strategy when the search found it, is one more seed: the polish
-    only ascends, so the answer is worth no less, up to the 1e-11 a snap
-    may lose.  The best polished point is snapped to small fractions and
-    valued exactly once; the snap is kept when that loses nothing,
-    ``exact`` if it meets the refinement's optimum."""
+    pure strategy the search found, past its budget too, is one more seed:
+    the polish only ascends, so the answer is worth no less, up to the
+    1e-11 a snap may lose.  The best polished point is snapped to small
+    fractions and valued exactly once; the snap is kept when that loses
+    nothing, ``exact`` if it meets the refinement's optimum."""
     num = game.numeric
     rng = cfg.rng()
     seeds = [num.index.uniform()[None],
@@ -397,7 +397,9 @@ def _max_row(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vertex of C @ E (the first, on ties); so is a one-action row's, its
     one point, where every term is worth C_k.  Otherwise each distinct row
     of C is maximised once, since the polish's seeds share few row
-    polynomials; three or more actions take :func:`_max_row_ascent`.
+    polynomials; three or more actions take the projected ascent of
+    :func:`_max_row_ascent`, where each start stops once its step stands
+    still (a KKT point of the row) or falls below 1e-10.
 
     Two actions, s -> sum_k C_k s^P_k (1-s)^Q_k: each term rises up to its
     maximizer P_k/(P_k+Q_k) and falls after it, so the sum rises below the
@@ -546,7 +548,14 @@ def _max_row_ascent(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarra
     vertex, up to 200 steps each.  Steps follow grad f / f, the gradient
     of log f, where f > 0, and the raw gradient where f = 0, and a step is
     kept when it gains relative to f: a row's scale (2^-120 on a chain of
-    80 visits) then moves neither the steps nor the acceptance."""
+    80 visits) then moves neither the steps nor the acceptance.
+
+    A start stops when its step falls below 1e-10, or as soon as a
+    rejected candidate is its own point.  That second stop is exact: if
+    the projection of s + t g is s for one t > 0, then t g, and so g, lies
+    in the simplex's normal cone at s, which is a cone, so every smaller
+    step projects back onto s too.  Such a start is a KKT point of its
+    row, and halving its step further moves nothing."""
     n = E.shape[1]
     starts = np.vstack([np.full(n, 1.0 / n), np.eye(n)])
     s = np.tile(starts, (len(C), 1))
@@ -567,9 +576,10 @@ def _max_row_ascent(C: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, np.ndarra
         cand = _project_simplex(sk + step[k, None] * grad)
         fc = _row_values(c[k], E, cand)
         up = fc > f[k] * (1 + 1e-14)
+        still = (cand == sk).all(axis=1)
         s[k[up]], f[k[up]] = cand[up], fc[up]
         step[k] *= np.where(up, 1.3, 0.5)
-        active[k[~up & (step[k] < 1e-10)]] = False
+        active[k[~up & (still | (step[k] < 1e-10))]] = False
     top = f.reshape(len(C), n + 1).argmax(axis=1) + (n + 1) * np.arange(len(C))
     return f[top], s[top]
 

@@ -493,6 +493,14 @@ def test_cli_help_shows_the_solver_config_defaults(capsys):
     assert "EPS_EQ equilibrium residual tolerance (default: 1e-06)" in out
 
 
+def test_cli_bounds_help_says_the_solver_flags_are_unused(capsys):
+    assert run(["bounds", "--help"]) == 0
+    # argparse may wrap the description inside a flag's name.
+    out = "".join(capsys.readouterr().out.split())
+    assert "".join(("--grid-resolution, --multistart, --eps-eq and --seed are accepted, "
+                    "as by solve and vor, but no bound reads them.").split()) in out
+
+
 @pytest.mark.parametrize("problem", ["unknown infoset", "row sums to 2", "NaN entry"])
 @pytest.mark.parametrize("command", [
     ["smooth-check", "--lambda", "1", "--mu", "1", "--pistar"],

@@ -263,6 +263,32 @@ def test_pure_search_past_its_budget_falls_back_to_the_polish(monkeypatch):
     assert report.u1 <= Fraction(599, 70)
 
 
+def test_the_polish_past_the_budget_starts_from_the_search_incumbent(monkeypatch):
+    # 8 variables and 20 clauses: 302 own-history steps.  After 10 passes
+    # the search holds an assignment worth 49 but has not proved it; the
+    # optimum is 57.
+    rng = np.random.default_rng(0)
+    clauses = [[int(v) * int(rng.choice((1, -1))) for v in rng.choice(np.arange(1, 9), 3, False)]
+               for _ in range(20)]
+    monkeypatch.setattr(recall, "_SEARCH_BUDGET", 3020)
+    g = gen_sat_game(clauses)
+    (value, strategy), proved = recall.pure_search(g)
+    assert not proved and value == 49 and recall.pure_optimum(g) is None
+    seeds = []
+    numeric_opt = solvers._numeric_opt
+
+    def seeded(game, cfg, incumbent=None):
+        seeds.append(incumbent)
+        return numeric_opt(game, cfg, incumbent)
+
+    monkeypatch.setattr(solvers, "_numeric_opt", seeded)
+    report = optimal_strategy(g)
+    assert seeds == [strategy]
+    assert report.u1 >= value
+    assert report.certified == "heuristic"
+    assert report.notes == ("search_budget=3020 own-history steps exceeded",)
+
+
 def no_polish(game, cfg, incumbent=None):
     raise AssertionError("optimal play reached the polish")
 
@@ -908,6 +934,106 @@ def test_three_action_deviation_far_below_one_is_found():
     (row,) = num.index.rows
     gain = solvers._row_gains(num, num.index.vector(profile)[None], row)[0]
     assert gain == pytest.approx(2.0 ** -120 - 3.0 ** -80, rel=1e-9, abs=0)
+
+
+def ascent_to_the_floor(C, E):
+    """``solvers._max_row_ascent`` without its standstill stop: every start
+    halves its rejected steps until they fall below 1e-10."""
+    n = E.shape[1]
+    starts = np.vstack([np.full(n, 1.0 / n), np.eye(n)])
+    s = np.tile(starts, (len(C), 1))
+    c = np.repeat(C, n + 1, axis=0)
+    f = solvers._row_values(c, E, s)
+    lowered = np.maximum(E - np.eye(n)[:, None, :], 0.0)
+    step = np.full(len(s), 0.25)
+    active = np.ones(len(s), dtype=bool)
+    for _ in range(200):
+        k = np.nonzero(active)[0]
+        if not len(k):
+            break
+        sk, fk = s[k], f[k, None]
+        grad = np.einsum("bk,ak,bak->ba", c[k], E.T,
+                         np.prod(sk[:, None, None, :] ** lowered, axis=3))
+        np.divide(grad, fk, out=grad, where=fk > 0)
+        cand = solvers._project_simplex(sk + step[k, None] * grad)
+        fc = solvers._row_values(c[k], E, cand)
+        up = fc > f[k] * (1 + 1e-14)
+        s[k[up]], f[k[up]] = cand[up], fc[up]
+        step[k] *= np.where(up, 1.3, 0.5)
+        active[k[~up & (step[k] < 1e-10)]] = False
+    top = f.reshape(len(C), n + 1).argmax(axis=1) + (n + 1) * np.arange(len(C))
+    return f[top], s[top]
+
+
+def assert_ascent_matches_the_floor(C, E):
+    value, at = solvers._max_row_ascent(C, E)
+    floor_value, floor_at = ascent_to_the_floor(C, E)
+    assert np.array_equal(value, floor_value) and np.array_equal(at, floor_at)
+
+
+@st.composite
+def row_polynomials(draw):
+    """(B, K) coefficients from 1e-200 to 1e3 and (K, n) exponents 0-5 of
+    1-40 terms on n = 3 or 4 actions."""
+    n = draw(st.integers(3, 4))
+    terms = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 3))
+    E = draw(st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n),
+                      min_size=terms, max_size=terms))
+    C = draw(st.lists(st.lists(st.floats(1e-200, 1e3), min_size=terms, max_size=terms),
+                      min_size=rows, max_size=rows))
+    return np.array(C), np.array(E, dtype=float)
+
+
+@given(poly=row_polynomials())
+@settings(max_examples=150, deadline=None)
+def test_a_start_that_stands_still_would_never_move_again(poly):
+    # A rejected candidate equal to its start puts the step in the normal
+    # cone there, so every smaller step projects back onto the start: the
+    # ascent's values and maximisers are those of halving to the floor.
+    assert_ascent_matches_the_floor(*poly)
+
+
+def am6_row_polynomials():
+    g = gen_random(6, 3, 0.6, 0.2, True, 1)
+    num = g.numeric
+    X = np.concatenate([num.index.uniform()[None],
+                        solvers._random_mixed(num.index, np.random.default_rng(0), 8)])
+    rows = [r for r in num.index.rows if r.infoset_id in g.absentminded[r.player]]
+    assert [(r.infoset_id, r.size) for r in rows] == [
+        ("P1G0", 3), ("P1G1", 3), ("P1G2", 3), ("P1G8", 3)]
+    return [num.row_polynomial(X, r) for r in rows]
+
+
+@pytest.mark.parametrize("j", range(4), ids=["P1G0", "P1G1", "P1G2", "P1G8"])
+def test_am6_rows_ascend_as_they_did_to_the_floor(j):
+    assert_ascent_matches_the_floor(*am6_row_polynomials()[j])
+
+
+def test_an_interior_maximum_ascends_as_it_did_to_the_floor():
+    # stall_chain((20, 20, 40)) peaks at (1/4, 1/4, 1/2), inside the simplex.
+    num = stall_chain((20, 20, 40)).numeric
+    (row,) = num.index.rows
+    C, E = num.row_polynomial(num.index.uniform()[None], row)
+    assert_ascent_matches_the_floor(C, E)
+    assert solvers._max_row_ascent(C, E)[1][0] == pytest.approx((0.25, 0.25, 0.5), abs=1e-6)
+
+
+def test_edt_check_on_am6_stops_the_starts_that_stand_still(monkeypatch):
+    # All 16 starts of am6's four rows reach a KKT point by their 17th
+    # step; halving each rejected step down to 1e-10 took 199 projections.
+    calls = []
+    project = solvers._project_simplex
+
+    def counted(V):
+        calls.append(len(V))
+        return project(V)
+
+    monkeypatch.setattr(solvers, "_project_simplex", counted)
+    g = gen_random(6, 3, 0.6, 0.2, True, 1)
+    ok, residual = edt_check(g, uniform_profile(g))
+    assert not ok and residual == 1.2201167519349339
+    assert len(calls) <= 60
 
 
 def test_one_action_absentminded_row_is_its_one_point():
