@@ -128,7 +128,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     defaults = SolverConfig()
     p.add_argument("--grid-resolution", type=_checked(int, lambda v: v >= 1, "an integer >= 1"),
                    default=defaults.grid_resolution,
-                   help="mixed-seed grid resolution (delta = 1/this)")
+                   help="seed grid of optimal play under absentmindedness (delta = 1/this)")
     p.add_argument("--multistart", type=_checked(int, lambda v: v >= 0, "an integer >= 0"),
                    default=defaults.multistart,
                    help="random restarts for local search")

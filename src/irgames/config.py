@@ -27,7 +27,7 @@ class CapExceededError(ValueError):
 
 
 class EquilibriumNotFoundError(RuntimeError):
-    """No profile passed the concept's residual test at this resolution."""
+    """No profile passed the concept's residual test."""
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ plain (B, R) arrays.  Leaf reach probabilities are monomials in the
 coordinates, compiled here from ``Game.leaves`` once per game, as
 ``Game.numeric``, which every solver reads; the kernels evaluate utilities,
 exact polynomial gradients, and single-row deviations for whole batches at
-once, which is what makes grid scans and multistart ascent affordable in
-pure Python.  ``NumericGame.row_polynomial`` is the kernel behind every
-single-row deviation the solvers make: for a batch and one row it gives
-the row player's utility as a polynomial in that row's entries, the
-coefficients read from the leaf products with the row's factors set to
+once, which is what makes optimal play's grid scan and multistart ascent
+affordable in pure Python.  ``NumericGame.row_polynomial`` is the kernel
+behind every single-row deviation the solvers make: for a batch and one row
+it gives the row player's utility as a polynomial in that row's entries,
+the coefficients read from the leaf products with the row's factors set to
 one and the exponents from the row's visit counts.  The pure-deviation
 kernels (``deviation_values_pure``, ``edt_pure_residuals``) have no caller
 in the package; the benchmark's workloads and tracer read them.

@@ -23,33 +23,35 @@ Computation policy, in one place:
   optimal, since lifting keeps utility and so that optimum bounds every
   strategy.  Otherwise the maximiser is a KKT point, so
   ``_numeric_opt`` seeds the uniform profile, random vertices and mixed
-  profiles, a grid, the search's best pure strategy and, where they are
-  few, every pure profile, polishes them all by the projected gradient
-  dynamics of the CDT candidate stage (``_gradient_polish``, one moving
-  player), then snaps the best polished point to exact fractions when
-  that does not lose value, ``exact`` if it meets the refinement's
-  optimum.  A game without absentmindedness whose pure search runs past
-  ``recall._SEARCH_BUDGET`` takes this path without the grid;
+  profiles, a grid (``_grid_points``: the full product grid at
+  ``cfg.grid_resolution``, or a sample of it), the search's best pure
+  strategy and, where they are few, every pure profile, polishes them all
+  by the projected gradient dynamics of the CDT candidate stage
+  (``_gradient_polish``, one moving player), then snaps the best polished
+  point to exact fractions when that does not lose value, ``exact`` if it
+  meets the refinement's optimum.  A game without absentmindedness whose
+  pure search runs past ``recall._SEARCH_BUDGET`` takes this path without
+  the grid;
 * equilibrium enumeration runs in two stages.  The candidate stage seeds
-  pure/grid/random profiles, polishes them, keeps the profiles whose
-  residual clears the tolerance, drops repeats by one byte key per
-  rounded profile (``_row_keys``), and dedups the rest by realization
-  equivalence, comparing leaf reaches.  Past the polish every step is a
-  whole-batch numpy call, save the walk over the representatives, each of
-  which covers every later candidate within ``_DEDUP_TOL`` of it in one
-  call.  The stage depends only on the concept's
-  polish family: EDT, NASH and EDT-NASH polish by best-response dynamics
-  (``_br_polish``) and keep EDT residuals, CDT and CDT-NASH polish by
-  gradient dynamics and keep KKT residuals.  Its classes are kept in
-  ``Game.memo`` under the key (family, ``SolverConfig``), so every
-  concept of a family in one game shares one run.  The filter stage
-  reads each class's utilities, place in Player 1's utility order and
-  admission residual from the candidate stage; the EDT-NASH and CDT-NASH
-  filters test only rationality.  It filters every class when
-  enumerating, and lazily for best/worst selection, which walks the same
-  order from the requested end and stops at the first that passes: an end
-  of the enumeration.  Flags on every report say how much certainty was
-  earned;
+  every pure profile (or a sample), ``cfg.multistart`` random mixed
+  profiles, the uniform profile and, in one-player games, OPT's profile,
+  polishes them, keeps the profiles whose residual clears the tolerance,
+  drops repeats by one byte key per rounded profile (``_row_keys``), and
+  dedups the rest by realization equivalence, comparing leaf reaches.
+  Past the polish every step is a whole-batch numpy call, save the walk
+  over the representatives, each of which covers every later candidate
+  within ``_DEDUP_TOL`` of it in one call.  The stage depends only on the
+  concept's polish family: EDT, NASH and EDT-NASH polish by best-response
+  dynamics (``_br_polish``) and keep EDT residuals, CDT and CDT-NASH
+  polish by gradient dynamics and keep KKT residuals.  Its classes are
+  kept in ``Game.memo`` under the key (family, ``SolverConfig``), so every
+  concept of a family in one game shares one run.  The filter stage reads
+  each class's utilities, place in Player 1's utility order and admission
+  residual from the candidate stage; the EDT-NASH and CDT-NASH filters
+  test only rationality.  It filters every class when enumerating, and
+  lazily for best/worst selection, which walks the same order from the
+  requested end and stops at the first that passes: an end of the
+  enumeration.  Flags on every report say how much certainty was earned;
 * every solver and every EDT and KKT check reads the game's one compiled
   float table, ``Game.numeric``, through the batched residual kernels
   (``_edt_residuals``, ``numeric.kkt_gaps``); only ``best_deviation``
@@ -82,23 +84,23 @@ Computation policy, in one place:
   the work budget of the pure search of optimal play
   (``recall._SEARCH_BUDGET``, in own-history steps), the snapping
   denominator (``_SNAP_DENOMINATOR``), the support tolerance
-  ``numeric.SUPP_TOL``, and the caps on exhaustive work: the pure and grid
-  seeds of enumeration and optimal play
-  (``_ENUM_PURE_CAP``/``_ENUM_PURE_SAMPLES``,
-  ``_GRID_CAP``/``_GRID_SAMPLES``), the enumerable strategy dimension
-  (``_ENUM_DIM_CAP``) and the rationality witness search
-  (``_WITNESS_CAP``); every report a cap cut says so.  No caller but a
-  test sets another value, and an option would still have to be tested
-  and would join every ``Game.memo`` key.  Functions read the constants
-  when called, so a test can patch them; the memo keys do not carry them,
-  so a patched run needs a fresh game.  ``SolverConfig`` holds only the
-  CLI's flags; it, ``SolveReport`` and the two solver errors live in the
-  numpy-free ``irgames.config``, so that the CLI can build its parser and
-  handle errors, and optimal play can report, without loading this
-  module, and are re-exported here;
-* enumeration certifies nothing: seeding every grid point bounds no
-  extremum, so every enumeration report is ``heuristic``.  Optimal play
-  on a full grid is ``grid-certified``, with a Lipschitz gap bound.
+  ``numeric.SUPP_TOL``, and the caps on exhaustive work: the pure seeds of
+  enumeration and optimal play (``_ENUM_PURE_CAP``/``_ENUM_PURE_SAMPLES``),
+  the grid seeds of optimal play (``_GRID_CAP``/``_GRID_SAMPLES``), the
+  enumerable strategy dimension (``_ENUM_DIM_CAP``) and the rationality
+  witness search (``_WITNESS_CAP``); every report a cap cut says so.  No
+  caller but a test sets another value, and an option would still have to
+  be tested and would join every ``Game.memo`` key.  Functions read the
+  constants when called, so a test can patch them; the memo keys do not
+  carry them, so a patched run needs a fresh game.  ``SolverConfig`` holds
+  only the CLI's flags; it, ``SolveReport`` and the two solver errors live
+  in the numpy-free ``irgames.config``, so that the CLI can build its
+  parser and handle errors, and optimal play can report, without loading
+  this module, and are re-exported here;
+* enumeration certifies nothing: its seeds, a grid's included, bound no
+  equilibrium extremum, so it seeds no grid, and every enumeration report
+  is ``heuristic``.  Optimal play on a full grid is ``grid-certified``,
+  with a Lipschitz gap bound.
 """
 
 from __future__ import annotations
@@ -999,15 +1001,9 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     rng = cfg.rng()
 
     pure_seeds, pure_full = _pure_seed_vectors(num.index, rng)
-    grid_seeds, grid_full = _grid_points(num.index, cfg, rng)
-    notes = []
-    if not pure_full:
-        notes.append(_sampled_note("enum_pure_cap", _ENUM_PURE_CAP,
-                                   len(pure_seeds), "pure seeds"))
-    if not grid_full:
-        notes.append(_sampled_note("grid_cap", _GRID_CAP, len(grid_seeds),
-                                   "grid points"))
-    seeds = [pure_seeds, grid_seeds, _random_mixed(num.index, rng, cfg.multistart),
+    notes = () if pure_full else (
+        _sampled_note("enum_pure_cap", _ENUM_PURE_CAP, len(pure_seeds), "pure seeds"),)
+    seeds = [pure_seeds, _random_mixed(num.index, rng, cfg.multistart),
              num.index.uniform()[None]]
     if game.players == 1:
         seeds.append(num.index.vector(optimal_strategy(game, cfg).profile)[None])
@@ -1050,7 +1046,7 @@ def _find_classes(game: Game, family: str, cfg: SolverConfig) -> _Classes:
     for a in (X, res, utilities):
         a.setflags(write=False)
     return _Classes(X=X, residual=res, utilities=utilities,
-                    order=np.lexsort((res, utilities[:, 0])), notes=tuple(notes))
+                    order=np.lexsort((res, utilities[:, 0])), notes=notes)
 
 
 def _class_report(game: Game, concept: str, cfg: SolverConfig,
@@ -1085,7 +1081,8 @@ def _walk_classes(game: Game, concept: str, cfg: SolverConfig,
     ``_Classes.order``: every class that passes for ``which`` "any", else
     the first from the requested end.  When ``_WITNESS_CAP`` cut the
     witness search of rejected classes the walk examined, every report
-    says how many, and if none passed, EquilibriumNotFoundError does."""
+    says how many.  EquilibriumNotFoundError says when a best/worst walk
+    found no class, or when none passed and the cap cut the search."""
     classes = _equilibrium_classes(game, concept, cfg)
     reports, capped = [], 0
     for k in (classes.order[::-1] if which == "best" else classes.order):
@@ -1096,11 +1093,12 @@ def _walk_classes(game: Game, concept: str, cfg: SolverConfig,
         reports.append(report)
         if which != "any":
             break
+    note = (f"witness_cap={_WITNESS_CAP} cut the witness search of "
+            f"{capped} rejected class(es)")
+    if not reports and (capped or which != "any"):
+        raise EquilibriumNotFoundError(
+            f"no {concept} equilibrium found" + (f"; {note}" if capped else ""))
     if capped:
-        note = (f"witness_cap={_WITNESS_CAP} cut the witness search of "
-                f"{capped} rejected class(es)")
-        if not reports:
-            raise EquilibriumNotFoundError(f"no {concept} equilibrium found; {note}")
         reports = [replace(r, notes=r.notes + (note,)) for r in reports]
     return reports
 
@@ -1141,7 +1139,7 @@ def best_worst(game: Game, concept: str, which: str,
     utilities and residual the candidate stage computed.  A
     ``witness_cap`` note counts the rejected classes the walk examined:
     every one is more extreme than the answer, and no less extreme class
-    can change it.
+    can change it.  If no class passes, EquilibriumNotFoundError says so.
     """
     cfg = _cfg(cfg)
     concept = concept.upper()
@@ -1149,9 +1147,4 @@ def best_worst(game: Game, concept: str, which: str,
         raise ValueError(f"selector must be 'best' or 'worst', got {which!r}")
     if concept == "OPT":
         return replace(optimal_strategy(game, cfg), which=which)
-    reports = _walk_classes(game, concept, cfg, which)
-    if not reports:
-        raise EquilibriumNotFoundError(
-            f"no {concept} equilibrium found at resolution "
-            f"delta=1/{cfg.grid_resolution}")
-    return replace(reports[0], which=which)
+    return replace(_walk_classes(game, concept, cfg, which)[0], which=which)

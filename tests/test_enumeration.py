@@ -34,7 +34,7 @@ from irgames.strategies import node_reach_map, validate_profile
 from irgames.vor import VOR_CONCEPTS, vor_compute
 
 from test_leaf_table import two_player_mixed_rows_game
-from test_rationality import LEAN, NOTE, bluff_game, lean
+from test_rationality import LEAN, NOTE, bluff_game
 
 PAPER_GAMES = {
     "fig1": lambda: gen_fig1(Fraction(1, 100)),
@@ -122,7 +122,7 @@ def test_shared_classes_give_the_answers_of_a_fresh_game():
 
 
 # Random games whose classes tie, or nearly tie, in Player 1's utility:
-# all 286 CDT classes of the first are worth about 1.92449, and the worst
+# all 34 CDT classes of the first are worth about 1.92449, and the worst
 # EDT classes of the second 6 to within an ulp.
 TIED_GAMES = {
     "seed9": lambda: gen_random(depth=3, branching=3, merge_rate=0.6, chance_rate=0.2,
@@ -163,11 +163,10 @@ def test_class_representatives_pass_their_family_check_at_their_residual(class_g
                     g.name, family)
 
 
-def test_lazy_walk_notes_only_the_cut_rejections_it_examined(monkeypatch):
+def test_lazy_walk_notes_only_the_cut_rejections_it_examined():
     # Every class is worth 1.  The cut rejection is the out-profile's class,
     # first in utility order by its residual 0; only the walk from the worst
     # end meets it, and the enumeration, which filters every class.
-    lean(monkeypatch)
     game = bluff_game(1)
     worst = best_worst(game, "CDT-NASH", "worst", LEAN)
     best = best_worst(game, "CDT-NASH", "best", LEAN)
@@ -183,6 +182,23 @@ def test_classes_are_read_only_and_walked_in_kernel_utility_order():
     assert not classes.X.flags.writeable and not classes.residual.flags.writeable
     u1 = refined.numeric.utility(classes.X[classes.order], 1)
     assert list(u1) == sorted(u1)
+
+
+# fig2's product grid is full (65 points) and r9's is past ``_GRID_CAP``:
+# the candidate stage seeds neither.
+@pytest.mark.parametrize("make", [
+    gen_fig2, lambda: gen_random(3, 3, 0.6, 0.2, False, 9, players=2),
+    lambda: perfect_recall_refinement(gen_fig3(Fraction(1, 10)), 1)[0],
+], ids=["fig2", "r9", "refined fig3"])
+@pytest.mark.parametrize("concept", ["EDT", "CDT"])
+def test_the_candidate_stage_seeds_no_grid(monkeypatch, make, concept):
+    def no_grid(*args):
+        raise AssertionError("the candidate stage seeded a grid")
+
+    monkeypatch.setattr(solvers, "_grid_points", no_grid)
+    reports = enumerate_equilibria(make(), concept)
+    assert reports
+    assert not any("grid_cap" in n for r in reports for n in r.notes)
 
 
 def product_grid(index, m: int) -> list:

@@ -488,7 +488,8 @@ def test_cli_help_shows_the_solver_config_defaults(capsys):
     assert (defaults.grid_resolution, defaults.multistart, defaults.eps_eq) == (64, 32, 1e-06)
     assert run(["solve", "--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())  # undo argparse's wrapping
-    assert "GRID_RESOLUTION mixed-seed grid resolution (delta = 1/this) (default: 64)" in out
+    assert ("GRID_RESOLUTION seed grid of optimal play under absentmindedness "
+            "(delta = 1/this) (default: 64)") in out
     assert "MULTISTART random restarts for local search (default: 32)" in out
     assert "EPS_EQ equilibrium residual tolerance (default: 1e-06)" in out
 

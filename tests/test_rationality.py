@@ -188,14 +188,10 @@ def bluff_game(out_utility: int, chain: int = 9):
 
 
 # Fewer random seeds than the defaults: the crafted game needs none of them.
-# ``lean`` cuts the grid samples and ``wide`` widens the witness cap.  The
-# memo keys do not carry the caps, so each setting solves a fresh game.
+# ``wide`` widens the witness cap.  The memo keys do not carry the caps, so
+# each setting solves a fresh game.
 LEAN = SolverConfig(multistart=4)
 NOTE = "witness_cap=256 cut the witness search of 1 rejected class(es)"
-
-
-def lean(monkeypatch) -> None:
-    monkeypatch.setattr(solvers, "_GRID_SAMPLES", 16)
 
 
 def wide(monkeypatch) -> None:
@@ -230,13 +226,12 @@ def test_edt_nash_check_stays_boolean_when_the_cap_decides(monkeypatch):
 
 
 def raises_with_the_cap(monkeypatch, concept: str) -> None:
-    lean(monkeypatch)
     with pytest.raises(EquilibriumNotFoundError, match=re.escape(NOTE)):
         enumerate_equilibria(bluff_game(2), concept, LEAN)
     wide(monkeypatch)
     [report] = enumerate_equilibria(bluff_game(2), concept, LEAN)
     assert report.u1 == 2
-    assert report.notes == ("grid_cap=5000 exceeded: sampled 16 grid points",)
+    assert report.notes == ()
 
 
 def test_cap_decided_rejection_without_survivors_raises_with_the_cap(monkeypatch):
@@ -248,7 +243,6 @@ def test_edt_nash_rejection_without_survivors_raises_with_the_cap(monkeypatch):
 
 
 def marks_every_report(monkeypatch, concept: str) -> None:
-    lean(monkeypatch)
     reports = enumerate_equilibria(bluff_game(1), concept, LEAN)
     assert reports
     assert all(r.certified == "heuristic" and NOTE in r.notes for r in reports)
@@ -299,10 +293,9 @@ def out_profile_of(game):
 
 
 @pytest.mark.parametrize("concept", ["CDT-NASH", "EDT-NASH"])
-def test_witness_cap_note_counts_only_the_failing_players_search(monkeypatch, concept):
+def test_witness_cap_note_counts_only_the_failing_players_search(concept):
     # Player 1 fails on a short witness list; Player 2's list is cut but
     # never decides, so the rejection is not the cap's.
-    lean(monkeypatch)
     game = driver_game()
     num = game.numeric
     x = num.index.vector(out_profile_of(game))
